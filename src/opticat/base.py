@@ -40,14 +40,5 @@ class Nothing:
     pass
 
 
-def is_just(m):
-    return isinstance(m, Just)
-
-
 def identity(x):
     return x
-
-
-def compose2(f, g):
-    """Plain function composition, f after g."""
-    return lambda x: f(g(x))

@@ -24,6 +24,7 @@ from .families import (
     Prism,
     Setter,
     family_join,
+    family_le,
 )
 
 EXIT_OK = 0
@@ -312,14 +313,7 @@ _PROMOTIONS = {
 def promote(optic, from_tag: FamilyTag, to_tag: FamilyTag):
     if from_tag == to_tag:
         return optic
-    direct = _PROMOTIONS.get((from_tag, to_tag))
-    if direct:
-        return direct(optic)
-    if to_tag == FamilyTag.SETTER:
-        return _to_setter(optic)
-    if (from_tag, FamilyTag.OPTIONAL) in _PROMOTIONS and to_tag == FamilyTag.OPTIONAL:
-        return _PROMOTIONS[(from_tag, FamilyTag.OPTIONAL)](optic)
-    raise ValueError(f"no promotion from {from_tag} to {to_tag}")
+    return _PROMOTIONS[(from_tag, to_tag)](optic)
 
 
 def compile_path(path: PathExpr):
@@ -342,14 +336,14 @@ def compile_path(path: PathExpr):
 
 # Commands ---------------------------------------------------------------------
 
-_COMMANDS = ("get", "set", "map", "match", "build")
-
-_SUPPORTS = {
-    "get": {FamilyTag.ADAPTER, FamilyTag.LENS, FamilyTag.ACHLENS},
-    "set": set(FamilyTag),
-    "map": set(FamilyTag),
-    "match": set(FamilyTag) - {FamilyTag.SETTER},
-    "build": {FamilyTag.ADAPTER, FamilyTag.PRISM},
+# The family each command needs: a path supports the command when its
+# family embeds into it.
+_REQUIRES = {
+    "get": FamilyTag.LENS,
+    "set": FamilyTag.SETTER,
+    "map": FamilyTag.SETTER,
+    "match": FamilyTag.OPTIONAL,
+    "build": FamilyTag.PRISM,
 }
 
 _MAP_FNS = ("incr", "negate", "upper", "lower")
@@ -384,17 +378,10 @@ def render(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def _matchable(optic, tag):
-    return tag in (FamilyTag.LENS, FamilyTag.PRISM, FamilyTag.OPTIONAL,
-                   FamilyTag.ACHLENS, FamilyTag.ADAPTER)
-
-
 def _as_match(optic, tag):
-    if tag in (FamilyTag.PRISM, FamilyTag.OPTIONAL):
-        return optic.match
-    if tag == FamilyTag.ADAPTER:
-        return lambda s: Right(optic.fwd(s))
-    return lambda s: Right(optic.get(s))
+    if tag == FamilyTag.LENS:
+        return lambda s: Right(optic.get(s))
+    return optic.match
 
 
 def run(command, path_text, value_text=None, doc=None, strict=False):
@@ -407,9 +394,9 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
 
     optic, tag = compile_path(path)
 
-    if command not in _COMMANDS:
+    if command not in _REQUIRES:
         return EXIT_UNSUPPORTED, f"opticat: unknown command {command!r}"
-    if tag not in _SUPPORTS[command]:
+    if not family_le(tag, _REQUIRES[command]):
         return (
             EXIT_UNSUPPORTED,
             f"opticat: command {command!r} is not supported by a "
@@ -434,7 +421,7 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
     try:
         if command == "build":
             return EXIT_OK, render(optic.build(value))
-        if strict and command in ("set", "map") and _matchable(optic, tag):
+        if strict and command in ("set", "map") and family_le(tag, _REQUIRES["match"]):
             if isinstance(_as_match(optic, tag)(doc), Left):
                 raise Miss
         if command == "get":

@@ -2,8 +2,9 @@
 
 Checkers never assert; they return :class:`LawReport` values whose failures
 carry the first counterexample in enumeration order.  Budgeted runs that hit
-the evaluation cap come back INCONCLUSIVE, never silently passed.  The
-module keeps a registry mapping every named law to exactly one checker so a
+the evaluation cap, or that would compare optics on a sampled probe set, come
+back INCONCLUSIVE, never silently passed.  The module keeps a registry
+mapping every named law to exactly one checker, by law-group prefix, so a
 coverage guard can fail when a law goes untested.
 """
 
@@ -33,7 +34,7 @@ from .functors import (
     sum_shape,
 )
 from .iso import IsoOptic, enhance_iso, iso_identity, iso_inj, observational_eq
-from .probes import all_functions, maps_agree
+from .probes import all_functions, maps_agree, probes_exhaustive
 
 MAX_EVALS_PER_LAW = 100_000
 
@@ -82,7 +83,12 @@ class LawReport:
 
 
 class _LawRun:
-    """Collects cases for one law; keeps the first counterexample only."""
+    """Collects cases for one law; keeps the first counterexample only.
+
+    This is the one place the enumeration policy lives: :meth:`run` stops at
+    the first counterexample or when the budget runs out, and :meth:`agrees`
+    never lets a comparison on a sampled probe set pass.
+    """
 
     def __init__(self, law, budget=MAX_EVALS_PER_LAW):
         self.report = LawReport(law=law)
@@ -102,8 +108,31 @@ class _LawRun:
             return False
         return True
 
-    def check(self, inputs, ok):
-        return self.case(inputs, True, bool(ok))
+    def run(self, cases):
+        """Consume lazy ``(inputs, expected, actual)`` triples; returns the
+        report."""
+        for inputs, expected, actual in cases:
+            if not self.case(inputs, expected, actual):
+                break
+        return self.report
+
+    def agrees(self, lhs, rhs, dom_a, dom_b, dom_s, eq=None):
+        """Observational equality under this law's budget.  A sampled probe
+        set can refute equality but not show it, so it leaves the law
+        INCONCLUSIVE at best."""
+        if not probes_exhaustive(dom_a, dom_b, dom_s, self.budget):
+            if self.report.status == PASS:
+                self.report.status = INCONCLUSIVE
+        eq = eq or maps_agree
+        return eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
+
+    def agreements(self, cases, eq=None):
+        """:meth:`run` over lazy ``(inputs, lhs, rhs, dom_a, dom_b, dom_s)``
+        cases, each passing when :meth:`agrees` holds."""
+        return self.run(
+            (inputs, True, self.agrees(lhs, rhs, *doms, eq=eq))
+            for inputs, lhs, rhs, *doms in cases
+        )
 
 
 def merge_reports(reports):
@@ -156,17 +185,27 @@ def _plain(value):
 
 # Generators ------------------------------------------------------------------
 
+def _seeded_bijection(seed, cells, dom_s, size):
+    """A seeded bijection from the wholes (``s0``, ``s1``, ... by default)
+    onto ``cells``.  Returns the RNG, for further seeded choices, the table
+    and its inverse."""
+    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(cells)))
+    if len(ss) != len(cells):
+        raise ValueError(f"|S|={len(ss)} but {size}={len(cells)}")
+    rng = random.Random(seed)
+    split = dict(zip(ss, rng.sample(cells, len(cells))))
+    return rng, split, {v: k for k, v in split.items()}
+
+
+def _lens_bijection(seed, dom_r, dom_a, dom_s):
+    pairs = list(itertools.product(_elems(dom_r), _elems(dom_a)))
+    return _seeded_bijection(seed, pairs, dom_s, "|R|*|A|")
+
+
 def gen_lawful_lens(seed, dom_r, dom_a, dom_s=None) -> Lens:
     """A lawful simple lens from a seeded bijection between the whole domain
     and residual-focus pairs."""
-    rs, As = _elems(dom_r), _elems(dom_a)
-    pairs = [(r, a) for r in rs for a in As]
-    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(pairs)))
-    if len(ss) != len(pairs):
-        raise ValueError(f"|S|={len(ss)} but |R|*|A|={len(pairs)}")
-    rng = random.Random(seed)
-    to_pair = dict(zip(ss, rng.sample(pairs, len(pairs))))
-    from_pair = {v: k for k, v in to_pair.items()}
+    _, to_pair, from_pair = _lens_bijection(seed, dom_r, dom_a, dom_s)
     return Lens(
         get=lambda s: to_pair[s][1],
         put=lambda b, s: from_pair[(to_pair[s][0], b)],
@@ -176,14 +215,8 @@ def gen_lawful_lens(seed, dom_r, dom_a, dom_s=None) -> Lens:
 def gen_lawful_prism(seed, dom_r, dom_a, dom_s=None) -> Prism:
     """A lawful simple prism from a seeded bijection between the whole domain
     and a residual-plus-focus sum."""
-    rs, As = _elems(dom_r), _elems(dom_a)
-    cells = [Left(r) for r in rs] + [Right(a) for a in As]
-    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(cells)))
-    if len(ss) != len(cells):
-        raise ValueError(f"|S|={len(ss)} but |R|+|A|={len(cells)}")
-    rng = random.Random(seed)
-    split = dict(zip(ss, rng.sample(cells, len(cells))))
-    unsplit = {v: k for k, v in split.items()}
+    cells = [Left(r) for r in _elems(dom_r)] + [Right(a) for a in _elems(dom_a)]
+    _, split, unsplit = _seeded_bijection(seed, cells, dom_s, "|R|+|A|")
 
     def match(s):
         e = split[s]
@@ -195,15 +228,8 @@ def gen_lawful_prism(seed, dom_r, dom_a, dom_s=None) -> Prism:
 def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
     """A lawful achromatic lens: a lens bijection whose residual has a
     seeded distinguished point used by ``create``."""
-    rs, As = _elems(dom_r), _elems(dom_a)
-    pairs = [(r, a) for r in rs for a in As]
-    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(pairs)))
-    if len(ss) != len(pairs):
-        raise ValueError(f"|S|={len(ss)} but |R|*|A|={len(pairs)}")
-    rng = random.Random(seed)
-    to_pair = dict(zip(ss, rng.sample(pairs, len(pairs))))
-    from_pair = {v: k for k, v in to_pair.items()}
-    point = rng.choice(rs)
+    rng, to_pair, from_pair = _lens_bijection(seed, dom_r, dom_a, dom_s)
+    point = rng.choice(_elems(dom_r))
     return AchLens(
         get=lambda s: to_pair[s][1],
         put=lambda b, s: from_pair[(to_pair[s][0], b)],
@@ -212,13 +238,7 @@ def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
 
 
 def gen_lawful_adapter(seed, dom_a, dom_s=None) -> Adapter:
-    As = _elems(dom_a)
-    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(As)))
-    if len(ss) != len(As):
-        raise ValueError(f"|S|={len(ss)} but |A|={len(As)}")
-    rng = random.Random(seed)
-    fwd = dict(zip(ss, rng.sample(As, len(As))))
-    bwd = {v: k for k, v in fwd.items()}
+    _, fwd, bwd = _seeded_bijection(seed, list(_elems(dom_a)), dom_s, "|A|")
     return Adapter(fwd=lambda s: fwd[s], bwd=lambda a: bwd[a])
 
 
@@ -231,14 +251,10 @@ def gen_setter(seed, shape) -> Setter:
 
 def gen_lawful_optional(seed, dom_miss, dom_keep, dom_a, dom_s=None) -> Optional:
     """A lawful simple optional from a bijection S = miss + keep*focus."""
-    ms, ks, As = _elems(dom_miss), _elems(dom_keep), _elems(dom_a)
-    cells = [Left(m) for m in ms] + [Right((k, a)) for k in ks for a in As]
-    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(cells)))
-    if len(ss) != len(cells):
-        raise ValueError(f"|S|={len(ss)} but |miss|+|keep|*|A|={len(cells)}")
-    rng = random.Random(seed)
-    split = dict(zip(ss, rng.sample(cells, len(cells))))
-    unsplit = {v: k for k, v in split.items()}
+    cells = [Left(m) for m in _elems(dom_miss)] + [
+        Right(ka) for ka in itertools.product(_elems(dom_keep), _elems(dom_a))
+    ]
+    _, split, unsplit = _seeded_bijection(seed, cells, dom_s, "|miss|+|keep|*|A|")
 
     def match(s):
         e = split[s]
@@ -329,81 +345,70 @@ def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
 
 def check_lens_laws(lens, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
     As, ss = _elems(dom_a), _elems(dom_s)
-    get_put = _LawRun("lens.get_put", budget)
-    for b, s in itertools.product(As, ss):
-        if not get_put.case({"b": b, "s": s}, b, lens.get(lens.put(b, s))):
-            break
-    put_get = _LawRun("lens.put_get", budget)
-    for s in ss:
-        if not put_get.case({"s": s}, s, lens.put(lens.get(s), s)):
-            break
-    put_put = _LawRun("lens.put_put", budget)
-    for b, b2, s in itertools.product(As, As, ss):
-        if not put_put.case(
-            {"b": b, "b2": b2, "s": s},
-            lens.put(b, s),
-            lens.put(b, lens.put(b2, s)),
-        ):
-            break
-    return [get_put.report, put_get.report, put_put.report]
+    return [
+        _LawRun("lens.get_put", budget).run(
+            ({"b": b, "s": s}, b, lens.get(lens.put(b, s)))
+            for b, s in itertools.product(As, ss)
+        ),
+        _LawRun("lens.put_get", budget).run(
+            ({"s": s}, s, lens.put(lens.get(s), s)) for s in ss
+        ),
+        _LawRun("lens.put_put", budget).run(
+            ({"b": b, "b2": b2, "s": s}, lens.put(b, s), lens.put(b, lens.put(b2, s)))
+            for b, b2, s in itertools.product(As, As, ss)
+        ),
+    ]
 
 
 def check_prism_laws(prism, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
     As, ss = _elems(dom_a), _elems(dom_s)
-    match_build = _LawRun("prism.match_build", budget)
-    for b in As:
-        if not match_build.case({"b": b}, Right(b), prism.match(prism.build(b))):
-            break
-    build_match = _LawRun("prism.build_match", budget)
-    for s in ss:
-        e = prism.match(s)
-        if isinstance(e, Right):
-            if not build_match.case({"s": s}, s, prism.build(e.value)):
-                break
-    no_match = _LawRun("prism.no_match_identity", budget)
-    for s in ss:
-        e = prism.match(s)
-        if isinstance(e, Left):
-            if not no_match.case({"s": s}, s, e.value):
-                break
-    return [match_build.report, build_match.report, no_match.report]
+    return [
+        _LawRun("prism.match_build", budget).run(
+            ({"b": b}, Right(b), prism.match(prism.build(b))) for b in As
+        ),
+        _LawRun("prism.build_match", budget).run(
+            ({"s": s}, s, prism.build(e.value))
+            for s, e in zip(ss, map(prism.match, ss))
+            if isinstance(e, Right)
+        ),
+        _LawRun("prism.no_match_identity", budget).run(
+            ({"s": s}, s, e.value)
+            for s, e in zip(ss, map(prism.match, ss))
+            if isinstance(e, Left)
+        ),
+    ]
 
 
 def check_adapter_laws(adapter, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
-    fwd_bwd = _LawRun("adapter.fwd_bwd", budget)
-    for a in _elems(dom_a):
-        if not fwd_bwd.case({"a": a}, a, adapter.fwd(adapter.bwd(a))):
-            break
-    bwd_fwd = _LawRun("adapter.bwd_fwd", budget)
-    for s in _elems(dom_s):
-        if not bwd_fwd.case({"s": s}, s, adapter.bwd(adapter.fwd(s))):
-            break
-    return [fwd_bwd.report, bwd_fwd.report]
+    return [
+        _LawRun("adapter.fwd_bwd", budget).run(
+            ({"a": a}, a, adapter.fwd(adapter.bwd(a))) for a in _elems(dom_a)
+        ),
+        _LawRun("adapter.bwd_fwd", budget).run(
+            ({"s": s}, s, adapter.bwd(adapter.fwd(s))) for s in _elems(dom_s)
+        ),
+    ]
 
 
 def check_setter_laws(setter, dom_a, wholes, budget=MAX_EVALS_PER_LAW):
     As = _elems(dom_a)
-    over_id = _LawRun("setter.over_identity", budget)
     run_id = setter.over(identity)
-    for p in wholes:
-        if not over_id.case({"p": p}, p, run_id(p)):
-            break
-    over_comp = _LawRun("setter.over_composition", budget)
     fns = all_functions(As, As)
-    done = False
-    for f, g in itertools.product(fns, fns):
-        fused = setter.over(lambda a: f(g(a)))
-        staged = setter.over(f)
-        inner = setter.over(g)
-        for p in wholes:
-            if not over_comp.case(
-                {"f": f, "g": g, "p": p}, fused(p), staged(inner(p))
-            ):
-                done = True
-                break
-        if done:
-            break
-    return [over_id.report, over_comp.report]
+
+    def over_composition():
+        for f, g in itertools.product(fns, fns):
+            fused = setter.over(lambda a: f(g(a)))
+            staged = setter.over(f)
+            inner = setter.over(g)
+            for p in wholes:
+                yield {"f": f, "g": g, "p": p}, fused(p), staged(inner(p))
+
+    return [
+        _LawRun("setter.over_identity", budget).run(
+            ({"p": p}, p, run_id(p)) for p in wholes
+        ),
+        _LawRun("setter.over_composition", budget).run(over_composition()),
+    ]
 
 
 def check_achlens_laws(al, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
@@ -411,33 +416,31 @@ def check_achlens_laws(al, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
         LawReport(rep.law.replace("lens.", "achlens."), rep.cases, rep.failures, rep.status)
         for rep in check_lens_laws(al, dom_a, dom_s, budget)
     ]
-    get_create = _LawRun("achlens.get_create", budget)
-    for b in _elems(dom_a):
-        if not get_create.case({"b": b}, b, al.get(al.create(b))):
-            break
-    return reports + [get_create.report]
+    get_create = _LawRun("achlens.get_create", budget).run(
+        ({"b": b}, b, al.get(al.create(b))) for b in _elems(dom_a)
+    )
+    return reports + [get_create]
 
 
 def check_optional_laws(opt, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
     As, ss = _elems(dom_a), _elems(dom_s)
-    hit_put = _LawRun("optional.hit_put_identity", budget)
-    for s in ss:
-        e = opt.match(s)
-        if isinstance(e, Right):
-            if not hit_put.case({"s": s}, s, opt.put(e.value, s)):
-                break
-    put_match = _LawRun("optional.put_then_match", budget)
-    for b, s in itertools.product(As, ss):
-        if isinstance(opt.match(s), Right):
-            if not put_match.case({"b": b, "s": s}, Right(b), opt.match(opt.put(b, s))):
-                break
-    miss_put = _LawRun("optional.miss_put_residual", budget)
-    for b, s in itertools.product(As, ss):
-        e = opt.match(s)
-        if isinstance(e, Left):
-            if not miss_put.case({"b": b, "s": s}, e.value, opt.put(b, s)):
-                break
-    return [hit_put.report, put_match.report, miss_put.report]
+    return [
+        _LawRun("optional.hit_put_identity", budget).run(
+            ({"s": s}, s, opt.put(e.value, s))
+            for s, e in zip(ss, map(opt.match, ss))
+            if isinstance(e, Right)
+        ),
+        _LawRun("optional.put_then_match", budget).run(
+            ({"b": b, "s": s}, Right(b), opt.match(opt.put(b, s)))
+            for b, s in itertools.product(As, ss)
+            if isinstance(opt.match(s), Right)
+        ),
+        _LawRun("optional.miss_put_residual", budget).run(
+            ({"b": b, "s": s}, e.value, opt.put(b, s))
+            for b, (s, e) in itertools.product(As, zip(ss, map(opt.match, ss)))
+            if isinstance(e, Left)
+        ),
+    ]
 
 
 def lens_is_lawful(lens, dom_a, dom_s):
@@ -450,66 +453,48 @@ def prism_is_lawful(prism, dom_a, dom_s):
 
 # Shape law group -------------------------------------------------------------
 
+def _round_trip_laws(group, key, shape_name, payloads, to, back, budget):
+    """``back . to`` on payloads and ``to . back`` on their images are
+    identities: the product and sum capability laws."""
+    return [
+        _LawRun(f"{group}.round_trip_from_to", budget).run(
+            ({"shape": shape_name, "p": p}, p, back(to(p))) for p in payloads
+        ),
+        _LawRun(f"{group}.round_trip_to_from", budget).run(
+            ({"shape": shape_name, key: x}, x, to(back(x))) for x in map(to, payloads)
+        ),
+    ]
+
+
 def check_functor_laws(shape, dom_a, budget=MAX_EVALS_PER_LAW):
     As = _elems(dom_a)
     payloads = shape.payloads(list(As))
     fns = all_functions(As, As)
 
-    map_id = _LawRun("functor.map_identity", budget)
-    for p in payloads:
-        if not map_id.case({"shape": shape.name, "p": p}, p, shape.map(identity, p)):
-            break
-    map_comp = _LawRun("functor.map_composition", budget)
-    done = False
-    for f, g in itertools.product(fns, fns):
-        for p in payloads:
-            if not map_comp.case(
+    reports = [
+        _LawRun("functor.map_identity", budget).run(
+            ({"shape": shape.name, "p": p}, p, shape.map(identity, p)) for p in payloads
+        ),
+        _LawRun("functor.map_composition", budget).run(
+            (
                 {"shape": shape.name, "f": f, "g": g, "p": p},
                 shape.map(lambda a: f(g(a)), p),
                 shape.map(f, shape.map(g, p)),
-            ):
-                done = True
-                break
-        if done:
-            break
-
-    reports = [map_id.report, map_comp.report]
+            )
+            for f, g in itertools.product(fns, fns)
+            for p in payloads
+        ),
+    ]
     if shape.product:
-        to_from = _LawRun("product.round_trip_from_to", budget)
-        for p in payloads:
-            pair = shape.product.to_product(p)
-            if not to_from.case(
-                {"shape": shape.name, "p": p}, p, shape.product.from_product(pair)
-            ):
-                break
-        from_to = _LawRun("product.round_trip_to_from", budget)
-        for p in payloads:
-            pair = shape.product.to_product(p)
-            if not from_to.case(
-                {"shape": shape.name, "pair": pair},
-                pair,
-                shape.product.to_product(shape.product.from_product(pair)),
-            ):
-                break
-        reports += [to_from.report, from_to.report]
+        cap = shape.product
+        reports += _round_trip_laws(
+            "product", "pair", shape.name, payloads, cap.to_product, cap.from_product, budget
+        )
     if shape.sum:
-        s_to_from = _LawRun("sum.round_trip_from_to", budget)
-        for p in payloads:
-            e = shape.sum.to_sum(p)
-            if not s_to_from.case(
-                {"shape": shape.name, "p": p}, p, shape.sum.from_sum(e)
-            ):
-                break
-        s_from_to = _LawRun("sum.round_trip_to_from", budget)
-        for p in payloads:
-            e = shape.sum.to_sum(p)
-            if not s_from_to.case(
-                {"shape": shape.name, "e": e},
-                e,
-                shape.sum.to_sum(shape.sum.from_sum(e)),
-            ):
-                break
-        reports += [s_to_from.report, s_from_to.report]
+        cap = shape.sum
+        reports += _round_trip_laws(
+            "sum", "e", shape.name, payloads, cap.to_sum, cap.from_sum, budget
+        )
     return reports
 
 
@@ -532,68 +517,69 @@ def check_optic_family_laws(fix, budget=MAX_EVALS_PER_LAW):
         fix = concrete_family_fixture(fix)
     ds, d1 = _elems(fix.doms["s"]), _elems(fix.doms["a1"])
     d2, d3 = _elems(fix.doms["a2"]), _elems(fix.doms["a3"])
+    triples = list(enumerate(fix.triples))
+    tables = list(enumerate(fix.inj_tables))
 
-    assoc = _LawRun("optic_family.compose_associative", budget)
-    ident_l = _LawRun("optic_family.identity_left", budget)
-    ident_r = _LawRun("optic_family.identity_right", budget)
-    map_comp = _LawRun("optic_family.map_composition", budget)
+    def map_inj():
+        for i, (f, g, _, _) in tables:
+            optic = fix.inj(f, g)
+            for h in all_functions(d1, d1):
+                run = optic.map_optic(h)
+                ok = all(run(s) == g(h(f(s))) for s in ds)
+                yield {"fixture": fix.name, "table": i, "h": h}, True, ok
 
-    for i, (o1, o2, o3) in enumerate(fix.triples):
-        lhs = o1.compose(o2.compose(o3))
-        rhs = (o1.compose(o2)).compose(o3)
-        assoc.check(
-            {"fixture": fix.name, "triple": i},
-            maps_agree(lhs, rhs, d3, d3, ds, max_evals=budget),
-        )
-        ident_l.check(
-            {"fixture": fix.name, "triple": i},
-            maps_agree(fix.identity().compose(o1), o1, d1, d1, ds, max_evals=budget),
-        )
-        ident_r.check(
-            {"fixture": fix.name, "triple": i},
-            maps_agree(o1.compose(fix.identity()), o1, d1, d1, ds, max_evals=budget),
-        )
-        pair_optic = o1.compose(o2)
-        for h in all_functions(d2, d2):
-            inner_run = o2.map_optic(h)
-            staged = o1.map_optic(inner_run)
-            fused = pair_optic.map_optic(h)
-            ok = all(fused(s) == staged(s) for s in ds)
-            if not map_comp.check({"fixture": fix.name, "triple": i, "h": h}, ok):
-                break
-
-    inj_id = _LawRun("optic_family.inj_identity", budget)
-    inj_comp = _LawRun("optic_family.inj_composition", budget)
-    map_inj = _LawRun("optic_family.map_inj", budget)
-    for i, (f, g, f2, g2) in enumerate(fix.inj_tables):
-        inj_id.check(
-            {"fixture": fix.name, "table": i},
-            maps_agree(
-                fix.inj(identity, identity), fix.identity(), ds, ds, ds,
-                max_evals=budget,
-            ),
-        )
-        fused = fix.inj(lambda s: f2(f(s)), lambda y: g(g2(y)))
-        staged = fix.inj(f, g).compose(fix.inj(f2, g2))
-        inj_comp.check(
-            {"fixture": fix.name, "table": i},
-            maps_agree(fused, staged, d3, d3, ds, max_evals=budget),
-        )
-        optic = fix.inj(f, g)
-        for h in all_functions(d1, d1):
-            run = optic.map_optic(h)
-            ok = all(run(s) == g(h(f(s))) for s in ds)
-            if not map_inj.check({"fixture": fix.name, "table": i, "h": h}, ok):
-                break
+    def map_composition():
+        for i, (o1, o2, _) in triples:
+            pair_optic = o1.compose(o2)
+            for h in all_functions(d2, d2):
+                staged = o1.map_optic(o2.map_optic(h))
+                fused = pair_optic.map_optic(h)
+                ok = all(fused(s) == staged(s) for s in ds)
+                yield {"fixture": fix.name, "triple": i, "h": h}, True, ok
 
     return [
-        assoc.report,
-        ident_l.report,
-        ident_r.report,
-        inj_id.report,
-        inj_comp.report,
-        map_inj.report,
-        map_comp.report,
+        _LawRun("optic_family.compose_associative", budget).agreements(
+            (
+                {"fixture": fix.name, "triple": i},
+                o1.compose(o2.compose(o3)),
+                o1.compose(o2).compose(o3),
+                d3, d3, ds,
+            )
+            for i, (o1, o2, o3) in triples
+        ),
+        _LawRun("optic_family.identity_left", budget).agreements(
+            ({"fixture": fix.name, "triple": i}, fix.identity().compose(o1), o1, d1, d1, ds)
+            for i, (o1, _, _) in triples
+        ),
+        _LawRun("optic_family.identity_right", budget).agreements(
+            ({"fixture": fix.name, "triple": i}, o1.compose(fix.identity()), o1, d1, d1, ds)
+            for i, (o1, _, _) in triples
+        ),
+        _LawRun("optic_family.inj_identity", budget).agreements(
+            ({"fixture": fix.name, "table": i}, fix.inj(identity, identity), fix.identity(), ds, ds, ds)
+            for i, _ in tables
+        ),
+        _LawRun("optic_family.inj_composition", budget).agreements(
+            (
+                {"fixture": fix.name, "table": i},
+                fix.inj(lambda s: f2(f(s)), lambda y: g(g2(y))),
+                fix.inj(f, g).compose(fix.inj(f2, g2)),
+                d3, d3, ds,
+            )
+            for i, (f, g, f2, g2) in tables
+        ),
+        _LawRun("optic_family.map_inj", budget).run(map_inj()),
+        _LawRun("optic_family.map_composition", budget).run(map_composition()),
+    ]
+
+
+def _inj_tables(rng, doms):
+    """Two seeded (f, g, f2, g2) tables: f: s->a1, g: a1->s, f2: a1->a3,
+    g2: a3->a1."""
+    signature = (("s", "a1"), ("a1", "s"), ("a1", "a3"), ("a3", "a1"))
+    return [
+        tuple(_rand_table(rng, doms[x], doms[y]).__getitem__ for x, y in signature)
+        for _ in range(2)
     ]
 
 
@@ -612,21 +598,6 @@ def concrete_family_fixture(tag: FamilyTag, seed=0, n_triples=3) -> FamilyFixtur
         )
         for k in range(n_triples)
     ]
-    rng = random.Random(f"inj:{tag}:{seed}")
-    inj_tables = []
-    for _ in range(2):
-        f = _rand_table(rng, doms["s"].elements, doms["a1"].elements)
-        g = _rand_table(rng, doms["a1"].elements, doms["s"].elements)
-        f2 = _rand_table(rng, doms["a1"].elements, doms["a3"].elements)
-        g2 = _rand_table(rng, doms["a3"].elements, doms["a1"].elements)
-        inj_tables.append(
-            (
-                lambda s, f=f: f[s],
-                lambda b, g=g: g[b],
-                lambda a, f2=f2: f2[a],
-                lambda y, g2=g2: g2[y],
-            )
-        )
     cls = gen_random_optic(tag, seed, doms["a1"], doms["s"]).__class__
     return FamilyFixture(
         name=f"concrete.{tag.value}",
@@ -634,7 +605,7 @@ def concrete_family_fixture(tag: FamilyTag, seed=0, n_triples=3) -> FamilyFixtur
         inj=cls.inj,
         triples=triples,
         doms=doms,
-        inj_tables=inj_tables,
+        inj_tables=_inj_tables(random.Random(f"inj:{tag}:{seed}"), doms),
     )
 
 
@@ -656,27 +627,13 @@ def iso_family_fixture(family, shape_pool, seed=0, n_triples=3) -> FamilyFixture
                 gen_iso_optic(seed + 10 * k + 2, sh3, family, doms["a3"], doms["a3"], doms["a2"], doms["a2"]),
             )
         )
-    inj_tables = []
-    for _ in range(2):
-        f = _rand_table(rng, doms["s"].elements, doms["a1"].elements)
-        g = _rand_table(rng, doms["a1"].elements, doms["s"].elements)
-        f2 = _rand_table(rng, doms["a1"].elements, doms["a3"].elements)
-        g2 = _rand_table(rng, doms["a3"].elements, doms["a1"].elements)
-        inj_tables.append(
-            (
-                lambda s, f=f: f[s],
-                lambda b, g=g: g[b],
-                lambda a, f2=f2: f2[a],
-                lambda y, g2=g2: g2[y],
-            )
-        )
     return FamilyFixture(
         name=f"iso.{family.name}",
         identity=lambda: iso_identity(family),
         inj=lambda f, g: iso_inj(f, g, family),
         triples=triples,
         doms=doms,
-        inj_tables=inj_tables,
+        inj_tables=_inj_tables(rng, doms),
     )
 
 
@@ -872,78 +829,44 @@ def check_enhancing_laws(
     As, Bs = _elems(dom_a), _elems(dom_b)
     cap = fix.cap
     values = fix.values(As, Bs)
-
-    dimap_id = _LawRun("profunctor.dimap_identity", budget)
-    for i, p in enumerate(values):
-        if not dimap_id.check(
-            {"cap": fix.name, "value": i},
-            fix.eq(cap.dimap(identity, identity, p), p, As),
-        ):
-            break
-
-    dimap_comp = _LawRun("profunctor.dimap_composition", budget)
     fns_a = all_functions(As, As)
     fns_b = all_functions(Bs, Bs)
-    done = False
-    for f, f2 in itertools.product(fns_a[:6], fns_a[:6]):
-        for g, g2 in itertools.product(fns_b[:6], fns_b[:6]):
-            for i, p in enumerate(values[:4]):
-                fused = cap.dimap(lambda x: f2(f(x)), lambda y: g(g2(y)), p)
-                staged = cap.dimap(f, g, cap.dimap(f2, g2, p))
-                if not dimap_comp.check(
-                    {"cap": fix.name, "value": i}, fix.eq(fused, staged, As)
-                ):
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    ident_shape = _LawRun("enhancing.identity_shape", budget)
     idsh = id_shape()
     id_payloads = idsh.payloads(list(As))
-    for i, p in enumerate(values):
-        lhs = cap.enhance(idsh, p)
-        rhs = cap.dimap(idsh.ident.unwrap, idsh.ident.wrap, p)
-        if not ident_shape.check(
-            {"cap": fix.name, "value": i}, fix.eq(lhs, rhs, id_payloads)
-        ):
-            break
 
-    comp_shape = _LawRun("enhancing.compose_shape", budget)
-    pairs = compose_pairs or []
-    for f_shape, g_shape in pairs:
-        fg = compose_shapes(f_shape, g_shape)
-        fg_payloads = fg.payloads(list(As))
-        for i, p in enumerate(values[:4]):
-            lhs = cap.enhance(fg, p)
-            rhs = cap.dimap(
-                lambda cp: cp.value, Comp, cap.enhance(f_shape, cap.enhance(g_shape, p))
-            )
-            if not comp_shape.check(
-                {"cap": fix.name, "shapes": (f_shape.name, g_shape.name), "value": i},
-                fix.eq(lhs, rhs, fg_payloads),
-            ):
-                break
+    def dimap_composition():
+        for f, f2 in itertools.product(fns_a[:6], fns_a[:6]):
+            for g, g2 in itertools.product(fns_b[:6], fns_b[:6]):
+                for i, p in enumerate(values[:4]):
+                    fused = cap.dimap(lambda x: f2(f(x)), lambda y: g(g2(y)), p)
+                    staged = cap.dimap(f, g, cap.dimap(f2, g2, p))
+                    yield {"cap": fix.name, "value": i}, True, fix.eq(fused, staged, As)
 
-    wedge = _LawRun("enhancing.wedge", budget)
-    for nat in naturals:
-        src_payloads = nat.source.payloads(list(As))
-        for i, p in enumerate(values[:4]):
-            lhs = cap.dimap(identity, nat.fn, cap.enhance(nat.source, p))
-            rhs = cap.dimap(nat.fn, identity, cap.enhance(nat.target, p))
-            if not wedge.check(
-                {"cap": fix.name, "natural": nat.name, "value": i},
-                fix.eq(lhs, rhs, src_payloads),
-            ):
-                break
+    def compose_shape():
+        for f_shape, g_shape in compose_pairs or []:
+            fg = compose_shapes(f_shape, g_shape)
+            fg_payloads = fg.payloads(list(As))
+            for i, p in enumerate(values[:4]):
+                lhs = cap.enhance(fg, p)
+                rhs = cap.dimap(
+                    lambda cp: cp.value, Comp, cap.enhance(f_shape, cap.enhance(g_shape, p))
+                )
+                inputs = {"cap": fix.name, "shapes": (f_shape.name, g_shape.name), "value": i}
+                yield inputs, True, fix.eq(lhs, rhs, fg_payloads)
 
-    map_commute = _LawRun("enhancing.map_commute", budget)
-    for shape in shapes:
-        payloads = shape.payloads(list(As))
-        for u in fns_a[:4]:
-            for v in fns_b[:4]:
+    def wedge():
+        for nat in naturals:
+            src_payloads = nat.source.payloads(list(As))
+            for i, p in enumerate(values[:4]):
+                lhs = cap.dimap(identity, nat.fn, cap.enhance(nat.source, p))
+                rhs = cap.dimap(nat.fn, identity, cap.enhance(nat.target, p))
+                inputs = {"cap": fix.name, "natural": nat.name, "value": i}
+                yield inputs, True, fix.eq(lhs, rhs, src_payloads)
+
+    def map_commute():
+        for shape in shapes:
+            payloads = shape.payloads(list(As))
+            for u, v in itertools.product(fns_a[:4], fns_b[:4]):
                 for i, p in enumerate(values[:3]):
                     lhs = cap.enhance(shape, cap.dimap(u, v, p))
                     rhs = cap.dimap(
@@ -951,19 +874,30 @@ def check_enhancing_laws(
                         lambda pb: shape.map(v, pb),
                         cap.enhance(shape, p),
                     )
-                    if not map_commute.check(
-                        {"cap": fix.name, "shape": shape.name, "value": i},
-                        fix.eq(lhs, rhs, payloads),
-                    ):
-                        break
+                    inputs = {"cap": fix.name, "shape": shape.name, "value": i}
+                    yield inputs, True, fix.eq(lhs, rhs, payloads)
 
     return [
-        dimap_id.report,
-        dimap_comp.report,
-        ident_shape.report,
-        comp_shape.report,
-        wedge.report,
-        map_commute.report,
+        _LawRun("profunctor.dimap_identity", budget).run(
+            ({"cap": fix.name, "value": i}, True, fix.eq(cap.dimap(identity, identity, p), p, As))
+            for i, p in enumerate(values)
+        ),
+        _LawRun("profunctor.dimap_composition", budget).run(dimap_composition()),
+        _LawRun("enhancing.identity_shape", budget).run(
+            (
+                {"cap": fix.name, "value": i},
+                True,
+                fix.eq(
+                    cap.enhance(idsh, p),
+                    cap.dimap(idsh.ident.unwrap, idsh.ident.wrap, p),
+                    id_payloads,
+                ),
+            )
+            for i, p in enumerate(values)
+        ),
+        _LawRun("enhancing.compose_shape", budget).run(compose_shape()),
+        _LawRun("enhancing.wedge", budget).run(wedge()),
+        _LawRun("enhancing.map_commute", budget).run(map_commute()),
     ]
 
 
@@ -973,96 +907,58 @@ def check_functorization_laws(
     fz, shapes, naturals, dom_a, dom_b, compose_pairs=None, budget=MAX_EVALS_PER_LAW
 ):
     As, Bs = _elems(dom_a), _elems(dom_b)
-    probe = all_functions(As, Bs)
-    sample = fz.enhance_op(id_shape())
-    cls = type(sample)
-
-    map_is = _LawRun("functorization.map_is_shape_map", budget)
-    for shape in shapes:
-        optic = fz.enhance_op(shape)
-        payloads = shape.payloads(list(As))
-        done = False
-        for h in probe:
-            run = optic.map_optic(h)
-            for p in payloads:
-                if not map_is.case(
-                    {"tag": fz.family_tag.value, "shape": shape.name, "p": p},
-                    shape.map(h, p),
-                    run(p),
-                ):
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
+    tag = fz.family_tag.value
+    cls = type(fz.enhance_op(id_shape()))
     idsh = id_shape()
-    ident_law = _LawRun("functorization.identity_shape", budget)
-    ident_law.check(
-        {"tag": fz.family_tag.value},
-        maps_agree(
-            fz.enhance_op(idsh),
-            cls.inj(idsh.ident.unwrap, idsh.ident.wrap),
-            As,
-            Bs,
-            idsh.payloads(list(As)),
-            max_evals=budget,
-        ),
-    )
+    probe = all_functions(As, Bs)
+    fns_a, fns_b = all_functions(As, As)[:4], all_functions(Bs, Bs)[:4]
 
-    comp_law = _LawRun("functorization.compose_shape", budget)
-    for f_shape, g_shape in compose_pairs or []:
-        fg = compose_shapes(f_shape, g_shape)
-        lhs = fz.enhance_op(fg)
-        rhs = cls.inj(lambda cp: cp.value, Comp).compose(
-            fz.enhance_op(f_shape)
-        ).compose(fz.enhance_op(g_shape))
-        comp_law.check(
-            {"tag": fz.family_tag.value, "shapes": (f_shape.name, g_shape.name)},
-            maps_agree(lhs, rhs, As, Bs, fg.payloads(list(As)), max_evals=budget),
-        )
+    def map_is_shape_map():
+        for shape in shapes:
+            optic = fz.enhance_op(shape)
+            payloads = shape.payloads(list(As))
+            for h in probe:
+                run = optic.map_optic(h)
+                for p in payloads:
+                    yield {"tag": tag, "shape": shape.name, "p": p}, shape.map(h, p), run(p)
 
-    wedge = _LawRun("functorization.wedge", budget)
-    for nat in naturals:
-        lhs = cls.inj(identity, nat.fn).compose(fz.enhance_op(nat.source))
-        rhs = cls.inj(nat.fn, identity).compose(fz.enhance_op(nat.target))
-        wedge.check(
-            {"tag": fz.family_tag.value, "natural": nat.name},
-            maps_agree(
-                lhs, rhs, As, Bs, nat.source.payloads(list(As)), max_evals=budget
-            ),
-        )
+    def compose_shape():
+        for f_shape, g_shape in compose_pairs or []:
+            fg = compose_shapes(f_shape, g_shape)
+            rhs = cls.inj(lambda cp: cp.value, Comp).compose(
+                fz.enhance_op(f_shape)
+            ).compose(fz.enhance_op(g_shape))
+            inputs = {"tag": tag, "shapes": (f_shape.name, g_shape.name)}
+            yield inputs, fz.enhance_op(fg), rhs, As, Bs, fg.payloads(list(As))
 
-    inj_commute = _LawRun("functorization.inj_commute", budget)
-    fns_a = all_functions(As, As)
-    fns_b = all_functions(Bs, Bs)
-    for shape in shapes:
-        payloads = shape.payloads(list(As))
-        done = False
-        for u in fns_a[:4]:
-            for v in fns_b[:4]:
+    def wedge():
+        for nat in naturals:
+            lhs = cls.inj(identity, nat.fn).compose(fz.enhance_op(nat.source))
+            rhs = cls.inj(nat.fn, identity).compose(fz.enhance_op(nat.target))
+            yield {"tag": tag, "natural": nat.name}, lhs, rhs, As, Bs, nat.source.payloads(list(As))
+
+    def inj_commute():
+        for shape in shapes:
+            payloads = shape.payloads(list(As))
+            for u, v in itertools.product(fns_a, fns_b):
                 lhs = fz.enhance_op(shape).compose(cls.inj(u, v))
                 rhs = cls.inj(
-                    lambda p, u=u: shape.map(u, p), lambda p, v=v: shape.map(v, p)
+                    lambda p: shape.map(u, p), lambda p: shape.map(v, p)
                 ).compose(fz.enhance_op(shape))
-                if not inj_commute.check(
-                    {"tag": fz.family_tag.value, "shape": shape.name},
-                    maps_agree(lhs, rhs, As, Bs, payloads, max_evals=budget),
-                ):
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+                yield {"tag": tag, "shape": shape.name}, lhs, rhs, As, Bs, payloads
 
+    identity_case = (
+        {"tag": tag},
+        fz.enhance_op(idsh),
+        cls.inj(idsh.ident.unwrap, idsh.ident.wrap),
+        As, Bs, idsh.payloads(list(As)),
+    )
     return [
-        map_is.report,
-        ident_law.report,
-        comp_law.report,
-        wedge.report,
-        inj_commute.report,
+        _LawRun("functorization.map_is_shape_map", budget).run(map_is_shape_map()),
+        _LawRun("functorization.identity_shape", budget).agreements([identity_case]),
+        _LawRun("functorization.compose_shape", budget).agreements(compose_shape()),
+        _LawRun("functorization.wedge", budget).agreements(wedge()),
+        _LawRun("functorization.inj_commute", budget).agreements(inj_commute()),
     ]
 
 
@@ -1072,89 +968,80 @@ def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LA
     dom_a = labels("a", 2)
     dom_s = labels("s", 3)
     As, ss = dom_a.elements, dom_s.elements
+    optics = [
+        (shape, gen_iso_optic(seed + i, shape, family, dom_a, dom_a, dom_s, dom_s))
+        for i, shape in enumerate(shape_pool)
+    ]
 
-    normal = _LawRun("iso.normal_form", budget)
+    def normal_form():
+        for shape, optic in optics:
+            rebuilt = iso_inj(optic.forward, optic.backward, family).compose(
+                enhance_iso(shape, family)
+            )
+            yield {"family": family.name, "shape": shape.name}, optic, rebuilt, As, As, ss
+
+    def endo_identity():
+        # chasing an optic through inj/compose round trips must be identity
+        for shape, optic in optics:
+            chained = iso_identity(family).compose(optic).compose(iso_identity(family))
+            yield {"family": family.name, "shape": shape.name}, optic, chained, As, As, ss
+
     retract = _LawRun("iso.retraction", budget)
-    enh_comp = _LawRun("iso.enhance_composition", budget)
-    endo = _LawRun("iso.endo_identity", budget)
-    eq_nat = _LawRun("iso.equality_up_to_natural", budget)
 
-    for i, shape in enumerate(shape_pool):
-        optic = gen_iso_optic(seed + i, shape, family, dom_a, dom_a, dom_s, dom_s)
-        rebuilt = iso_inj(optic.forward, optic.backward, family).compose(
-            enhance_iso(shape, family)
-        )
-        normal.check(
-            {"family": family.name, "shape": shape.name},
-            observational_eq(optic, rebuilt, As, As, ss, max_evals=budget),
-        )
-
-        payloads = shape.payloads(list(As))
-        enh = enhance_iso(shape, family)
+    def retractions():
         # equality with the pure zoom forces backward . forward = id; the
         # converse needs natural components (checked below), not raw tables
-        same = gen_iso_optic(seed + 100 + i, shape, family, dom_a, dom_a, payloads, payloads)
-        agrees = observational_eq(same, enh, As, As, payloads, max_evals=budget)
-        section = all(same.backward(same.forward(p)) == p for p in payloads)
-        retract.check(
-            {"family": family.name, "shape": shape.name, "direction": "arbitrary"},
-            (not agrees) or section,
-        )
+        for i, shape in enumerate(shape_pool):
+            payloads = shape.payloads(list(As))
+            same = gen_iso_optic(seed + 100 + i, shape, family, dom_a, dom_a, payloads, payloads)
+            section = all(same.backward(same.forward(p)) == p for p in payloads)
+            zoom = enhance_iso(shape, family)
+            ok = section or not retract.agrees(same, zoom, As, As, payloads, eq=observational_eq)
+            yield {"family": family.name, "shape": shape.name, "direction": "arbitrary"}, True, ok
+        for nat, nat_inv in _natural_retraction_pairs(naturals):
+            if not (family.member(nat.source) and family.member(nat.target)):
+                continue
+            twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
+            payloads = nat.source.payloads(list(As))
+            section = all(twisted.backward(twisted.forward(p)) == p for p in payloads)
+            zoom = enhance_iso(nat.source, family)
+            ok = section and retract.agrees(twisted, zoom, As, As, payloads, eq=observational_eq)
+            yield {"family": family.name, "natural": nat.name, "direction": "natural"}, True, ok
 
-        # chasing an optic through inj/compose round trips must be identity
-        chained = iso_identity(family).compose(optic).compose(iso_identity(family))
-        endo.check(
-            {"family": family.name, "shape": shape.name},
-            observational_eq(optic, chained, As, As, ss, max_evals=budget),
-        )
+    def enhance_composition():
+        for f_shape, g_shape in itertools.combinations(shape_pool, 2):
+            lhs = enhance_iso(f_shape, family).compose(enhance_iso(g_shape, family))
+            fg = compose_shapes(f_shape, g_shape)
+            rhs = iso_inj(Comp, lambda p: p.value, family).compose(enhance_iso(fg, family))
+            dom_in = f_shape.payloads(g_shape.payloads(list(As)))
+            yield {"family": family.name, "shapes": (f_shape.name, g_shape.name)}, lhs, rhs, As, As, dom_in
 
-    for nat, nat_inv in _natural_retraction_pairs(naturals):
-        if not (family.member(nat.source) and family.member(nat.target)):
-            continue
-        twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
-        payloads = nat.source.payloads(list(As))
-        section = all(twisted.backward(twisted.forward(p)) == p for p in payloads)
-        enh = enhance_iso(nat.source, family)
-        retract.check(
-            {"family": family.name, "natural": nat.name, "direction": "natural"},
-            section
-            and observational_eq(twisted, enh, As, As, payloads, max_evals=budget),
-        )
+    def equality_up_to_natural():
+        for nat in naturals:
+            rng = random.Random(f"{nat.name}:{seed}")
+            pa_src = nat.source.payloads(list(As))
+            pb_tgt = nat.target.payloads(list(As))
+            fwd = {s: rng.choice(pa_src) for s in ss}
+            bwd = {p: rng.choice(list(ss)) for p in pb_tgt}
+            with_fwd = IsoOptic(
+                family, nat.target, forward=lambda s: nat.fn(fwd[s]), backward=bwd.__getitem__
+            )
+            with_bwd = IsoOptic(
+                family, nat.source, forward=fwd.__getitem__, backward=lambda p: bwd[nat.fn(p)]
+            )
+            yield {"family": family.name, "natural": nat.name}, with_fwd, with_bwd, As, As, ss
 
-    for f_shape, g_shape in itertools.combinations(shape_pool, 2):
-        lhs = enhance_iso(f_shape, family).compose(enhance_iso(g_shape, family))
-        fg = compose_shapes(f_shape, g_shape)
-        rhs = iso_inj(Comp, lambda p: p.value, family).compose(enhance_iso(fg, family))
-        dom_in = f_shape.payloads(g_shape.payloads(list(As)))
-        enh_comp.check(
-            {"family": family.name, "shapes": (f_shape.name, g_shape.name)},
-            observational_eq(lhs, rhs, As, As, dom_in, max_evals=budget),
-        )
-
-    for nat in naturals:
-        rng = random.Random(f"{nat.name}:{seed}")
-        pa_src = nat.source.payloads(list(As))
-        pb_tgt = nat.target.payloads(list(As))
-        fwd = {s: rng.choice(pa_src) for s in ss}
-        bwd = {p: rng.choice(list(ss)) for p in pb_tgt}
-        with_fwd = IsoOptic(
-            family,
-            nat.target,
-            forward=lambda s: nat.fn(fwd[s]),
-            backward=lambda p: bwd[p],
-        )
-        with_bwd = IsoOptic(
-            family,
-            nat.source,
-            forward=lambda s: fwd[s],
-            backward=lambda p: bwd[nat.fn(p)],
-        )
-        eq_nat.check(
-            {"family": family.name, "natural": nat.name},
-            observational_eq(with_fwd, with_bwd, As, As, ss, max_evals=budget),
-        )
-
-    return [normal.report, retract.report, enh_comp.report, endo.report, eq_nat.report]
+    return [
+        _LawRun("iso.normal_form", budget).agreements(normal_form(), observational_eq),
+        retract.run(retractions()),
+        _LawRun("iso.enhance_composition", budget).agreements(
+            enhance_composition(), observational_eq
+        ),
+        _LawRun("iso.endo_identity", budget).agreements(endo_identity(), observational_eq),
+        _LawRun("iso.equality_up_to_natural", budget).agreements(
+            equality_up_to_natural(), observational_eq
+        ),
+    ]
 
 
 # Morphism law group ----------------------------------------------------------
@@ -1173,34 +1060,33 @@ class MorphismSpec:
 
 def check_morphism(spec: MorphismSpec, budget=MAX_EVALS_PER_LAW):
     ds, d1, d2 = (_elems(spec.doms[k]) for k in ("s", "a1", "a2"))
-
-    pres_inj = _LawRun("morphism.preserves_inj", budget)
     rng = random.Random(spec.name)
-    for i in range(3):
-        f = _rand_table(rng, ds, d1)
-        g = _rand_table(rng, d1, ds)
-        lhs = spec.theta(spec.inj_src(lambda s, f=f: f[s], lambda b, g=g: g[b]))
-        rhs = spec.inj_dst(lambda s, f=f: f[s], lambda b, g=g: g[b])
-        pres_inj.check(
-            {"conversion": spec.name, "sample": i},
-            maps_agree(lhs, rhs, d1, d1, ds, max_evals=budget),
-        )
+    tables = [(_rand_table(rng, ds, d1), _rand_table(rng, d1, ds)) for _ in range(3)]
 
-    pres_comp = _LawRun("morphism.preserves_compose", budget)
-    pres_map = _LawRun("morphism.preserves_map", budget)
-    for i, (o1, o2) in enumerate(spec.pairs):
-        lhs = spec.theta(o1.compose(o2))
-        rhs = spec.theta(o1).compose(spec.theta(o2))
-        pres_comp.check(
-            {"conversion": spec.name, "pair": i},
-            maps_agree(lhs, rhs, d2, d2, ds, max_evals=budget),
-        )
-        pres_map.check(
-            {"conversion": spec.name, "pair": i},
-            maps_agree(spec.theta(o1), o1, d1, d1, ds, max_evals=budget),
-        )
-
-    return [pres_inj.report, pres_comp.report, pres_map.report]
+    return [
+        _LawRun("morphism.preserves_inj", budget).agreements(
+            (
+                {"conversion": spec.name, "sample": i},
+                spec.theta(spec.inj_src(f.__getitem__, g.__getitem__)),
+                spec.inj_dst(f.__getitem__, g.__getitem__),
+                d1, d1, ds,
+            )
+            for i, (f, g) in enumerate(tables)
+        ),
+        _LawRun("morphism.preserves_compose", budget).agreements(
+            (
+                {"conversion": spec.name, "pair": i},
+                spec.theta(o1.compose(o2)),
+                spec.theta(o1).compose(spec.theta(o2)),
+                d2, d2, ds,
+            )
+            for i, (o1, o2) in enumerate(spec.pairs)
+        ),
+        _LawRun("morphism.preserves_map", budget).agreements(
+            ({"conversion": spec.name, "pair": i}, spec.theta(o1), o1, d1, d1, ds)
+            for i, (o1, _) in enumerate(spec.pairs)
+        ),
+    ]
 
 
 # Registry and full run -------------------------------------------------------
@@ -1257,56 +1143,29 @@ REQUIRED_LAWS = (
     "functorization.inj_commute",
 )
 
+# One checker per law group; a law's group is its name up to the first dot.
+_GROUP_CHECKERS = {
+    "lens": check_lens_laws,
+    "achlens": check_achlens_laws,
+    "prism": check_prism_laws,
+    "adapter": check_adapter_laws,
+    "setter": check_setter_laws,
+    "optional": check_optional_laws,
+    "functor": check_functor_laws,
+    "product": check_functor_laws,
+    "sum": check_functor_laws,
+    "profunctor": check_enhancing_laws,
+    "enhancing": check_enhancing_laws,
+    "optic_family": check_optic_family_laws,
+    "morphism": check_morphism,
+    "iso": check_iso_laws,
+    "functorization": check_functorization_laws,
+}
+
 LAW_CHECKERS = {
-    "lens.get_put": check_lens_laws,
-    "lens.put_get": check_lens_laws,
-    "lens.put_put": check_lens_laws,
-    "achlens.get_put": check_achlens_laws,
-    "achlens.put_get": check_achlens_laws,
-    "achlens.put_put": check_achlens_laws,
-    "achlens.get_create": check_achlens_laws,
-    "prism.match_build": check_prism_laws,
-    "prism.build_match": check_prism_laws,
-    "prism.no_match_identity": check_prism_laws,
-    "adapter.fwd_bwd": check_adapter_laws,
-    "adapter.bwd_fwd": check_adapter_laws,
-    "setter.over_identity": check_setter_laws,
-    "setter.over_composition": check_setter_laws,
-    "optional.hit_put_identity": check_optional_laws,
-    "optional.put_then_match": check_optional_laws,
-    "optional.miss_put_residual": check_optional_laws,
-    "functor.map_identity": check_functor_laws,
-    "functor.map_composition": check_functor_laws,
-    "product.round_trip_from_to": check_functor_laws,
-    "product.round_trip_to_from": check_functor_laws,
-    "sum.round_trip_from_to": check_functor_laws,
-    "sum.round_trip_to_from": check_functor_laws,
-    "profunctor.dimap_identity": check_enhancing_laws,
-    "profunctor.dimap_composition": check_enhancing_laws,
-    "optic_family.compose_associative": check_optic_family_laws,
-    "optic_family.identity_left": check_optic_family_laws,
-    "optic_family.identity_right": check_optic_family_laws,
-    "optic_family.inj_identity": check_optic_family_laws,
-    "optic_family.inj_composition": check_optic_family_laws,
-    "optic_family.map_inj": check_optic_family_laws,
-    "optic_family.map_composition": check_optic_family_laws,
-    "morphism.preserves_inj": check_morphism,
-    "morphism.preserves_compose": check_morphism,
-    "morphism.preserves_map": check_morphism,
-    "enhancing.identity_shape": check_enhancing_laws,
-    "enhancing.compose_shape": check_enhancing_laws,
-    "enhancing.wedge": check_enhancing_laws,
-    "enhancing.map_commute": check_enhancing_laws,
-    "iso.normal_form": check_iso_laws,
-    "iso.retraction": check_iso_laws,
-    "iso.enhance_composition": check_iso_laws,
-    "iso.endo_identity": check_iso_laws,
-    "iso.equality_up_to_natural": check_iso_laws,
-    "functorization.map_is_shape_map": check_functorization_laws,
-    "functorization.identity_shape": check_functorization_laws,
-    "functorization.compose_shape": check_functorization_laws,
-    "functorization.wedge": check_functorization_laws,
-    "functorization.inj_commute": check_functorization_laws,
+    law: _GROUP_CHECKERS[law.split(".")[0]]
+    for law in REQUIRED_LAWS
+    if law.split(".")[0] in _GROUP_CHECKERS
 }
 
 
@@ -1330,118 +1189,64 @@ def shape_pools(shapes=None):
     }
 
 
-def _iso_pairs(seed, pool, family, doms, n):
-    out = []
-    rng = random.Random(f"{family.name}:pairs:{seed}")
-    for k in range(n):
-        sh1, sh2 = rng.choice(pool), rng.choice(pool)
-        out.append(
-            (
-                gen_iso_optic(seed + 2 * k, sh1, family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
-                gen_iso_optic(seed + 2 * k + 1, sh2, family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
-            )
-        )
-    return out
-
-
-def _concrete_pairs(tag, seed, doms, n):
-    return [
-        (
-            gen_random_optic(tag, seed + 2 * k, doms["a1"], doms["s"]),
-            gen_random_optic(tag, seed + 2 * k + 1, doms["a2"], doms["a1"]),
-        )
-        for k in range(n)
-    ]
-
-
 def standard_morphism_specs(seed=0, n_pairs=3):
-    """Morphism fixtures for every conversion the library ships."""
+    """Morphism fixtures for every conversion the library ships, over every
+    concrete family."""
     from .encode import concrete_to_iso, functorize, prof_encoding, unfunctorize
     from .prof import iso_to_prof, prof_inj, prof_to_iso
 
     doms = {"s": labels("s", 3), "a1": labels("a", 3), "a2": labels("x", 2)}
     pools = shape_pools()
-    tags = (
-        FamilyTag.LENS,
-        FamilyTag.PRISM,
-        FamilyTag.ADAPTER,
-        FamilyTag.SETTER,
-        FamilyTag.ACHLENS,
-    )
-    specs = []
-    for tag in tags:
-        fz = functorize(tag)
-        family = fz.functor_family
+
+    def conversions(tag):
+        family = functorize(tag).functor_family
         pool = pools[family.name]
-        cls = type(gen_random_optic(tag, seed, doms["a1"], doms["s"]))
         enc = prof_encoding(tag)
-        specs.append(
-            MorphismSpec(
-                name=f"concrete_to_iso.{tag.value}",
-                theta=concrete_to_iso,
-                inj_src=cls.inj,
-                inj_dst=lambda f, g, family=family: iso_inj(f, g, family),
-                pairs=_concrete_pairs(tag, seed, doms, n_pairs),
-                doms=doms,
-            )
-        )
-        specs.append(
-            MorphismSpec(
-                name=f"unfunctorize.{tag.value}",
-                theta=lambda optic, tag=tag: unfunctorize(optic, tag),
-                inj_src=lambda f, g, family=family: iso_inj(f, g, family),
-                inj_dst=cls.inj,
-                pairs=_iso_pairs(seed, pool, family, doms, n_pairs),
-                doms=doms,
-            )
-        )
-        specs.append(
-            MorphismSpec(
-                name=f"iso_to_prof.{family.name}",
-                theta=iso_to_prof,
-                inj_src=lambda f, g, family=family: iso_inj(f, g, family),
-                inj_dst=lambda f, g, family=family: prof_inj(f, g, family),
-                pairs=_iso_pairs(seed + 1, pool, family, doms, n_pairs),
-                doms=doms,
-            )
-        )
-        specs.append(
-            MorphismSpec(
-                name=f"prof_to_iso.{family.name}",
-                theta=prof_to_iso,
-                inj_src=lambda f, g, family=family: prof_inj(f, g, family),
-                inj_dst=lambda f, g, family=family: iso_inj(f, g, family),
-                pairs=[
-                    (iso_to_prof(l1), iso_to_prof(l2))
-                    for l1, l2 in _iso_pairs(seed + 2, pool, family, doms, n_pairs)
-                ],
-                doms=doms,
-            )
-        )
-        specs.append(
-            MorphismSpec(
-                name=f"encode.{tag.value}",
-                theta=enc.encode,
-                inj_src=cls.inj,
-                inj_dst=lambda f, g, family=family: prof_inj(f, g, family),
-                pairs=_concrete_pairs(tag, seed + 3, doms, n_pairs),
-                doms=doms,
-            )
-        )
-        specs.append(
-            MorphismSpec(
-                name=f"decode.{tag.value}",
-                theta=enc.decode,
-                inj_src=lambda f, g, family=family: prof_inj(f, g, family),
-                inj_dst=cls.inj,
-                pairs=[
-                    (enc.encode(o1), enc.encode(o2))
-                    for o1, o2 in _concrete_pairs(tag, seed + 4, doms, n_pairs)
-                ],
-                doms=doms,
-            )
-        )
-    return specs
+        concrete = type(gen_random_optic(tag, seed, doms["a1"], doms["s"])).inj
+
+        def iso(f, g):
+            return iso_inj(f, g, family)
+
+        def prof(f, g):
+            return prof_inj(f, g, family)
+
+        def concrete_pairs(k):
+            return [
+                (
+                    gen_random_optic(tag, seed + k + 2 * j, doms["a1"], doms["s"]),
+                    gen_random_optic(tag, seed + k + 2 * j + 1, doms["a2"], doms["a1"]),
+                )
+                for j in range(n_pairs)
+            ]
+
+        def iso_pairs(k):
+            rng = random.Random(f"{family.name}:pairs:{seed + k}")
+            return [
+                (
+                    gen_iso_optic(seed + k + 2 * j, rng.choice(pool), family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
+                    gen_iso_optic(seed + k + 2 * j + 1, rng.choice(pool), family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
+                )
+                for j in range(n_pairs)
+            ]
+
+        def lifted(theta, pairs):
+            return [(theta(o1), theta(o2)) for o1, o2 in pairs]
+
+        # name, theta, source injection, target injection, source pairs
+        return [
+            (f"concrete_to_iso.{tag.value}", concrete_to_iso, concrete, iso, concrete_pairs(0)),
+            (f"unfunctorize.{tag.value}", lambda o: unfunctorize(o, tag), iso, concrete, iso_pairs(0)),
+            (f"iso_to_prof.{family.name}", iso_to_prof, iso, prof, iso_pairs(1)),
+            (f"prof_to_iso.{family.name}", prof_to_iso, prof, iso, lifted(iso_to_prof, iso_pairs(2))),
+            (f"encode.{tag.value}", enc.encode, concrete, prof, concrete_pairs(3)),
+            (f"decode.{tag.value}", enc.decode, prof, concrete, lifted(enc.encode, concrete_pairs(4))),
+        ]
+
+    return [
+        MorphismSpec(name, theta, inj_src, inj_dst, pairs, doms)
+        for tag in FamilyTag
+        for name, theta, inj_src, inj_dst, pairs in conversions(tag)
+    ]
 
 
 def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):

@@ -48,11 +48,17 @@ def sample_functions(dom_a, dom_b, n=SAMPLE_SIZE, seed=0):
     ]
 
 
-def probe_functions(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
+def probes_exhaustive(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     """Probe set policy: exhaustive when the total evaluation count fits the
-    budget, else a seeded sample.  Returns (functions, exhaustive_flag)."""
+    budget, else a seeded sample."""
     count = len(list(dom_b)) ** len(list(dom_a)) * max(len(list(dom_s)), 1)
-    if count <= max_evals:
+    return count <= max_evals
+
+
+def probe_functions(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
+    """The probe set :func:`probes_exhaustive` chooses.  Returns
+    (functions, exhaustive_flag)."""
+    if probes_exhaustive(dom_a, dom_b, dom_s, max_evals):
         return all_functions(dom_a, dom_b), True
     return sample_functions(dom_a, dom_b, SAMPLE_SIZE, seed), False
 

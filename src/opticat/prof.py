@@ -63,10 +63,6 @@ def prof_identity(family) -> ProfOptic:
     return prof_inj(identity, identity, family)
 
 
-def prof_compose(outer: ProfOptic, inner: ProfOptic) -> ProfOptic:
-    return outer.compose(inner)
-
-
 def _merge_families(f1: FunctorFamily, f2: FunctorFamily) -> FunctorFamily:
     if f1.name == f2.name:
         return f1

@@ -222,11 +222,37 @@ def test_every_required_law_has_a_checker():
 
 def test_full_suite_passes_and_covers_required_laws():
     reports = run_all_law_checks()
-    by_law = {rep.law: rep for rep in reports}
-    missing = set(REQUIRED_LAWS) - set(by_law)
-    assert not missing
+    assert {rep.law for rep in reports} == set(REQUIRED_LAWS)
     failing = [rep.law for rep in reports if not rep.passed]
     assert failing == []
+
+
+def test_budgeted_suite_never_passes_a_law_compared_on_sampled_probes(monkeypatch):
+    # A small budget makes some probe sets sampled, not exhaustive.  Each
+    # probe set is charged to the law whose next case it decides; none of
+    # those laws may come back PASS.
+    import opticat.probes as probes
+    from opticat.laws import _LawRun
+
+    probe_functions, case = probes.probe_functions, _LawRun.case
+    pending, sampled_laws = [], set()
+
+    def recording_probe_functions(*args, **kwargs):
+        fns, exhaustive = probe_functions(*args, **kwargs)
+        pending.append(exhaustive)
+        return fns, exhaustive
+
+    def recording_case(self, inputs, expected, actual):
+        if not all(pending):
+            sampled_laws.add(self.report.law)
+        pending.clear()
+        return case(self, inputs, expected, actual)
+
+    monkeypatch.setattr(probes, "probe_functions", recording_probe_functions)
+    monkeypatch.setattr(_LawRun, "case", recording_case)
+    reports = {rep.law: rep for rep in run_all_law_checks(budget=20)}
+    assert sampled_laws
+    assert [law for law in sorted(sampled_laws) if reports[law].status == PASS] == []
 
 
 def test_merge_is_deterministic_and_keeps_first_failure():
