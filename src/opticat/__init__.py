@@ -13,6 +13,7 @@ from .families import (
     compose,
     dimap_optic,
     each,
+    embed,
     family_join,
     family_le,
     first,

@@ -4,25 +4,31 @@ Usage:
     opticat <command> <path> [value] [--input FILE] [--strict]
 
 Commands: get, set VALUE, map FN, match, build VALUE.  Paths are dotted step
-sequences; each step compiles to an optic and steps of different families
-compose by promotion through the family lattice.  Exit codes: 0 success,
-2 unsupported command for the path's family, 3 type mismatch (or a miss
-under --strict), 4 parse error.
+sequences; each step compiles to an optic, is embedded into the join of the
+steps' families, and the steps compose right to left.  Documents and values
+are strict UTF-8 JSON.  Exit codes: 0 success, 2 unsupported command for the
+path's family, 3 type mismatch (or a miss under --strict, or a path or
+document too deep to evaluate), 4 parse error (or a document too deep to
+load).
 """
 
 import json
+import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 from . import __version__
-from .base import Left, Right, either
+from .base import Left, Right
 from .families import (
     FamilyTag,
     Lens,
     Optional,
     Prism,
     Setter,
+    embed,
     family_join,
     family_le,
 )
@@ -44,10 +50,6 @@ class PathSyntaxError(ValueError):
 
 class DocTypeError(TypeError):
     """A step met a document of the wrong shape."""
-
-
-class Miss(Exception):
-    """Strict mode: a match-capable path had no focus."""
 
 
 # Path expressions ------------------------------------------------------------
@@ -184,52 +186,55 @@ def _kind(doc):
     raise TypeError(f"not a document: {doc!r}")
 
 
+def _type_error(doc, name, expected):
+    """The one statement of a failed check: ``name`` met ``doc`` where it
+    needs ``expected``.  Built only on failure, so checks stay inline."""
+    return DocTypeError(f"{name} expects {expected}, got {_kind(doc)}")
+
+
 def _as_pair(doc, step):
     if not isinstance(doc, list) or len(doc) != 2:
-        raise DocTypeError(f"{step} expects a 2-element array, got {_kind(doc)}")
+        raise _type_error(doc, step, "a 2-element array")
     return doc
 
 
-def _fst():
-    return Lens(
-        get=lambda d: _as_pair(d, FST)[0],
-        put=lambda b, d: [b, _as_pair(d, FST)[1]],
-    )
+def _slot(i, step):
+    def put(b, d):
+        pair = list(_as_pair(d, step))
+        pair[i] = b
+        return pair
 
-
-def _snd():
-    return Lens(
-        get=lambda d: _as_pair(d, SND)[1],
-        put=lambda b, d: [_as_pair(d, SND)[0], b],
-    )
+    return Lens(get=lambda d: _as_pair(d, step)[i], put=put)
 
 
 def _key(name):
+    step = f"key({name})"
+
     def match(d):
         if not isinstance(d, dict):
-            raise DocTypeError(f"key({name}) expects an object, got {_kind(d)}")
+            raise _type_error(d, step, "an object")
         return Right(d[name]) if name in d else Left(d)
 
     def put(b, d):
         if not isinstance(d, dict):
-            raise DocTypeError(f"key({name}) expects an object, got {_kind(d)}")
+            raise _type_error(d, step, "an object")
         return {**d, name: b} if name in d else d
 
     return Optional(match=match, put=put)
 
 
 def _idx(n):
+    step = f"idx({n})"
+
     def match(d):
         if not isinstance(d, list):
-            raise DocTypeError(f"idx({n}) expects an array, got {_kind(d)}")
+            raise _type_error(d, step, "an array")
         return Right(d[n]) if n < len(d) else Left(d)
 
     def put(b, d):
         if not isinstance(d, list):
-            raise DocTypeError(f"idx({n}) expects an array, got {_kind(d)}")
-        if n >= len(d):
-            return d
-        return d[:n] + [b] + d[n + 1:]
+            raise _type_error(d, step, "an array")
+        return d[:n] + [b] + d[n + 1:] if n < len(d) else d
 
     return Optional(match=match, put=put)
 
@@ -239,9 +244,9 @@ def _some():
     def match(d):
         if d is None:
             return Left(None)
-        if isinstance(d, dict) and set(d) == {"some"}:
-            return Right(d["some"])
-        raise DocTypeError(f"some expects null or a some-object, got {_kind(d)}")
+        if not isinstance(d, dict) or set(d) != {"some"}:
+            raise _type_error(d, SOME, "null or a some-object")
+        return Right(d["some"])
 
     return Prism(match=match, build=lambda b: {"some": b})
 
@@ -250,7 +255,7 @@ def _each():
     def over(h):
         def run(d):
             if not isinstance(d, list):
-                raise DocTypeError(f"each expects an array, got {_kind(d)}")
+                raise _type_error(d, EACH, "an array")
             return [h(x) for x in d]
 
         return run
@@ -258,86 +263,33 @@ def _each():
     return Setter(over=over)
 
 
-STEP_TAGS = {
-    FST: FamilyTag.LENS,
-    SND: FamilyTag.LENS,
-    KEY: FamilyTag.OPTIONAL,
-    IDX: FamilyTag.OPTIONAL,
-    SOME: FamilyTag.PRISM,
-    EACH: FamilyTag.SETTER,
+# Step kind -> its record, from the step's argument.
+_STEP_OPTICS = {
+    FST: lambda _: _slot(0, FST),
+    SND: lambda _: _slot(1, SND),
+    KEY: _key,
+    IDX: _idx,
+    SOME: lambda _: _some(),
+    EACH: lambda _: _each(),
 }
-
-
-def _step_optic(step: Step):
-    if step.kind == FST:
-        return _fst()
-    if step.kind == SND:
-        return _snd()
-    if step.kind == KEY:
-        return _key(step.arg)
-    if step.kind == IDX:
-        return _idx(step.arg)
-    if step.kind == SOME:
-        return _some()
-    if step.kind == EACH:
-        return _each()
-    raise KeyError(step.kind)
-
-
-# Family promotion -------------------------------------------------------------
-
-def _lens_to_optional(o):
-    return Optional(match=lambda s: Right(o.get(s)), put=o.put)
-
-
-def _prism_to_optional(o):
-    return Optional(
-        match=o.match,
-        put=lambda b, s: either(lambda t: t, lambda _a: o.build(b), o.match(s)),
-    )
-
-
-def _to_setter(o):
-    return Setter(over=lambda h: o.map_optic(h))
-
-
-_PROMOTIONS = {
-    (FamilyTag.LENS, FamilyTag.OPTIONAL): _lens_to_optional,
-    (FamilyTag.PRISM, FamilyTag.OPTIONAL): _prism_to_optional,
-    (FamilyTag.LENS, FamilyTag.SETTER): _to_setter,
-    (FamilyTag.PRISM, FamilyTag.SETTER): _to_setter,
-    (FamilyTag.OPTIONAL, FamilyTag.SETTER): _to_setter,
-}
-
-
-def promote(optic, from_tag: FamilyTag, to_tag: FamilyTag):
-    if from_tag == to_tag:
-        return optic
-    return _PROMOTIONS[(from_tag, to_tag)](optic)
 
 
 def compile_path(path: PathExpr):
-    """Left-to-right composition with family promotion at each join."""
-    optic = None
-    tag = None
-    for step in path.steps:
-        step_optic = _step_optic(step)
-        step_tag = STEP_TAGS[step.kind]
-        if optic is None:
-            optic, tag = step_optic, step_tag
-            continue
-        joined = family_join(tag, step_tag)
-        optic = promote(optic, tag, joined).compose(
-            promote(step_optic, step_tag, joined)
-        )
-        tag = joined
+    """The path's optic and family.  The family is the join of the steps'
+    families; each step is embedded into it once and the steps compose right
+    to left, so each command costs time linear in the path length."""
+    records = [_STEP_OPTICS[step.kind](step.arg) for step in path.steps]
+    tag = reduce(family_join, (record.tag for record in records))
+    optic = embed(records[-1], tag)
+    for record in reversed(records[:-1]):
+        optic = embed(record, tag).compose(optic)
     return optic, tag
 
 
 # Commands ---------------------------------------------------------------------
 
 # The family each command needs: a path supports the command when its
-# family embeds into it.
+# family embeds into it, and the command runs that family's operation.
 _REQUIRES = {
     "get": FamilyTag.LENS,
     "set": FamilyTag.SETTER,
@@ -346,42 +298,48 @@ _REQUIRES = {
     "build": FamilyTag.PRISM,
 }
 
-_MAP_FNS = ("incr", "negate", "upper", "lower")
+# map function name -> (the exact types it accepts, their kind, the function)
+_MAP_FNS = {
+    "incr": ((int, float), "a number", lambda x: x + 1),
+    "negate": ((int, float), "a number", operator.neg),
+    "upper": ((str,), "a string", str.upper),
+    "lower": ((str,), "a string", str.lower),
+}
 
 
 def _map_fn(name):
-    def incr(x):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise DocTypeError(f"incr expects a number, got {_kind(x)}")
-        return x + 1
+    types, expected, fn = _MAP_FNS[name]
 
-    def negate(x):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise DocTypeError(f"negate expects a number, got {_kind(x)}")
-        return -x
+    def h(x):
+        if type(x) not in types:
+            raise _type_error(x, name, expected)
+        return fn(x)
 
-    def upper(x):
-        if not isinstance(x, str):
-            raise DocTypeError(f"upper expects a string, got {_kind(x)}")
-        return x.upper()
+    return h
 
-    def lower(x):
-        if not isinstance(x, str):
-            raise DocTypeError(f"lower expects a string, got {_kind(x)}")
-        return x.lower()
 
-    return {"incr": incr, "negate": negate, "upper": upper, "lower": lower}[name]
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _finite(text):
+    number = float(text)
+    if math.isinf(number):
+        raise ValueError(f"number {text} is out of range")
+    return number
+
+
+def _loads(text):
+    """Strict JSON: NaN, Infinity and numbers that overflow are errors."""
+    return json.loads(text, parse_constant=_not_json, parse_float=_finite)
 
 
 def render(doc) -> str:
     """Canonical serialization: sorted keys, no insignificant whitespace."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def _as_match(optic, tag):
-    if tag == FamilyTag.LENS:
-        return lambda s: Right(optic.get(s))
-    return optic.match
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+        allow_nan=False,
+    )
 
 
 def run(command, path_text, value_text=None, doc=None, strict=False):
@@ -392,7 +350,7 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
         expected = ", ".join(exc.expected)
         return EXIT_PARSE, f"opticat: path error: {exc} (expected: {expected})"
 
-    optic, tag = compile_path(path)
+    compiled, tag = compile_path(path)
 
     if command not in _REQUIRES:
         return EXIT_UNSUPPORTED, f"opticat: unknown command {command!r}"
@@ -408,38 +366,33 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
         if value_text is None:
             return EXIT_UNSUPPORTED, f"opticat: command {command!r} needs a value"
         try:
-            value = json.loads(value_text)
-        except json.JSONDecodeError as exc:
+            value = _loads(value_text)
+        except (ValueError, RecursionError) as exc:
             return EXIT_PARSE, f"opticat: value is not valid JSON: {exc}"
-    if command == "map":
-        if value_text not in _MAP_FNS:
-            return (
-                EXIT_UNSUPPORTED,
-                f"opticat: map needs one of {', '.join(_MAP_FNS)}",
-            )
+    if command == "map" and value_text not in _MAP_FNS:
+        return EXIT_UNSUPPORTED, f"opticat: map needs one of {', '.join(_MAP_FNS)}"
 
+    optic = embed(compiled, _REQUIRES[command])
     try:
-        if command == "build":
-            return EXIT_OK, render(optic.build(value))
-        if strict and command in ("set", "map") and family_le(tag, _REQUIRES["match"]):
-            if isinstance(_as_match(optic, tag)(doc), Left):
-                raise Miss
+        if strict and command in ("set", "map") and family_le(tag, FamilyTag.OPTIONAL):
+            if isinstance(embed(compiled, FamilyTag.OPTIONAL).match(doc), Left):
+                return EXIT_TYPE, "opticat: no focus at path (strict mode)"
         if command == "get":
-            return EXIT_OK, render(optic.get(doc))
-        if command == "set":
-            return EXIT_OK, render(optic.map_optic(lambda _: value)(doc))
-        if command == "map":
-            return EXIT_OK, render(optic.map_optic(_map_fn(value_text))(doc))
-        if command == "match":
-            e = _as_match(optic, tag)(doc)
-            if isinstance(e, Right):
-                return EXIT_OK, render({"matched": True, "value": e.value})
-            return EXIT_OK, render({"matched": False, "rest": e.value})
-    except Miss:
-        return EXIT_TYPE, "opticat: no focus at path (strict mode)"
+            out = optic.get(doc)
+        elif command == "match":
+            e = optic.match(doc)
+            hit = isinstance(e, Right)
+            out = {"matched": hit, "value" if hit else "rest": e.value}
+        elif command == "build":
+            out = optic.build(value)
+        else:
+            h = _map_fn(value_text) if command == "map" else lambda _: value
+            out = optic.map_optic(h)(doc)
+        return EXIT_OK, render(out)
     except DocTypeError as exc:
         return EXIT_TYPE, f"opticat: type error: {exc}"
-    raise AssertionError(command)
+    except (RecursionError, ValueError) as exc:
+        return EXIT_TYPE, f"opticat: cannot evaluate or render: {exc}"
 
 
 # Entry point ------------------------------------------------------------------
@@ -448,7 +401,10 @@ def _read_doc(input_file):
     if input_file is not None:
         with open(input_file, "r", encoding="utf-8") as fh:
             return fh.read()
-    return sys.stdin.read()
+    text = sys.stdin.read()
+    # A surrogateescape stdin (the C locale) turns bad bytes into surrogates.
+    text.encode("utf-8")
+    return text
 
 
 def main(argv=None) -> int:
@@ -491,16 +447,18 @@ def main(argv=None) -> int:
     doc = None
     if command != "build":
         try:
-            doc = json.loads(_read_doc(input_file))
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = _loads(_read_doc(input_file))
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"opticat: cannot read document: {exc}", file=sys.stderr)
             return EXIT_PARSE
 
     code, output = run(command, path_text, value_text, doc, strict)
-    if code == EXIT_OK:
-        print(output)
-    else:
-        print(output, file=sys.stderr)
+    try:
+        print(output, file=sys.stdout if code == EXIT_OK else sys.stderr)
+    except UnicodeEncodeError as exc:
+        # a lone surrogate escape in the input ("\ud800") has no UTF-8 form
+        print(f"opticat: input is not Unicode text: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

@@ -3,8 +3,9 @@
 Each family is a small record of total functions.  All families support the
 same four operations: composition, identity, injection of a plain function
 pair, and an action on functions (``map_optic``).  Composing two records of
-different families raises; heterogeneous composition is done either through
-the tag lattice (see :mod:`opticat.cli`) or through the profunctor encoding
+different families raises.  Heterogeneous composition goes either through
+the tag lattice, where :func:`embed` takes each record into the join of the
+families (as :mod:`opticat.cli` does), or through the profunctor encoding
 (see :mod:`opticat.prof`).
 """
 
@@ -52,6 +53,34 @@ def family_join(a: FamilyTag, b: FamilyTag) -> FamilyTag:
         if all(d in _UPSETS[c] for d in shared):
             return c
     raise ValueError(f"no join for {a} and {b}")  # unreachable: SETTER is top
+
+
+def embed(optic, tag: FamilyTag):
+    """The record of family ``tag`` with the same action as ``optic``: the
+    one statement of every embedding ``family_le`` allows.
+
+    Dispatches on the record's ``tag`` and reads only its fields (and
+    ``map_optic``, into SETTER), so a forwarding proxy of a record embeds
+    like the record itself.  Raises ``FamilyMismatchError`` off the order.
+    """
+    src = optic.tag
+    if src == tag:
+        return optic
+    if not family_le(src, tag):
+        raise FamilyMismatchError(f"{src.value} does not embed into {tag.value}")
+    if tag == FamilyTag.SETTER:
+        return Setter(over=optic.map_optic)
+    if src == FamilyTag.ADAPTER:
+        return CONCRETE_FAMILIES[tag].inj(optic.fwd, optic.bwd)
+    if src == FamilyTag.LENS:  # into OPTIONAL: every whole is a hit
+        get = optic.get
+        return Optional(match=lambda s: Right(get(s)), put=optic.put)
+    # PRISM into OPTIONAL: a put on a miss keeps the whole
+    match, build = optic.match, optic.build
+    return Optional(
+        match=match,
+        put=lambda b, s: either(identity, lambda _a: build(b), match(s)),
+    )
 
 
 @dataclass(frozen=True)
@@ -284,7 +313,7 @@ def _require_same_family(outer, inner):
     if type(outer) is not type(inner):
         raise FamilyMismatchError(
             f"cannot compose {type(outer).__name__} with {type(inner).__name__}; "
-            "promote through the family lattice or the profunctor encoding first"
+            "embed both into their family join or use the profunctor encoding"
         )
 
 

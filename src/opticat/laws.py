@@ -12,10 +12,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from .base import Just, Left, Nothing, Right, identity
 from .families import (
+    CONCRETE_FAMILIES,
     AchLens,
     Adapter,
     FamilyTag,
@@ -23,6 +25,8 @@ from .families import (
     Optional,
     Prism,
     Setter,
+    embed,
+    family_le,
 )
 from .functors import (
     Comp,
@@ -1191,7 +1195,7 @@ def shape_pools(shapes=None):
 
 def standard_morphism_specs(seed=0, n_pairs=3):
     """Morphism fixtures for every conversion the library ships, over every
-    concrete family."""
+    concrete family, and for every embedding of the family order."""
     from .encode import concrete_to_iso, functorize, prof_encoding, unfunctorize
     from .prof import iso_to_prof, prof_inj, prof_to_iso
 
@@ -1202,7 +1206,7 @@ def standard_morphism_specs(seed=0, n_pairs=3):
         family = functorize(tag).functor_family
         pool = pools[family.name]
         enc = prof_encoding(tag)
-        concrete = type(gen_random_optic(tag, seed, doms["a1"], doms["s"])).inj
+        concrete = CONCRETE_FAMILIES[tag].inj
 
         def iso(f, g):
             return iso_inj(f, g, family)
@@ -1233,7 +1237,13 @@ def standard_morphism_specs(seed=0, n_pairs=3):
             return [(theta(o1), theta(o2)) for o1, o2 in pairs]
 
         # name, theta, source injection, target injection, source pairs
-        return [
+        embeddings = [
+            (f"embed.{tag.value}.{to.value}", partial(embed, tag=to), concrete,
+             CONCRETE_FAMILIES[to].inj, concrete_pairs(0))
+            for to in FamilyTag
+            if to != tag and family_le(tag, to)
+        ]
+        return embeddings + [
             (f"concrete_to_iso.{tag.value}", concrete_to_iso, concrete, iso, concrete_pairs(0)),
             (f"unfunctorize.{tag.value}", lambda o: unfunctorize(o, tag), iso, concrete, iso_pairs(0)),
             (f"iso_to_prof.{family.name}", iso_to_prof, iso, prof, iso_pairs(1)),

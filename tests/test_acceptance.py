@@ -292,6 +292,7 @@ def test_criterion_6_morphism_preservation():
         "prof_to_iso",
         "encode",
         "decode",
+        "embed",
     }
     failures = []
     for kind, kind_specs in by_kind.items():

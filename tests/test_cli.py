@@ -1,9 +1,13 @@
 """Path parsing, compilation, command semantics, and the golden table."""
 
+import contextlib
+import io
+import json
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from opticat.cli import (
@@ -18,6 +22,7 @@ from opticat.cli import (
     main,
     parse_path,
     print_path,
+    render,
     run,
 )
 from opticat.families import FamilyTag, family_join
@@ -209,6 +214,14 @@ GOLDEN = [
     ("map", "fst", "incr", ["x", 1], 3, None),
     ("match", "some", None, 5, 3, None),
     ("set", "fst", "not json", [1, 2], 4, None),
+    ("set", "fst", "NaN", [1, 2], 4, None),
+    ("set", "fst", "Infinity", [1, 2], 4, None),
+    ("set", "fst", "[1,-Infinity]", [1, 2], 4, None),
+    ("build", "some", "1e999", None, 4, None),
+    ("build", "some", "-1e999", None, 4, None),
+    ("set", "fst", "1.5e308", [1, 2], 0, "[1.5e+308,2]"),
+    # one digit more than int-to-text conversion allows
+    ("map", "fst", "incr", [10**4300 - 1, 0], 3, None),
 ]
 
 
@@ -287,3 +300,126 @@ def test_main_error_goes_to_stderr(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "offset 4" in captured.err
+
+
+def _main_with_stdin(argv, data):
+    """main() on bytes fed through a strict UTF-8 stdin: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_line_error(err):
+    return err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"[NaN,1]", b'{"a":Infinity,"b":2}', b"[-Infinity,[3,4]]", b"[1e999,2]",
+     b"[-1e999,2]", b'["caf\xe9",1]', b"[1," + b"[" * 5000 + b"]" * 5000 + b"]"],
+    ids=["nan", "infinity", "minus-infinity", "overflow", "minus-overflow",
+         "not-utf8", "too-deep"],
+)
+def test_main_rejects_documents_that_are_not_strict_json(data):
+    code, out, err = _main_with_stdin(["get", "fst"], data)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert _one_line_error(err), err
+
+
+def test_main_rejects_bad_bytes_from_a_surrogateescape_stdin(monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b'["caf\xe9",1]'), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["get", "snd"]) == EXIT_PARSE
+
+
+def _deep_pairs(n, leaf=1):
+    doc = leaf
+    for _ in range(n):
+        doc = [doc, 2]
+    return doc
+
+
+def test_too_deep_to_evaluate_or_render_exits_3():
+    n = sys.getrecursionlimit() + 200
+    code, out = run("get", ".".join(["fst"] * n), None, _deep_pairs(n))
+    assert code == EXIT_TYPE and "\n" not in out
+    code, out = run("get", "snd", None, [0, _deep_pairs(n)])
+    assert code == EXIT_TYPE and "\n" not in out
+
+
+def test_long_path_put_visits_each_step_a_bounded_number_of_times(monkeypatch):
+    # Composed right to left, a put runs each step's get and put once; a
+    # left fold re-ran the whole prefix at every step (n^2/2 gets).
+    import opticat.cli as cli
+
+    n = 800
+    optic, _ = compile_path(PathExpr((Step("fst"),) * n))
+    calls = []
+    as_pair = cli._as_pair
+
+    def counting(doc, step):
+        calls.append(step)
+        return as_pair(doc, step)
+
+    monkeypatch.setattr(cli, "_as_pair", counting)
+    assert optic.put(7, _deep_pairs(n)) == _deep_pairs(n, leaf=7)
+    assert len(calls) <= 2 * n
+
+
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "some"]), inner, max_size=2),
+    max_leaves=8,
+)
+_STEPS = st.one_of(
+    st.sampled_from([Step("fst"), Step("snd"), Step("some"), Step("each")]),
+    st.builds(Step, st.just("key"), st.sampled_from(["a", "b", "some"])),
+    st.builds(Step, st.just("idx"), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.binary(max_size=40) | _DOCS.map(lambda d: json.dumps(d).encode()),
+    command=st.sampled_from(["get", "set", "map", "match", "build", "bogus"]),
+    path=st.lists(_STEPS, min_size=1, max_size=5).map(
+        lambda steps: print_path(PathExpr(tuple(steps)))
+    ) | st.text(max_size=8).filter(lambda text: not text.startswith("-")),
+    value=st.none() | st.sampled_from(
+        ["incr", "upper", "0", '"x"', "NaN", "1e999", "[1,2]", "{"]
+    ),
+    strict=st.booleans(),
+)
+def test_main_exits_with_a_documented_code_and_no_traceback(
+    data, command, path, value, strict
+):
+    argv = [command, path] + ([] if value is None else [value])
+    argv += ["--strict"] if strict else []
+    code, out, err = _main_with_stdin(argv, data)
+    assert code in (EXIT_OK, EXIT_UNSUPPORTED, EXIT_TYPE, EXIT_PARSE)
+    if code == EXIT_OK:
+        assert err == "" and out == render(json.loads(out)) + "\n"
+    else:
+        assert out == "" and _one_line_error(err), err
+
+
+def test_main_rejects_a_lone_surrogate_it_cannot_print(monkeypatch):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    monkeypatch.setattr("sys.stdin", io.StringIO('["\\ud800",1]'))
+    monkeypatch.setattr("sys.stdout", stdout)
+    monkeypatch.setattr("sys.stderr", err)
+    assert main(["get", "fst"]) == EXIT_PARSE
+    assert _one_line_error(err.getvalue())
+    monkeypatch.setattr("sys.stdin", io.StringIO('["\\ud800",1]'))
+    assert main(["get", "snd"]) == EXIT_OK

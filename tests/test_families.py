@@ -1,5 +1,6 @@
 """Concrete family records, canonical optics, and the shared operations."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from opticat.base import Just, Left, Nothing, Right
 from opticat.families import (
+    CONCRETE_FAMILIES,
     Adapter,
     FamilyMismatchError,
     FamilyTag,
@@ -16,6 +18,7 @@ from opticat.families import (
     compose,
     dimap_optic,
     each,
+    embed,
     family_join,
     family_le,
     first,
@@ -26,7 +29,13 @@ from opticat.families import (
     multi_map_optic,
     second,
 )
-from opticat.laws import gen_lawful_lens, gen_lawful_prism, labels, lens_is_lawful
+from opticat.laws import (
+    gen_lawful_lens,
+    gen_lawful_prism,
+    gen_random_optic,
+    labels,
+    lens_is_lawful,
+)
 from opticat.probes import all_functions, maps_agree
 
 TAGS = list(FamilyTag)
@@ -346,3 +355,48 @@ def test_join_associative_all_triples():
 def test_join_is_upper_bound(a, b):
     j = family_join(a, b)
     assert family_le(a, j) and family_le(b, j)
+
+
+# Embeddings along the order ------------------------------------------------------
+
+def test_embed_same_family_is_identity():
+    for tag in TAGS:
+        optic = identity_optic(tag)
+        assert embed(optic, tag) is optic
+
+
+@pytest.mark.parametrize(
+    "src,dst",
+    [
+        (FamilyTag.SETTER, FamilyTag.LENS),
+        (FamilyTag.ACHLENS, FamilyTag.LENS),
+        (FamilyTag.PRISM, FamilyTag.LENS),
+    ],
+)
+def test_embed_rejects_pairs_outside_the_order(src, dst):
+    with pytest.raises(FamilyMismatchError):
+        embed(identity_optic(src), dst)
+
+
+class _FieldProxy:
+    """Forwards a record's ``tag`` and its fields, and nothing else."""
+
+    def __init__(self, record):
+        self.tag = record.tag
+        for f in dataclasses.fields(record):
+            setattr(self, f.name, getattr(record, f.name))
+
+
+def test_embed_reads_only_tag_and_fields():
+    # Every embedding but the one into SETTER, which runs map_optic.
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    pairs = [
+        (a, b) for a in TAGS for b in TAGS
+        if a != b and b != FamilyTag.SETTER and family_le(a, b)
+    ]
+    assert len(pairs) == 6
+    for a, b in pairs:
+        record = gen_random_optic(a, 0, dom_a, dom_s)
+        embedded = embed(_FieldProxy(record), b)
+        assert type(embedded) is CONCRETE_FAMILIES[b]
+        assert maps_agree(embedded, record, dom_a, dom_a, dom_s), (a, b)
