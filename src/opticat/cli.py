@@ -4,14 +4,17 @@ Usage:
     opticat <command> <path> [value] [--input FILE] [--strict]
 
 Commands: get, set VALUE, map FN, match, build VALUE.  Paths are dotted step
-sequences; each step compiles to an optic, is embedded into the join of the
-steps' families, and the steps compose right to left.  Documents and values
-are strict UTF-8 JSON.  Exit codes: 0 success, 2 unsupported command for the
-path's family, 3 type mismatch (or a miss under --strict, or a path or
-document too deep to evaluate), 4 parse error (or a document too deep to
-load).
+sequences.  Each step kind is one row of a table: its family, its read and
+its modify action.  A path's family is the join of its steps' families;
+reads run the steps left to right, and writes compose their modify actions
+right to left.  Documents, values and output are strict UTF-8 JSON.  Exit
+codes: 0 success, 2 unsupported command for the path's family, 3 type
+mismatch (or a miss under --strict, or a path or document too deep to
+evaluate), 4 parse error (or a document too deep to load, or output that is
+not Unicode text).
 """
 
+import gc
 import json
 import math
 import operator
@@ -22,16 +25,7 @@ from functools import reduce
 
 from . import __version__
 from .base import Left, Right
-from .families import (
-    FamilyTag,
-    Lens,
-    Optional,
-    Prism,
-    Setter,
-    embed,
-    family_join,
-    family_le,
-)
+from .families import FamilyTag, family_join, family_le
 
 EXIT_OK = 0
 EXIT_UNSUPPORTED = 2
@@ -168,7 +162,7 @@ def print_path(path: PathExpr) -> str:
     return ".".join(parts)
 
 
-# Step optics over documents ---------------------------------------------------
+# Step kinds over documents ----------------------------------------------------
 
 def _kind(doc):
     if doc is None:
@@ -186,110 +180,138 @@ def _kind(doc):
     raise TypeError(f"not a document: {doc!r}")
 
 
-def _type_error(doc, name, expected):
+def _fail(doc, name, expected):
     """The one statement of a failed check: ``name`` met ``doc`` where it
-    needs ``expected``.  Built only on failure, so checks stay inline."""
-    return DocTypeError(f"{name} expects {expected}, got {_kind(doc)}")
+    needs ``expected``.  Called only on failure, so checks stay inline."""
+    raise DocTypeError(f"{name} expects {expected}, got {_kind(doc)}")
 
 
 def _as_pair(doc, step):
     if not isinstance(doc, list) or len(doc) != 2:
-        raise _type_error(doc, step, "a 2-element array")
+        _fail(doc, step, "a 2-element array")
     return doc
 
 
-def _slot(i, step):
-    def put(b, d):
-        pair = list(_as_pair(d, step))
-        pair[i] = b
-        return pair
-
-    return Lens(get=lambda d: _as_pair(d, step)[i], put=put)
-
-
-def _key(name):
-    step = f"key({name})"
-
-    def match(d):
-        if not isinstance(d, dict):
-            raise _type_error(d, step, "an object")
-        return Right(d[name]) if name in d else Left(d)
-
-    def put(b, d):
-        if not isinstance(d, dict):
-            raise _type_error(d, step, "an object")
-        return {**d, name: b} if name in d else d
-
-    return Optional(match=match, put=put)
-
-
-def _idx(n):
-    step = f"idx({n})"
-
-    def match(d):
-        if not isinstance(d, list):
-            raise _type_error(d, step, "an array")
-        return Right(d[n]) if n < len(d) else Left(d)
-
-    def put(b, d):
-        if not isinstance(d, list):
-            raise _type_error(d, step, "an array")
-        return d[:n] + [b] + d[n + 1:] if n < len(d) else d
-
-    return Optional(match=match, put=put)
-
-
-def _some():
+def _is_some(doc):
     # options encode as null (absent) or a single-key {"some": ...} object
-    def match(d):
-        if d is None:
-            return Left(None)
-        if not isinstance(d, dict) or set(d) != {"some"}:
-            raise _type_error(d, SOME, "null or a some-object")
-        return Right(d["some"])
-
-    return Prism(match=match, build=lambda b: {"some": b})
+    return isinstance(doc, dict) and len(doc) == 1 and "some" in doc
 
 
-def _each():
-    def over(h):
-        def run(d):
-            if not isinstance(d, list):
-                raise _type_error(d, EACH, "an array")
-            return [h(x) for x in d]
+_MISS = object()  # a view's result where a partial step has no focus
 
-        return run
-
-    return Setter(over=over)
-
-
-# Step kind -> its record, from the step's argument.
-_STEP_OPTICS = {
-    FST: lambda _: _slot(0, FST),
-    SND: lambda _: _slot(1, SND),
-    KEY: _key,
-    IDX: _idx,
-    SOME: lambda _: _some(),
-    EACH: lambda _: _each(),
+# Each step kind, stated once as (family, view, over).  ``view(arg, d)``
+# checks d's type, then gives the focus, or _MISS.  ``over(arg, h)`` gives
+# the function that checks d's type, then rebuilds d with ``h`` applied to
+# the focus, and gives d itself on a miss.  These are the step's actions on
+# the reading capabilities and on the function arrow.
+_STEPS = {
+    FST: (
+        FamilyTag.LENS,
+        lambda _, d: _as_pair(d, FST)[0],
+        lambda _, h: lambda d: [h(_as_pair(d, FST)[0]), d[1]],
+    ),
+    SND: (
+        FamilyTag.LENS,
+        lambda _, d: _as_pair(d, SND)[1],
+        lambda _, h: lambda d: [_as_pair(d, SND)[0], h(d[1])],
+    ),
+    KEY: (
+        FamilyTag.OPTIONAL,
+        lambda name, d: (
+            d.get(name, _MISS) if isinstance(d, dict)
+            else _fail(d, f"key({name})", "an object")
+        ),
+        lambda name, h: lambda d: (
+            ({**d, name: h(d[name])} if name in d else d) if isinstance(d, dict)
+            else _fail(d, f"key({name})", "an object")
+        ),
+    ),
+    IDX: (
+        FamilyTag.OPTIONAL,
+        lambda n, d: (
+            (d[n] if n < len(d) else _MISS) if isinstance(d, list)
+            else _fail(d, f"idx({n})", "an array")
+        ),
+        lambda n, h: lambda d: (
+            (d[:n] + [h(d[n])] + d[n + 1:] if n < len(d) else d)
+            if isinstance(d, list) else _fail(d, f"idx({n})", "an array")
+        ),
+    ),
+    SOME: (
+        FamilyTag.PRISM,
+        lambda _, d: (
+            _MISS if d is None else d["some"] if _is_some(d)
+            else _fail(d, SOME, "null or a some-object")
+        ),
+        lambda _, h: lambda d: (
+            d if d is None else {"some": h(d["some"])} if _is_some(d)
+            else _fail(d, SOME, "null or a some-object")
+        ),
+    ),
+    EACH: (
+        FamilyTag.SETTER,
+        None,  # a setter has no read
+        lambda _, h: lambda d: (
+            [h(x) for x in d] if isinstance(d, list) else _fail(d, EACH, "an array")
+        ),
+    ),
 }
 
 
+class _PathOptic:
+    """A compiled path: its family and its steps as (family, view, over, arg).
+
+    Reads run the views left to right; writes compose the modify actions
+    right to left, one frame per step.  Each command runs only on the
+    families that support it: ``get`` on lenses, ``match`` up to optionals,
+    ``build`` on prisms (``some`` is the one prism step).
+    """
+
+    __slots__ = ("tag", "_steps")
+
+    def __init__(self, tag, steps):
+        self.tag = tag
+        self._steps = steps
+
+    def get(self, doc):
+        for _, view, _, arg in self._steps:
+            doc = view(arg, doc)
+        return doc
+
+    def match(self, doc):
+        """``Right(focus)``, or ``Left(doc)`` at the first miss."""
+        focus = doc
+        for _, view, _, arg in self._steps:
+            focus = view(arg, focus)
+            if focus is _MISS:
+                return Left(doc)
+        return Right(focus)
+
+    def map_optic(self, h):
+        for _, _, over, arg in reversed(self._steps):
+            h = over(arg, h)
+        return h
+
+    def put(self, b, doc):
+        return self.map_optic(lambda _: b)(doc)
+
+    def build(self, b):
+        for _ in self._steps:
+            b = {"some": b}
+        return b
+
+
 def compile_path(path: PathExpr):
-    """The path's optic and family.  The family is the join of the steps'
-    families; each step is embedded into it once and the steps compose right
-    to left, so each command costs time linear in the path length."""
-    records = [_STEP_OPTICS[step.kind](step.arg) for step in path.steps]
-    tag = reduce(family_join, (record.tag for record in records))
-    optic = embed(records[-1], tag)
-    for record in reversed(records[:-1]):
-        optic = embed(record, tag).compose(optic)
-    return optic, tag
+    """The path's optic and family, the join of its steps' families."""
+    steps = tuple((*_STEPS[step.kind], step.arg) for step in path.steps)
+    tag = reduce(family_join, (step[0] for step in steps))
+    return _PathOptic(tag, steps), tag
 
 
 # Commands ---------------------------------------------------------------------
 
 # The family each command needs: a path supports the command when its
-# family embeds into it, and the command runs that family's operation.
+# family embeds into it.
 _REQUIRES = {
     "get": FamilyTag.LENS,
     "set": FamilyTag.SETTER,
@@ -312,7 +334,7 @@ def _map_fn(name):
 
     def h(x):
         if type(x) not in types:
-            raise _type_error(x, name, expected)
+            _fail(x, name, expected)
         return fn(x)
 
     return h
@@ -350,7 +372,7 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
         expected = ", ".join(exc.expected)
         return EXIT_PARSE, f"opticat: path error: {exc} (expected: {expected})"
 
-    compiled, tag = compile_path(path)
+    optic, tag = compile_path(path)
 
     if command not in _REQUIRES:
         return EXIT_UNSUPPORTED, f"opticat: unknown command {command!r}"
@@ -372,10 +394,9 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
     if command == "map" and value_text not in _MAP_FNS:
         return EXIT_UNSUPPORTED, f"opticat: map needs one of {', '.join(_MAP_FNS)}"
 
-    optic = embed(compiled, _REQUIRES[command])
     try:
         if strict and command in ("set", "map") and family_le(tag, FamilyTag.OPTIONAL):
-            if isinstance(embed(compiled, FamilyTag.OPTIONAL).match(doc), Left):
+            if isinstance(optic.match(doc), Left):
                 return EXIT_TYPE, "opticat: no focus at path (strict mode)"
         if command == "get":
             out = optic.get(doc)
@@ -388,11 +409,18 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
         else:
             h = _map_fn(value_text) if command == "map" else lambda _: value
             out = optic.map_optic(h)(doc)
-        return EXIT_OK, render(out)
+        text = render(out)
     except DocTypeError as exc:
         return EXIT_TYPE, f"opticat: type error: {exc}"
     except (RecursionError, ValueError) as exc:
         return EXIT_TYPE, f"opticat: cannot evaluate or render: {exc}"
+    try:
+        # A surrogateescape stdout (the C locale) would pass a lone surrogate
+        # escape from the input ("\udce9") through as a raw byte.
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return EXIT_PARSE, f"opticat: input is not Unicode text: {exc}"
+    return EXIT_OK, text
 
 
 # Entry point ------------------------------------------------------------------
@@ -408,6 +436,18 @@ def _read_doc(input_file):
 
 
 def main(argv=None) -> int:
+    # One run over an acyclic JSON tree makes no reference cycles for the
+    # collector to find, only a growing heap for it to walk.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv):
     argv = list(sys.argv[1:] if argv is None else argv)
 
     if "--help" in argv or "-h" in argv or not argv:
@@ -456,7 +496,7 @@ def main(argv=None) -> int:
     try:
         print(output, file=sys.stdout if code == EXIT_OK else sys.stderr)
     except UnicodeEncodeError as exc:
-        # a lone surrogate escape in the input ("\ud800") has no UTF-8 form
+        # a stdout set to an encoding other than UTF-8 may not carry the output
         print(f"opticat: input is not Unicode text: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return code

@@ -5,8 +5,7 @@ same four operations: composition, identity, injection of a plain function
 pair, and an action on functions (``map_optic``).  Composing two records of
 different families raises.  Heterogeneous composition goes either through
 the tag lattice, where :func:`embed` takes each record into the join of the
-families (as :mod:`opticat.cli` does), or through the profunctor encoding
-(see :mod:`opticat.prof`).
+families, or through the profunctor encoding (see :mod:`opticat.prof`).
 """
 
 from dataclasses import dataclass

@@ -1,6 +1,7 @@
 """Path parsing, compilation, command semantics, and the golden table."""
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import opticat.cli as cli
+from opticat.base import Left, Right
 from opticat.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -25,7 +28,22 @@ from opticat.cli import (
     render,
     run,
 )
-from opticat.families import FamilyTag, family_join
+from opticat.families import (
+    FamilyTag,
+    Lens,
+    Optional,
+    Prism,
+    Setter,
+    family_join,
+    family_le,
+)
+from opticat.laws import (
+    check_lens_laws,
+    check_optional_laws,
+    check_prism_laws,
+    check_setter_laws,
+)
+from opticat.probes import all_functions
 
 
 # Parsing -----------------------------------------------------------------------
@@ -222,6 +240,9 @@ GOLDEN = [
     ("set", "fst", "1.5e308", [1, 2], 0, "[1.5e+308,2]"),
     # one digit more than int-to-text conversion allows
     ("map", "fst", "incr", [10**4300 - 1, 0], 3, None),
+    # lone low surrogates, which a surrogateescape stdout would write raw
+    ("get", "fst", None, ["\udc80", 1], 4, None),
+    ("match", "snd", None, [1, {"a": "\udcff"}], 4, None),
 ]
 
 
@@ -303,8 +324,11 @@ def test_main_error_goes_to_stderr(capsys, monkeypatch):
 
 
 def _main_with_stdin(argv, data):
-    """main() on bytes fed through a strict UTF-8 stdin: (code, out, err)."""
-    out, err = io.StringIO(), io.StringIO()
+    """main() on bytes fed through a strict UTF-8 stdin: (code, out, err).
+    stdout is a surrogateescape one, as in the C locale, and ``out`` is its
+    bytes decoded as strict UTF-8."""
+    raw, err = io.BytesIO(), io.StringIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
     old = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
@@ -312,7 +336,8 @@ def _main_with_stdin(argv, data):
             code = main(argv)
     finally:
         sys.stdin = old
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, raw.getvalue().decode("utf-8"), err.getvalue()
 
 
 def _one_line_error(err):
@@ -322,9 +347,10 @@ def _one_line_error(err):
 @pytest.mark.parametrize(
     "data",
     [b"[NaN,1]", b'{"a":Infinity,"b":2}', b"[-Infinity,[3,4]]", b"[1e999,2]",
-     b"[-1e999,2]", b'["caf\xe9",1]', b"[1," + b"[" * 5000 + b"]" * 5000 + b"]"],
+     b"[-1e999,2]", b'["caf\xe9",1]', b"[1," + b"[" * 5000 + b"]" * 5000 + b"]",
+     b'["\\udce9",1]'],
     ids=["nan", "infinity", "minus-infinity", "overflow", "minus-overflow",
-         "not-utf8", "too-deep"],
+         "not-utf8", "too-deep", "lone-low-surrogate"],
 )
 def test_main_rejects_documents_that_are_not_strict_json(data):
     code, out, err = _main_with_stdin(["get", "fst"], data)
@@ -349,7 +375,10 @@ def _deep_pairs(n, leaf=1):
 
 def test_too_deep_to_evaluate_or_render_exits_3():
     n = sys.getrecursionlimit() + 200
-    code, out = run("get", ".".join(["fst"] * n), None, _deep_pairs(n))
+    path = ".".join(["fst"] * n)
+    # A read runs its steps in a loop; a write nests one frame per step.
+    assert run("get", path, None, _deep_pairs(n)) == (EXIT_OK, "1")
+    code, out = run("set", path, "0", _deep_pairs(n))
     assert code == EXIT_TYPE and "\n" not in out
     code, out = run("get", "snd", None, [0, _deep_pairs(n)])
     assert code == EXIT_TYPE and "\n" not in out
@@ -375,7 +404,8 @@ def test_long_path_put_visits_each_step_a_bounded_number_of_times(monkeypatch):
 
 
 _DOCS = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
+    | st.sampled_from(["\udc80", "\udcff"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["a", "b", "some"]), inner, max_size=2),
     max_leaves=8,
@@ -423,3 +453,128 @@ def test_main_rejects_a_lone_surrogate_it_cannot_print(monkeypatch):
     assert _one_line_error(err.getvalue())
     monkeypatch.setattr("sys.stdin", io.StringIO('["\\ud800",1]'))
     assert main(["get", "snd"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv,data,code",
+    [(["get", "fst"], b"[1,2]", EXIT_OK), (["get", "each"], b"[1,2]", EXIT_UNSUPPORTED),
+     (["get", "fst"], b"{}", EXIT_TYPE), (["get", "fst"], b"[1,", EXIT_PARSE)],
+    ids=["exit-0", "exit-2", "exit-3", "exit-4"],
+)
+def test_main_restores_the_cycle_collector(argv, data, code, enabled):
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert _main_with_stdin(argv, data)[0] == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_main_runs_without_the_cycle_collector(monkeypatch):
+    seen = []
+    real_run = cli.run
+
+    def run_spy(*args):
+        seen.append(gc.isenabled())
+        return real_run(*args)
+
+    monkeypatch.setattr(cli, "run", run_spy)
+    assert _main_with_stdin(["get", "fst"], b"[1,2]")[0] == EXIT_OK
+    assert seen == [False]
+
+
+@pytest.mark.parametrize(
+    "command,value", [("get", None), ("match", None), ("set", "0"), ("map", "incr")]
+)
+def test_a_5000_step_path_on_a_shallow_document_exits_3(command, value):
+    argv = [command, ".".join(["fst"] * 5000)] + ([] if value is None else [value])
+    code, out, err = _main_with_stdin(argv, b"[[1,2],3]")
+    assert code == EXIT_TYPE and out == "" and _one_line_error(err), err
+
+
+# The CLI's steps under the library's law suite ------------------------------------
+
+_FOCI = (0, "x", None, [1, 2])
+_PAIRS = [[a, b] for a in _FOCI for b in _FOCI]
+_OBJECTS = [{}, {"b": 0}] + [{"a": a} for a in _FOCI] + [{"a": a, "b": 0} for a in _FOCI]
+_ARRAYS = [[], [0]] + [[0, a] for a in _FOCI] + [[0, a, "x"] for a in _FOCI]
+_OPTIONS = [None] + [{"some": a} for a in _FOCI]
+_SMALL = (0, 1, 2)  # the setter laws enumerate every function on these
+_LISTS = [[], [0], [1, 2], [2, 0, 1]]
+
+# (step, its argument, the family whose laws it meets, foci, wholes).  A prism
+# is an optional too, and only its optional laws reach its modify action.
+_STEP_LAWS = [
+    ("fst", None, FamilyTag.LENS, _FOCI, _PAIRS),
+    ("snd", None, FamilyTag.LENS, _FOCI, _PAIRS),
+    ("key", "a", FamilyTag.OPTIONAL, _FOCI, _OBJECTS),
+    ("idx", 1, FamilyTag.OPTIONAL, _FOCI, _ARRAYS),
+    ("some", None, FamilyTag.PRISM, _FOCI, _OPTIONS),
+    ("some", None, FamilyTag.OPTIONAL, _FOCI, _OPTIONS),
+    ("each", None, FamilyTag.SETTER, _SMALL, _LISTS),
+]
+
+_CHECKERS = {
+    FamilyTag.LENS: check_lens_laws,
+    FamilyTag.OPTIONAL: check_optional_laws,
+    FamilyTag.PRISM: check_prism_laws,
+    FamilyTag.SETTER: check_setter_laws,
+}
+
+
+def _step_record(kind, arg, family, over=None):
+    """The step table's row for ``kind`` as a concrete record of ``family``:
+    its read gives get/match, its modify action gives put/over."""
+    _, view, row_over = cli._STEPS[kind]
+    over = over or row_over
+
+    def match(d):
+        focus = view(arg, d)
+        return Left(d) if focus is cli._MISS else Right(focus)
+
+    def put(b, d):
+        return over(arg, lambda _: b)(d)
+
+    if family == FamilyTag.LENS:
+        return Lens(get=lambda d: view(arg, d), put=put)
+    if family == FamilyTag.OPTIONAL:
+        return Optional(match=match, put=put)
+    if family == FamilyTag.PRISM:
+        build = compile_path(PathExpr((Step(kind, arg),)))[0].build
+        return Prism(match=match, build=build)
+    return Setter(over=lambda h: over(arg, h))
+
+
+def _step_ids(rows):
+    return [f"{row[0]}-{row[2].value}" for row in rows]
+
+
+@pytest.mark.parametrize("kind,arg,family,foci,wholes", _STEP_LAWS, ids=_step_ids(_STEP_LAWS))
+def test_each_step_meets_the_laws_of_its_family(kind, arg, family, foci, wholes):
+    assert family_le(cli._STEPS[kind][0], family)
+    reports = _CHECKERS[family](_step_record(kind, arg, family), foci, wholes)
+    assert all(rep.passed and rep.cases > 0 for rep in reports), reports
+
+
+def test_each_is_the_list_functors_map():
+    # The identity is a lawful setter too, so the setter laws alone cannot
+    # tell `each` from a step that ignores its function.
+    over = cli._STEPS["each"][2]
+    for h in all_functions(_SMALL, _SMALL):
+        for whole in _LISTS:
+            assert over(None, h)(whole) == [h(x) for x in whole]
+
+
+_MUTABLE = [row for row in _STEP_LAWS if row[2] in (FamilyTag.LENS, FamilyTag.OPTIONAL)]
+
+
+@pytest.mark.parametrize("kind,arg,family,foci,wholes", _MUTABLE, ids=_step_ids(_MUTABLE))
+def test_a_modify_action_that_ignores_its_function_fails_the_laws(
+    kind, arg, family, foci, wholes
+):
+    row_over = cli._STEPS[kind][2]
+    mutant = _step_record(kind, arg, family, over=lambda a, h: row_over(a, lambda x: x))
+    reports = _CHECKERS[family](mutant, foci, wholes)
+    assert any(rep.status == "FAIL" for rep in reports)
