@@ -11,6 +11,7 @@ coverage guard can fail when a law goes untested.
 import itertools
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
@@ -28,8 +29,11 @@ from .families import (
     embed,
     family_le,
 )
+from .encode import concrete_to_iso, functorize, prof_encoding, unfunctorize
 from .functors import (
+    FAMILY_REGISTRY,
     Comp,
+    Id,
     compose_shapes,
     id_shape,
     maybe_pair_shape,
@@ -39,6 +43,17 @@ from .functors import (
 )
 from .iso import IsoOptic, enhance_iso, iso_identity, iso_inj, observational_eq
 from .probes import all_functions, maps_agree, probes_exhaustive
+from .prof import (
+    FUNCTION_ARROW,
+    GETTING,
+    MATCHING,
+    Getting,
+    Matching,
+    iso_capability,
+    iso_to_prof,
+    prof_inj,
+    prof_to_iso,
+)
 
 MAX_EVALS_PER_LAW = 100_000
 
@@ -679,8 +694,6 @@ def standard_naturals(shapes=None, residuals=("r0", "r1")) -> list:
     sh = shapes or standard_shapes(residuals)
     r0 = residuals[0]
     rot = {residuals[i]: residuals[(i + 1) % len(residuals)] for i in range(len(residuals))}
-    from .functors import Id
-
     return [
         Natural("pair_drop", sh["pair"], sh["id"], lambda p: Id(p[1])),
         Natural("pair_tag", sh["pair"], sh["maybe_pair"], lambda p: (Just(p[0]), p[1])),
@@ -749,40 +762,35 @@ def naturals_within(family, naturals):
 @dataclass
 class CapabilityFixture:
     """A capability record plus the machinery to enumerate and compare its
-    profunctor values extensionally."""
+    profunctor values extensionally.  ``eq`` gets the law's :class:`_LawRun`,
+    so a comparison that probes goes through its budget."""
 
     name: str
     cap: Any
     values: Callable  # (dom_in, dom_out) -> list of P values
-    eq: Callable      # (p1, p2, dom_in) -> bool
+    eq: Callable      # (run, p1, p2, dom_in) -> bool
 
 
 def function_arrow_fixture():
-    from .prof import FUNCTION_ARROW
-
     return CapabilityFixture(
         name="FunctionArrow",
         cap=FUNCTION_ARROW,
         values=lambda din, dout: all_functions(din, dout),
-        eq=lambda p1, p2, din: all(p1(x) == p2(x) for x in din),
+        eq=lambda run, p1, p2, din: all(p1(x) == p2(x) for x in din),
     )
 
 
 def getting_fixture(focus_dom):
-    from .prof import GETTING, Getting
-
     focus = _elems(focus_dom)
     return CapabilityFixture(
         name="Getting",
         cap=GETTING,
         values=lambda din, dout: [Getting(f) for f in all_functions(din, focus)],
-        eq=lambda p1, p2, din: all(p1.run(x) == p2.run(x) for x in din),
+        eq=lambda run, p1, p2, din: all(p1.run(x) == p2.run(x) for x in din),
     )
 
 
 def matching_fixture(focus_dom):
-    from .prof import MATCHING, Matching
-
     focus = _elems(focus_dom)
 
     def values(din, dout):
@@ -793,13 +801,11 @@ def matching_fixture(focus_dom):
         name="Matching",
         cap=MATCHING,
         values=values,
-        eq=lambda p1, p2, din: all(p1.run(x) == p2.run(x) for x in din),
+        eq=lambda run, p1, p2, din: all(p1.run(x) == p2.run(x) for x in din),
     )
 
 
 def iso_capability_fixture(family, shape_pool, focus_a, focus_b, seed=0, n=4):
-    from .prof import iso_capability
-
     fa, fb = _elems(focus_a), _elems(focus_b)
 
     def values(din, dout):
@@ -814,7 +820,7 @@ def iso_capability_fixture(family, shape_pool, focus_a, focus_b, seed=0, n=4):
         name="IsoOptic",
         cap=iso_capability(family),
         values=values,
-        eq=lambda p1, p2, din: maps_agree(p1, p2, fa, fb, din),
+        eq=lambda run, p1, p2, din: run.agrees(p1, p2, fa, fb, din),
     )
 
 
@@ -838,13 +844,30 @@ def check_enhancing_laws(
     idsh = id_shape()
     id_payloads = idsh.payloads(list(As))
 
+    def law(name, cases):
+        """Run lazy ``(inputs, lhs, rhs, dom_in)`` cases through ``fix.eq``."""
+        run = _LawRun(name, budget)
+        return run.run(
+            (inputs, True, fix.eq(run, lhs, rhs, din)) for inputs, lhs, rhs, din in cases
+        )
+
+    def dimap_identity():
+        for i, p in enumerate(values):
+            yield {"cap": fix.name, "value": i}, cap.dimap(identity, identity, p), p, As
+
     def dimap_composition():
         for f, f2 in itertools.product(fns_a[:6], fns_a[:6]):
             for g, g2 in itertools.product(fns_b[:6], fns_b[:6]):
                 for i, p in enumerate(values[:4]):
                     fused = cap.dimap(lambda x: f2(f(x)), lambda y: g(g2(y)), p)
                     staged = cap.dimap(f, g, cap.dimap(f2, g2, p))
-                    yield {"cap": fix.name, "value": i}, True, fix.eq(fused, staged, As)
+                    yield {"cap": fix.name, "value": i}, fused, staged, As
+
+    def identity_shape():
+        for i, p in enumerate(values):
+            lhs = cap.enhance(idsh, p)
+            rhs = cap.dimap(idsh.ident.unwrap, idsh.ident.wrap, p)
+            yield {"cap": fix.name, "value": i}, lhs, rhs, id_payloads
 
     def compose_shape():
         for f_shape, g_shape in compose_pairs or []:
@@ -856,7 +879,7 @@ def check_enhancing_laws(
                     lambda cp: cp.value, Comp, cap.enhance(f_shape, cap.enhance(g_shape, p))
                 )
                 inputs = {"cap": fix.name, "shapes": (f_shape.name, g_shape.name), "value": i}
-                yield inputs, True, fix.eq(lhs, rhs, fg_payloads)
+                yield inputs, lhs, rhs, fg_payloads
 
     def wedge():
         for nat in naturals:
@@ -865,7 +888,7 @@ def check_enhancing_laws(
                 lhs = cap.dimap(identity, nat.fn, cap.enhance(nat.source, p))
                 rhs = cap.dimap(nat.fn, identity, cap.enhance(nat.target, p))
                 inputs = {"cap": fix.name, "natural": nat.name, "value": i}
-                yield inputs, True, fix.eq(lhs, rhs, src_payloads)
+                yield inputs, lhs, rhs, src_payloads
 
     def map_commute():
         for shape in shapes:
@@ -879,29 +902,15 @@ def check_enhancing_laws(
                         cap.enhance(shape, p),
                     )
                     inputs = {"cap": fix.name, "shape": shape.name, "value": i}
-                    yield inputs, True, fix.eq(lhs, rhs, payloads)
+                    yield inputs, lhs, rhs, payloads
 
     return [
-        _LawRun("profunctor.dimap_identity", budget).run(
-            ({"cap": fix.name, "value": i}, True, fix.eq(cap.dimap(identity, identity, p), p, As))
-            for i, p in enumerate(values)
-        ),
-        _LawRun("profunctor.dimap_composition", budget).run(dimap_composition()),
-        _LawRun("enhancing.identity_shape", budget).run(
-            (
-                {"cap": fix.name, "value": i},
-                True,
-                fix.eq(
-                    cap.enhance(idsh, p),
-                    cap.dimap(idsh.ident.unwrap, idsh.ident.wrap, p),
-                    id_payloads,
-                ),
-            )
-            for i, p in enumerate(values)
-        ),
-        _LawRun("enhancing.compose_shape", budget).run(compose_shape()),
-        _LawRun("enhancing.wedge", budget).run(wedge()),
-        _LawRun("enhancing.map_commute", budget).run(map_commute()),
+        law("profunctor.dimap_identity", dimap_identity()),
+        law("profunctor.dimap_composition", dimap_composition()),
+        law("enhancing.identity_shape", identity_shape()),
+        law("enhancing.compose_shape", compose_shape()),
+        law("enhancing.wedge", wedge()),
+        law("enhancing.map_commute", map_commute()),
     ]
 
 
@@ -1196,9 +1205,6 @@ def shape_pools(shapes=None):
 def standard_morphism_specs(seed=0, n_pairs=3):
     """Morphism fixtures for every conversion the library ships, over every
     concrete family, and for every embedding of the family order."""
-    from .encode import concrete_to_iso, functorize, prof_encoding, unfunctorize
-    from .prof import iso_to_prof, prof_inj, prof_to_iso
-
     doms = {"s": labels("s", 3), "a1": labels("a", 3), "a2": labels("x", 2)}
     pools = shape_pools()
 
@@ -1262,9 +1268,6 @@ def standard_morphism_specs(seed=0, n_pairs=3):
 def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
     """Run every registered checker over the standard fixtures and return
     the merged reports, sorted by law name."""
-    from .encode import functorize
-    from .functors import FAMILY_REGISTRY
-
     shapes = standard_shapes()
     naturals = standard_naturals(shapes)
     pools = shape_pools(shapes)
@@ -1367,8 +1370,6 @@ def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
 
 def main(argv=None):
     """Emit the full law report as JSON lines; exit 1 on any failure."""
-    import sys
-
     reports = run_all_law_checks()
     write_report(reports, sys.stdout)
     return 0 if all(rep.passed for rep in reports) else 1

@@ -4,8 +4,11 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -295,6 +298,32 @@ def test_main_build_needs_no_input(capsys):
 def test_main_version(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("opticat ")
+
+
+def test_version_matches_pyproject():
+    import opticat
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fp:
+        assert opticat.__version__ == tomllib.load(fp)["project"]["version"]
+
+
+def test_importing_the_cli_loads_only_base_and_families():
+    import opticat
+
+    # a fresh interpreter, importing the same source tree as this one
+    src = str(Path(opticat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, opticat.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'opticat'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out == "['opticat', 'opticat.base', 'opticat.cli', 'opticat.families']\n"
 
 
 def test_main_help(capsys):

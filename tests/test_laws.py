@@ -255,6 +255,47 @@ def test_budgeted_suite_never_passes_a_law_compared_on_sampled_probes(monkeypatc
     assert [law for law in sorted(sampled_laws) if reports[law].status == PASS] == []
 
 
+def test_iso_capability_fixture_compares_under_the_law_budget(monkeypatch):
+    # The IsoOptic fixture's equality probes optics, so it must probe with
+    # the law's budget, where the sampled-probe rule can see it.
+    import opticat.probes as probes
+    from opticat.functors import FAMILY_REGISTRY
+    from opticat.laws import (
+        iso_capability_fixture,
+        naturals_within,
+        shape_pools,
+        standard_naturals,
+    )
+
+    probe_functions, budgets = probes.probe_functions, []
+
+    def recording_probe_functions(
+        dom_a, dom_b, dom_s, max_evals=probes.DEFAULT_MAX_EVALS, seed=0
+    ):
+        budgets.append(max_evals)
+        return probe_functions(dom_a, dom_b, dom_s, max_evals, seed)
+
+    monkeypatch.setattr(probes, "probe_functions", recording_probe_functions)
+    shapes = standard_shapes()
+    naturals = standard_naturals(shapes)
+    pools = shape_pools(shapes)
+    dom = labels("a", 2)
+    for name, family in FAMILY_REGISTRY.items():
+        pool = pools[name]
+        pairs = [(f, g) for f in pool for g in pool if f.payloads and g.payloads][:3]
+        check_enhancing_laws(
+            iso_capability_fixture(family, pool, dom, dom),
+            pool,
+            naturals_within(family, naturals),
+            dom,
+            dom,
+            compose_pairs=pairs,
+            budget=20,
+        )
+    assert budgets
+    assert set(budgets) == {20}
+
+
 def test_merge_is_deterministic_and_keeps_first_failure():
     from opticat.laws import LawReport
 
