@@ -20,7 +20,8 @@ from .functors import (
     compose_shapes,
     id_shape,
 )
-from .probes import maps_agree
+from . import probes
+from .probes import DEFAULT_MAX_EVALS, maps_agree
 
 
 class FamilyMembershipError(TypeError):
@@ -102,9 +103,35 @@ def enhance_iso(shape: ContainerShape, family=None) -> IsoOptic:
     )
 
 
-def observational_eq(l1, l2, dom_a, dom_b, dom_s, max_evals=100_000, seed=0):
-    """Equality via map agreement on the probe set."""
-    return maps_agree(l1, l2, dom_a, dom_b, dom_s, max_evals=max_evals, seed=seed)
+def observational_eq(l1, l2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
+    """Equality via map agreement on the probe set.
+
+    Two iso optics are compared through their residual form: ``map h`` is
+    ``backward . shape.map(h) . forward`` and ``forward`` does not depend on
+    ``h``, so each whole's ``forward`` runs once, when the first probe
+    reaches it, and later probes reuse its payload.  The calls run in
+    :func:`maps_agree`'s order otherwise, so the verdict and any exception
+    are the same.  Any other pair of optics goes to :func:`maps_agree`.
+    """
+    if not (isinstance(l1, IsoOptic) and isinstance(l2, IsoOptic)):
+        return maps_agree(l1, l2, dom_a, dom_b, dom_s, max_evals=max_evals, seed=seed)
+    fns, _ = probes.probe_functions(dom_a, dom_b, dom_s, max_evals, seed)
+    fwd1, map1, bwd1 = l1.forward, l1.shape.map, l1.backward
+    fwd2, map2, bwd2 = l2.forward, l2.shape.map, l2.backward
+    payloads = []  # per whole, the (forward of l1, forward of l2) pair
+    for h in fns[:1]:
+        for s in dom_s:
+            p1 = fwd1(s)
+            r1 = bwd1(map1(h, p1))
+            p2 = fwd2(s)
+            if r1 != bwd2(map2(h, p2)):
+                return False
+            payloads.append((p1, p2))
+    for h in fns[1:]:
+        for p1, p2 in payloads:
+            if bwd1(map1(h, p1)) != bwd2(map2(h, p2)):
+                return False
+    return True
 
 
 def enhance_to_arrow(optic: IsoOptic, enhance_op):

@@ -41,8 +41,9 @@ from .functors import (
     pair_shape,
     sum_shape,
 )
+from . import probes
 from .iso import IsoOptic, enhance_iso, iso_identity, iso_inj, observational_eq
-from .probes import all_functions, maps_agree, probes_exhaustive
+from .probes import FiniteFn, all_functions, maps_agree
 from .prof import (
     FUNCTION_ARROW,
     GETTING,
@@ -138,10 +139,11 @@ class _LawRun:
     def agrees(self, lhs, rhs, dom_a, dom_b, dom_s, eq=None):
         """Observational equality under this law's budget.  A sampled probe
         set can refute equality but not show it, so it leaves the law
-        INCONCLUSIVE at best."""
-        if not probes_exhaustive(dom_a, dom_b, dom_s, self.budget):
-            if self.report.status == PASS:
-                self.report.status = INCONCLUSIVE
+        INCONCLUSIVE at best.  The probe set is built once: ``eq`` gets
+        the same one back from :func:`probes.probe_functions`."""
+        _, exhaustive = probes.probe_functions(dom_a, dom_b, dom_s, self.budget)
+        if not exhaustive and self.report.status == PASS:
+            self.report.status = INCONCLUSIVE
         eq = eq or maps_agree
         return eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
 
@@ -193,7 +195,7 @@ def write_report(reports, fp):
 
 
 def _plain(value):
-    if isinstance(value, dict):
+    if isinstance(value, dict) and not isinstance(value, FiniteFn):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -820,7 +822,7 @@ def iso_capability_fixture(family, shape_pool, focus_a, focus_b, seed=0, n=4):
         name="IsoOptic",
         cap=iso_capability(family),
         values=values,
-        eq=lambda run, p1, p2, din: run.agrees(p1, p2, fa, fb, din),
+        eq=lambda run, p1, p2, din: run.agrees(p1, p2, fa, fb, din, eq=observational_eq),
     )
 
 

@@ -4,6 +4,10 @@ Optic equality in this library is observational: two optics are equal when
 their map actions agree on every probe function and input.  Over the finite
 domains used in tests the probe set is exhaustive; otherwise a seeded sample
 of function tables is used, never silently reported as exhaustive.
+
+A probe is a :class:`FiniteFn`, a function that is its own table, so calling
+it is a dict lookup.  :func:`probe_functions` keeps the last probe set it
+built, because the law suite asks for the same set many times in a row.
 """
 
 import itertools
@@ -13,19 +17,29 @@ DEFAULT_MAX_EVALS = 100_000
 SAMPLE_SIZE = 64
 
 
-class FiniteFn:
-    """A total function given by an explicit table over a finite domain."""
+class FiniteFn(dict):
+    """A total function given by an explicit table over a finite domain.
 
-    __slots__ = ("table",)
+    The function is its table: calling it looks its argument up.  Equality
+    and hashing are by identity, as for any other function.
+    """
 
-    def __init__(self, table):
-        self.table = dict(table)
+    __slots__ = ()
+    __call__ = dict.__getitem__
+    __hash__ = object.__hash__
 
-    def __call__(self, x):
-        return self.table[x]
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    @property
+    def table(self):
+        return dict(self)
 
     def __repr__(self):
-        items = ", ".join(f"{k!r}:{v!r}" for k, v in self.table.items())
+        items = ", ".join(f"{k!r}:{v!r}" for k, v in self.items())
         return f"FiniteFn({{{items}}})"
 
 
@@ -55,12 +69,29 @@ def probes_exhaustive(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     return count <= max_evals
 
 
+_last = (None, None)  # (key, result) of the last probe_functions call
+
+
 def probe_functions(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
     """The probe set :func:`probes_exhaustive` chooses.  Returns
-    (functions, exhaustive_flag)."""
-    if probes_exhaustive(dom_a, dom_b, dom_s, max_evals):
-        return all_functions(dom_a, dom_b), True
-    return sample_functions(dom_a, dom_b, SAMPLE_SIZE, seed), False
+    (functions, exhaustive_flag), the functions as a tuple.
+
+    The last result is kept and returned again while the arguments are
+    equal.  Its key is everything the set depends on: both domains, the
+    size of ``dom_s`` and the budget, which with the domains fix the mode,
+    and the seed.  Callers share the tuple and its tables, so none may
+    change them.
+    """
+    global _last
+    dom_a, dom_b = tuple(dom_a), tuple(dom_b)
+    key = (dom_a, dom_b, len(dom_s), max_evals, seed)
+    if _last[0] != key:
+        if probes_exhaustive(dom_a, dom_b, dom_s, max_evals):
+            result = tuple(all_functions(dom_a, dom_b)), True
+        else:
+            result = tuple(sample_functions(dom_a, dom_b, SAMPLE_SIZE, seed)), False
+        _last = key, result
+    return _last[1]
 
 
 def maps_agree(o1, o2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):

@@ -264,3 +264,63 @@ def test_enhance_iso_is_a_lawful_zoom():
         )
         payloads = nat.source.payloads(list(DOM3))
         assert observational_eq(lhs, rhs, DOM3, DOM3, payloads), nat.name
+
+
+def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
+    # observational_eq on two iso optics gives maps_agree's verdict, but runs
+    # each whole's forward once rather than once per probe and whole.
+    from dataclasses import replace
+
+    from opticat.functors import FAMILY_REGISTRY
+    from opticat.laws import shape_pools
+    from opticat.probes import maps_agree, probe_functions
+
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    As, ss = dom_a.elements, dom_s.elements
+    n_probes = len(probe_functions(As, As, ss)[0])
+    pools = shape_pools()
+
+    def pairs():
+        for name, family in FAMILY_REGISTRY.items():
+            for sh1 in pools[name]:
+                for sh2 in pools[name]:
+                    for seed in range(2):
+                        o1 = gen_iso_optic(seed, sh1, family, dom_a, dom_a, dom_s, dom_s)
+                        for k in (seed, seed + 1):
+                            yield o1, gen_iso_optic(k, sh2, family, dom_a, dom_a, dom_s, dom_s)
+                        yield o1, iso_inj(o1.forward, o1.backward, family).compose(
+                            enhance_iso(sh1, family)
+                        )
+
+    def counted(optic):
+        calls = []
+
+        def forward(s):
+            calls.append(s)
+            return optic.forward(s)
+
+        return replace(optic, forward=forward), calls
+
+    outcomes = []
+    for o1, o2 in pairs():
+        (c1, calls1), (c2, calls2) = counted(o1), counted(o2)
+        verdict = observational_eq(c1, c2, As, As, ss)
+        assert verdict == maps_agree(o1, o2, As, As, ss)
+        if verdict:
+            assert calls1 == calls2 == list(ss)
+        else:
+            assert len(calls1) <= len(ss) and len(calls2) <= len(ss)
+        outcomes.append(verdict)
+    assert len(outcomes) >= 200 and n_probes > 1
+    assert 0 < outcomes.count(True) < len(outcomes)
+
+
+def test_residual_form_raises_where_maps_agree_raises():
+    shape = pair_shape(("r0", "r1"))
+    optic = enhance_iso(shape, is_product())
+    partial = IsoOptic(is_product(), shape, identity, {}.__getitem__)
+    payloads = shape.payloads(list(DOM3))
+    with pytest.raises(KeyError):
+        observational_eq(optic, partial, DOM3, DOM3, payloads)
+    with pytest.raises(KeyError):
+        observational_eq(partial, optic, DOM3, DOM3, payloads)

@@ -331,3 +331,55 @@ def test_report_lines_are_json_records():
     parsed = [json.loads(line) for line in lines]
     failed = [rec for rec in parsed if rec["status"] == FAIL]
     assert failed and all(rec["counterexample"] is not None for rec in failed)
+
+
+def test_default_suite_decides_each_probe_set_at_most_once_per_comparison(monkeypatch):
+    # The default suite makes 7 150 observational comparisons.  Deciding a
+    # comparison's probe set (exhaustive or sampled) takes one
+    # probes_exhaustive call at most, under whatever name a module bound it.
+    import opticat.iso as iso
+    import opticat.laws as laws
+    import opticat.probes as probes
+
+    original, calls = probes.probes_exhaustive, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (probes, iso, laws):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    run_all_law_checks()
+    assert 0 < len(calls) <= 7150
+
+
+def test_fail_counterexample_prints_probe_functions_by_repr():
+    # A probe function is a dict, but a counterexample shows it as its repr,
+    # not as a JSON object.
+    from opticat.families import Setter
+
+    dom_a = labels("a", 2)
+    twice = Setter(over=lambda h: (lambda p: h(h(p))))
+    lines = list(report_lines(check_setter_laws(twice, dom_a, dom_a.elements)))
+    assert lines[0] == (
+        '{"cases": 17, "counterexample": {"actual": "a0", "expected": "a1", '
+        '"inputs": {"f": "FiniteFn({\'a0\':\'a1\', \'a1\':\'a0\'})", '
+        '"g": "FiniteFn({\'a0\':\'a0\', \'a1\':\'a0\'})", "p": "a0"}}, '
+        '"law": "setter.over_composition", "status": "FAIL"}'
+    )
+
+
+@pytest.mark.parametrize(
+    "golden, budget",
+    [("law_report.jsonl", None), ("law_report_budget20.jsonl", 20)],
+)
+def test_law_reports_match_golden(golden, budget):
+    # Speed work on the suite may not change a verdict or a case count: the
+    # golden files are `python -m opticat.laws` and the budget-20 report.
+    from pathlib import Path
+
+    expected = (Path(__file__).parent / "golden" / golden).read_text().splitlines()
+    reports = run_all_law_checks() if budget is None else run_all_law_checks(budget=budget)
+    assert list(report_lines(reports)) == expected
