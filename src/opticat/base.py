@@ -1,24 +1,100 @@
-"""Shared value types: tagged sums, option values, tiny function helpers.
+"""Shared value types: frozen records, tagged sums, option values, tiny
+function helpers.
 
 Every value flowing through an optic in this library is an ordinary,
 comparable Python object; these wrappers give sums and options stable
 equality so exhaustive checks can compare results directly.
 """
 
-from dataclasses import dataclass
-from typing import Any
-
 UNIT = ()
 
 
-@dataclass(frozen=True)
-class Left:
-    value: Any
+class Record:
+    """A frozen record whose fields are its class's ``__slots__``.
+
+    A record is built by position or keyword; a class whose fields have
+    defaults states them in its own ``__init__``.  It is equal only to a
+    record of the same class with equal fields, hashes as the tuple of its
+    fields, refuses assignment, and prints as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}"
+            )
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor, since
+        # assignment is refused
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Right:
-    value: Any
+# The sum and option boxes below are built and compared on every probe of the
+# law suite, so each states its constructor, equality and hash directly.
+
+class Left(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if type(other) is Left:
+            return self.value is other.value or self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+
+class Right(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if type(other) is Right:
+            return self.value is other.value or self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
 def either(on_left, on_right, e):
@@ -30,14 +106,34 @@ def either(on_left, on_right, e):
     raise TypeError(f"expected Left or Right, got {e!r}")
 
 
-@dataclass(frozen=True)
-class Just:
-    value: Any
+class Just(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if type(other) is Just:
+            return self.value is other.value or self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Nothing:
-    pass
+class Nothing(Record):
+    __slots__ = ()
+
+    def __init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is Nothing:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
 def identity(x):

@@ -20,11 +20,10 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from functools import reduce
 
 from . import __version__
-from .base import Left, Right
+from .base import Left, Record, Right
 from .families import FamilyTag, family_join, family_le
 
 EXIT_OK = 0
@@ -60,15 +59,16 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAT = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class Step:
-    kind: str
-    arg: object = None
+class Step(Record):
+    __slots__ = ("kind", "arg")
+
+    def __init__(self, kind, arg=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class PathExpr:
-    steps: tuple
+class PathExpr(Record):
+    __slots__ = ("steps",)
 
 
 def parse_path(text: str) -> PathExpr:

@@ -7,10 +7,7 @@ decode are mutually inverse up to observational equality.  For lenses and
 achromatic lenses the round trip holds only for lawful inputs.
 """
 
-from dataclasses import dataclass
-from typing import Callable
-
-from .base import Just, Left, Nothing, Right, identity
+from .base import Just, Left, Nothing, Record, Right, identity
 from .families import (
     AchLens,
     Adapter,
@@ -44,17 +41,15 @@ from .iso import IsoOptic, enhance_to_arrow, iso_inj
 from .prof import ProfOptic, iso_to_prof, prof_to_iso
 
 
-@dataclass(frozen=True)
-class Functorization:
-    family_tag: FamilyTag
-    functor_family: FunctorFamily
-    enhance_op: Callable  # shape -> concrete optic zooming through one layer
+class Functorization(Record):
+    # enhance_op: shape -> concrete optic zooming through one layer
+    __slots__ = ("family_tag", "functor_family", "enhance_op")
 
 
-@dataclass(frozen=True)
-class ProfEncoding:
-    encode: Callable  # concrete optic -> ProfOptic
-    decode: Callable  # ProfOptic -> concrete optic
+class ProfEncoding(Record):
+    # encode: concrete optic -> ProfOptic
+    # decode: ProfOptic -> concrete optic
+    __slots__ = ("encode", "decode")
 
 
 def _adapter_enhance(shape: ContainerShape) -> Adapter:

@@ -8,11 +8,9 @@ the tag lattice, where :func:`embed` takes each record into the join of the
 families, or through the profunctor encoding (see :mod:`opticat.prof`).
 """
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
-from .base import Just, Left, Nothing, Right, either, identity
+from .base import Just, Left, Nothing, Record, Right, either, identity
 
 
 class FamilyMismatchError(TypeError):
@@ -82,12 +80,10 @@ def embed(optic, tag: FamilyTag):
     )
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(Record):
     """Product-like access: total ``get`` plus ``put(b, s)``."""
 
-    get: Callable
-    put: Callable
+    __slots__ = ("get", "put")
 
     tag = FamilyTag.LENS
 
@@ -110,15 +106,13 @@ class Lens:
         return lambda s: self.put(h(self.get(s)), s)
 
 
-@dataclass(frozen=True)
-class Prism:
+class Prism(Record):
     """Sum-like access: ``match`` splits off the focus, ``build`` re-injects.
 
     ``match`` returns ``Right(focus)`` on a hit and ``Left(rest)`` on a miss.
     """
 
-    match: Callable
-    build: Callable
+    __slots__ = ("match", "build")
 
     tag = FamilyTag.PRISM
 
@@ -145,12 +139,10 @@ class Prism:
         return lambda s: either(identity, lambda a: self.build(h(a)), self.match(s))
 
 
-@dataclass(frozen=True)
-class Adapter:
+class Adapter(Record):
     """A pure conversion pair."""
 
-    fwd: Callable
-    bwd: Callable
+    __slots__ = ("fwd", "bwd")
 
     tag = FamilyTag.ADAPTER
 
@@ -169,11 +161,10 @@ class Adapter:
         return lambda s: self.bwd(h(self.fwd(s)))
 
 
-@dataclass(frozen=True)
-class Setter:
+class Setter(Record):
     """Map-only access: ``over`` lifts a focus function to the whole."""
 
-    over: Callable
+    __slots__ = ("over",)
 
     tag = FamilyTag.SETTER
 
@@ -189,13 +180,10 @@ class Setter:
         return self.over(h)
 
 
-@dataclass(frozen=True)
-class AchLens:
+class AchLens(Record):
     """A lens with a constructor: ``create`` builds a whole from a focus."""
 
-    get: Callable
-    put: Callable
-    create: Callable
+    __slots__ = ("get", "put", "create")
 
     tag = FamilyTag.ACHLENS
 
@@ -220,13 +208,11 @@ class AchLens:
         return lambda s: self.put(h(self.get(s)), s)
 
 
-@dataclass(frozen=True)
-class Optional:
+class Optional(Record):
     """Affine access: at most one focus.  ``match`` as for prisms, ``put``
     replaces the focus when present and returns the miss value otherwise."""
 
-    match: Callable
-    put: Callable
+    __slots__ = ("match", "put")
 
     tag = FamilyTag.OPTIONAL
 

@@ -7,69 +7,82 @@ families it belongs to.  Higher-kinded quantification is defunctionalized:
 the shape's operations know how to interpret.
 """
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional as Opt
-
-from .base import UNIT, Just, Left, Nothing, Right
+from .base import UNIT, Just, Left, Nothing, Record, Right
 
 
 class UnsupportedShapeError(TypeError):
     """Raised when an operation needs a capability a shape does not carry."""
 
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
     """Payload wrapper for the identity container."""
 
-    value: Any
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if type(other) is Id:
+            return self.value is other.value or self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Record):
     """Payload wrapper for a composed container: an outer payload whose
     focus slots hold inner payloads."""
 
-    value: Any
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if type(other) is Comp:
+            return self.value is other.value or self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class ProductCap:
-    to_product: Callable    # payload -> (unit_payload, focus)
-    from_product: Callable  # (unit_payload, focus) -> payload
+class ProductCap(Record):
+    # to_product: payload -> (unit_payload, focus)
+    # from_product: (unit_payload, focus) -> payload
+    __slots__ = ("to_product", "from_product")
 
 
-@dataclass(frozen=True)
-class SumCap:
-    to_sum: Callable    # payload -> Left(residual) | Right(focus)
-    from_sum: Callable  # Left(residual) | Right(focus) -> payload
+class SumCap(Record):
+    # to_sum: payload -> Left(residual) | Right(focus)
+    # from_sum: Left(residual) | Right(focus) -> payload
+    __slots__ = ("to_sum", "from_sum")
 
 
-@dataclass(frozen=True)
-class PointCap:
-    unit: Any  # the distinguished unit payload
+class PointCap(Record):
+    __slots__ = ("unit",)  # the distinguished unit payload
 
 
-@dataclass(frozen=True)
-class IdentCap:
-    wrap: Callable    # focus -> payload
-    unwrap: Callable  # payload -> focus
+class IdentCap(Record):
+    # wrap: focus -> payload; unwrap: payload -> focus
+    __slots__ = ("wrap", "unwrap")
 
 
-@dataclass(frozen=True)
-class ContainerShape:
-    name: str
-    map: Callable  # (h, payload) -> payload
-    product: Opt[ProductCap] = None
-    sum: Opt[SumCap] = None
-    point: Opt[PointCap] = None
-    ident: Opt[IdentCap] = None
-    # enumerate all payloads over a finite focus domain; None when the
-    # payload space is not enumerable (e.g. continuation containers)
-    payloads: Opt[Callable] = None
-    parts: Opt[tuple] = None
-    lawful: bool = True
+class ContainerShape(Record):
+    # map: (h, payload) -> payload.  payloads enumerates all payloads over a
+    # finite focus domain; None when the payload space is not enumerable
+    # (e.g. continuation containers).
+    __slots__ = (
+        "name", "map", "product", "sum", "point", "ident", "payloads", "parts", "lawful",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self, name, map, product=None, sum=None, point=None, ident=None,
+        payloads=None, parts=None, lawful=True,
+    ):
+        super().__init__(name, map, product, sum, point, ident, payloads, parts, lawful)
         if self.point is not None and self.product is None:
             raise ValueError(f"shape {self.name}: point requires product")
 
@@ -77,16 +90,23 @@ class ContainerShape:
         return f"ContainerShape({self.name})"
 
 
-@dataclass(frozen=True)
-class FunctorFamily:
+class FunctorFamily(Record):
     """A named family of shapes, decided by a membership predicate.
 
     Registry families are closed under :func:`id_shape` and
     :func:`compose_shapes` by construction of the capability propagation.
+    Two families are equal when their names are.
     """
 
-    name: str
-    member: Callable = field(compare=False)
+    __slots__ = ("name", "member")
+
+    def __eq__(self, other):
+        if type(other) is FunctorFamily:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"FunctorFamily({self.name})"

@@ -7,10 +7,7 @@ direction of the underlying "equal up to a natural transformation" rule is
 exercised in the law suite through registered natural transformations.
 """
 
-from dataclasses import dataclass
-from typing import Callable
-
-from .base import identity
+from .base import Record, identity
 from .families import FamilyMismatchError
 from .functors import (
     Comp,
@@ -28,18 +25,20 @@ class FamilyMembershipError(TypeError):
     """Raised when a shape does not belong to the optic's functor family."""
 
 
-@dataclass(frozen=True)
-class IsoOptic:
-    family: FunctorFamily
-    shape: ContainerShape
-    forward: Callable   # s -> payload of shape over a
-    backward: Callable  # payload of shape over b -> t
+class IsoOptic(Record):
+    # forward: s -> payload of shape over a
+    # backward: payload of shape over b -> t
+    __slots__ = ("family", "shape", "forward", "backward")
 
-    def __post_init__(self):
-        if not self.family.member(self.shape):
+    def __init__(self, family, shape, forward, backward):
+        if not family.member(shape):
             raise FamilyMembershipError(
-                f"shape {self.shape.name} is not a member of {self.family.name}"
+                f"shape {shape.name} is not a member of {family.name}"
             )
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
     def compose(self, inner):
         return iso_compose(self, inner)

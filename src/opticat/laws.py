@@ -12,11 +12,9 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
 
-from .base import Just, Left, Nothing, Right, identity
+from .base import Just, Left, Nothing, Record, Right, identity
 from .families import (
     CONCRETE_FAMILIES,
     AchLens,
@@ -63,13 +61,11 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class FiniteDomain:
-    name: str
-    elements: tuple
+class FiniteDomain(Record):
+    __slots__ = ("name", "elements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, name, elements):
+        super().__init__(name, tuple(elements))
         if not self.elements:
             raise ValueError(f"domain {self.name} is empty")
         if len(set(self.elements)) != len(self.elements):
@@ -90,12 +86,19 @@ def _elems(dom):
     return tuple(dom.elements) if isinstance(dom, FiniteDomain) else tuple(dom)
 
 
-@dataclass
 class LawReport:
-    law: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    status: str = PASS
+    def __init__(self, law, cases=0, failures=None, status=PASS):
+        self.law = law
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.status = status
+
+    def __eq__(self, other):
+        if type(other) is LawReport:
+            return (self.law, self.cases, self.failures, self.status) == (
+                other.law, other.cases, other.failures, other.status
+            )
+        return NotImplemented
 
     @property
     def passed(self):
@@ -521,16 +524,17 @@ def check_functor_laws(shape, dom_a, budget=MAX_EVALS_PER_LAW):
 
 # Optic-family law group ------------------------------------------------------
 
-@dataclass
 class FamilyFixture:
     """Everything the shared-operation law checker needs for one family."""
 
-    name: str
-    identity: Callable     # () -> identity optic
-    inj: Callable          # (fwd, bwd) -> optic
-    triples: list          # [(o1, o2, o3)] composable, outermost first
-    doms: dict             # keys: s, a1, a2, a3  (simple optics: b=a, t=s)
-    inj_tables: list       # [(f, g, f2, g2)]  f: s->a1, g: a1->s, f2: a1->a3, g2: a3->a1
+    def __init__(self, name, identity, inj, triples, doms, inj_tables):
+        self.name = name
+        self.identity = identity      # () -> identity optic
+        self.inj = inj                # (fwd, bwd) -> optic
+        self.triples = triples        # [(o1, o2, o3)] composable, outermost first
+        self.doms = doms              # keys: s, a1, a2, a3  (simple optics: b=a, t=s)
+        # [(f, g, f2, g2)]  f: s->a1, g: a1->s, f2: a1->a3, g2: a3->a1
+        self.inj_tables = inj_tables
 
 
 def check_optic_family_laws(fix, budget=MAX_EVALS_PER_LAW):
@@ -682,14 +686,10 @@ def standard_shapes(residuals=("r0", "r1")) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Natural:
+class Natural(Record):
     """A registered natural transformation between two shapes."""
 
-    name: str
-    source: Any
-    target: Any
-    fn: Callable
+    __slots__ = ("name", "source", "target", "fn")
 
 
 def standard_naturals(shapes=None, residuals=("r0", "r1")) -> list:
@@ -761,16 +761,16 @@ def naturals_within(family, naturals):
 
 # Enhancing law group ---------------------------------------------------------
 
-@dataclass
 class CapabilityFixture:
     """A capability record plus the machinery to enumerate and compare its
     profunctor values extensionally.  ``eq`` gets the law's :class:`_LawRun`,
     so a comparison that probes goes through its budget."""
 
-    name: str
-    cap: Any
-    values: Callable  # (dom_in, dom_out) -> list of P values
-    eq: Callable      # (run, p1, p2, dom_in) -> bool
+    def __init__(self, name, cap, values, eq):
+        self.name = name
+        self.cap = cap
+        self.values = values  # (dom_in, dom_out) -> list of P values
+        self.eq = eq          # (run, p1, p2, dom_in) -> bool
 
 
 def function_arrow_fixture():
@@ -1061,16 +1061,16 @@ def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LA
 
 # Morphism law group ----------------------------------------------------------
 
-@dataclass
 class MorphismSpec:
     """A conversion between families plus composable sample pairs."""
 
-    name: str
-    theta: Callable       # source optic -> target optic
-    inj_src: Callable     # (f, g) -> source optic
-    inj_dst: Callable     # (f, g) -> target optic
-    pairs: list           # [(o1, o2)] composable in the source family
-    doms: dict            # keys: s, a1, a2
+    def __init__(self, name, theta, inj_src, inj_dst, pairs, doms):
+        self.name = name
+        self.theta = theta      # source optic -> target optic
+        self.inj_src = inj_src  # (f, g) -> source optic
+        self.inj_dst = inj_dst  # (f, g) -> target optic
+        self.pairs = pairs      # [(o1, o2)] composable in the source family
+        self.doms = doms        # keys: s, a1, a2
 
 
 def check_morphism(spec: MorphismSpec, budget=MAX_EVALS_PER_LAW):

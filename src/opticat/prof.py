@@ -7,10 +7,7 @@ becomes a plain argument: the capability record carries ``dimap`` plus a
 per-shape ``enhance``.
 """
 
-from dataclasses import dataclass
-from typing import Callable
-
-from .base import Just, Left, Nothing, Right, identity
+from .base import Just, Left, Nothing, Record, Right, identity
 from .functors import (
     FunctorFamily,
     affine_match,
@@ -28,17 +25,15 @@ class UnsupportedOperatorError(TypeError):
     zooms through (e.g. reading from a map-only family)."""
 
 
-@dataclass(frozen=True)
-class ProfunctorCapability:
-    name: str
-    dimap: Callable    # (f, g, p) -> p'
-    enhance: Callable  # (shape, p) -> p'
+class ProfunctorCapability(Record):
+    # dimap: (f, g, p) -> p'
+    # enhance: (shape, p) -> p'
+    __slots__ = ("name", "dimap", "enhance")
 
 
-@dataclass(frozen=True)
-class ProfOptic:
-    family: FunctorFamily
-    run: Callable  # (capability, pab) -> pst
+class ProfOptic(Record):
+    # run: (capability, pab) -> pst
+    __slots__ = ("family", "run")
 
     def compose(self, inner):
         family = _merge_families(self.family, inner.family)
@@ -88,11 +83,11 @@ FUNCTION_ARROW = ProfunctorCapability(
 )
 
 
-@dataclass(frozen=True)
-class Getting:
+class Getting(Record):
     """Forgets the update side: carries only a reader to the focus."""
 
-    run: Callable  # s -> a
+    # run: s -> a
+    __slots__ = ("run",)
 
 
 def _getting_enhance(shape, p):
@@ -110,11 +105,11 @@ GETTING = ProfunctorCapability(
 )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """Carries a partial reader: Right(focus) on a hit, Left(rest) on a miss."""
 
-    run: Callable  # s -> Left(t) | Right(a)
+    # run: s -> Left(t) | Right(a)
+    __slots__ = ("run",)
 
 
 def _matching_dimap(f, g, p):

@@ -309,21 +309,38 @@ def test_version_matches_pyproject():
         assert opticat.__version__ == tomllib.load(fp)["project"]["version"]
 
 
-def test_importing_the_cli_loads_only_base_and_families():
+def _modules_added_by_import(module):
+    """The modules that importing ``module`` adds to ``sys.modules`` in a
+    fresh interpreter running the same source tree as this one.  Modules
+    that the site hooks preload are already there, so they do not count."""
     import opticat
 
-    # a fresh interpreter, importing the same source tree as this one
     src = str(Path(opticat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
-        "import sys, opticat.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'opticat'))"
+        "import json, sys; before = set(sys.modules); "
+        f"import {module}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out == "['opticat', 'opticat.base', 'opticat.cli', 'opticat.families']\n"
+    return set(json.loads(out))
+
+
+def test_importing_the_cli_loads_only_base_and_families():
+    added = _modules_added_by_import("opticat.cli")
+    assert {m for m in added if m.split(".")[0] == "opticat"} == {
+        "opticat", "opticat.base", "opticat.cli", "opticat.families",
+    }
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "typing"}
+
+
+def test_importing_the_laws_loads_no_dataclasses():
+    added = _modules_added_by_import("opticat.laws")
+    assert "opticat.laws" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_main_help(capsys):

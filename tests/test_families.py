@@ -1,6 +1,5 @@
 """Concrete family records, canonical optics, and the shared operations."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -383,8 +382,8 @@ class _FieldProxy:
 
     def __init__(self, record):
         self.tag = record.tag
-        for f in dataclasses.fields(record):
-            setattr(self, f.name, getattr(record, f.name))
+        for name in type(record).__slots__:
+            setattr(self, name, getattr(record, name))
 
 
 def test_embed_reads_only_tag_and_fields():

@@ -269,8 +269,6 @@ def test_enhance_iso_is_a_lawful_zoom():
 def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
     # observational_eq on two iso optics gives maps_agree's verdict, but runs
     # each whole's forward once rather than once per probe and whole.
-    from dataclasses import replace
-
     from opticat.functors import FAMILY_REGISTRY
     from opticat.laws import shape_pools
     from opticat.probes import maps_agree, probe_functions
@@ -299,7 +297,7 @@ def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
             calls.append(s)
             return optic.forward(s)
 
-        return replace(optic, forward=forward), calls
+        return IsoOptic(optic.family, optic.shape, forward, optic.backward), calls
 
     outcomes = []
     for o1, o2 in pairs():

@@ -1,0 +1,186 @@
+"""Every frozen record in the library: construction, equality, hashing,
+immutability and repr."""
+
+import copy
+import itertools
+
+import pytest
+
+from opticat.base import Just, Left, Nothing, Record, Right
+from opticat.cli import PathExpr, Step
+from opticat.encode import Functorization, ProfEncoding
+from opticat.families import AchLens, Adapter, FamilyTag, Lens, Optional, Prism, Setter
+from opticat.functors import (
+    Comp,
+    ContainerShape,
+    FunctorFamily,
+    Id,
+    IdentCap,
+    PointCap,
+    ProductCap,
+    SumCap,
+    any_functor,
+    id_shape,
+)
+from opticat.iso import IsoOptic
+from opticat.laws import PASS, FiniteDomain, LawReport, Natural
+from opticat.prof import Getting, Matching, ProfOptic, ProfunctorCapability
+
+# One example per record class, with the repr the class printed when it was a
+# dataclass.  Law reports print counterexamples with repr, so it must not move.
+EXAMPLES = {
+    Left: ((1,), "Left(value=1)"),
+    Right: (("r",), "Right(value='r')"),
+    Just: (((1, "a"),), "Just(value=(1, 'a'))"),
+    Nothing: ((), "Nothing()"),
+    Id: (("x",), "Id(value='x')"),
+    Comp: ((Id(0),), "Comp(value=Id(value=0))"),
+    ProductCap: (("to", "from"), "ProductCap(to_product='to', from_product='from')"),
+    SumCap: (("to", "from"), "SumCap(to_sum='to', from_sum='from')"),
+    PointCap: ((Id(()),), "PointCap(unit=Id(value=()))"),
+    IdentCap: (("wrap", "unwrap"), "IdentCap(wrap='wrap', unwrap='unwrap')"),
+    ContainerShape: (("S", "map", None, None, None, None, None, (), False), "ContainerShape(S)"),
+    FunctorFamily: (("F", "member"), "FunctorFamily(F)"),
+    Lens: (("get", "put"), "Lens(get='get', put='put')"),
+    Prism: (("match", "build"), "Prism(match='match', build='build')"),
+    Adapter: (("fwd", "bwd"), "Adapter(fwd='fwd', bwd='bwd')"),
+    Setter: (("over",), "Setter(over='over')"),
+    AchLens: (("get", "put", "create"), "AchLens(get='get', put='put', create='create')"),
+    Optional: (("match", "put"), "Optional(match='match', put='put')"),
+    IsoOptic: (
+        (any_functor(), id_shape(), "forward", "backward"),
+        "IsoOptic(family=FunctorFamily(Functor), shape=ContainerShape(Id), "
+        "forward='forward', backward='backward')",
+    ),
+    ProfunctorCapability: (
+        ("P", "dimap", "enhance"),
+        "ProfunctorCapability(name='P', dimap='dimap', enhance='enhance')",
+    ),
+    ProfOptic: ((any_functor(), "run"), "ProfOptic(family=FunctorFamily(Functor), run='run')"),
+    Getting: (("run",), "Getting(run='run')"),
+    Matching: (("run",), "Matching(run='run')"),
+    Functorization: (
+        (FamilyTag.LENS, any_functor(), "enhance_op"),
+        "Functorization(family_tag=<FamilyTag.LENS: 'LENS'>, "
+        "functor_family=FunctorFamily(Functor), enhance_op='enhance_op')",
+    ),
+    ProfEncoding: (("encode", "decode"), "ProfEncoding(encode='encode', decode='decode')"),
+    FiniteDomain: (("d", ("x", Just(1))), "FiniteDomain(name='d', elements=('x', Just(value=1)))"),
+    Natural: (
+        ("n", id_shape(), id_shape(), "fn"),
+        "Natural(name='n', source=ContainerShape(Id), target=ContainerShape(Id), fn='fn')",
+    ),
+    Step: (("key", "v"), "Step(kind='key', arg='v')"),
+    PathExpr: (
+        ((Step("fst"), Step("idx", 2)),),
+        "PathExpr(steps=(Step(kind='fst', arg=None), Step(kind='idx', arg=2)))",
+    ),
+}
+
+
+def _record_classes():
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("opticat.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_examples_cover_every_record_class():
+    # the imports above load every module of the package
+    assert _record_classes() == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    args, expected_repr = EXAMPLES[cls]
+    names = cls.__slots__
+    record = cls(*args)
+    assert repr(record) == expected_repr
+
+    # built by position or keyword, equal and hashing equal to its twin
+    twin = cls(**dict(zip(names, args)))
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    if cls is not FunctorFamily:
+        assert hash(record) == hash(tuple(getattr(record, name) for name in names))
+
+    # frozen
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == tuple(
+        getattr(twin, name) for name in names
+    )
+    assert copy.copy(record) == record == copy.deepcopy(record)
+
+    # missing, surplus and unknown fields
+    if names:
+        with pytest.raises(TypeError):
+            cls()
+    with pytest.raises(TypeError):
+        cls(*args, "surplus")
+    with pytest.raises(TypeError):
+        cls(*args, unknown=0)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        (Left, Right, Just, Nothing, Id, Comp, Setter, Getting, Matching, PointCap, PathExpr),
+        (Lens, Prism, Adapter, Optional, ProductCap, SumCap, IdentCap, ProfEncoding),
+    ],
+    ids=["one_field", "two_fields"],
+)
+def test_records_of_different_classes_are_unequal(group):
+    def build(cls):
+        return cls(*[1, 2][: len(cls.__slots__)])
+
+    for a, b in itertools.product(group, repeat=2):
+        assert (build(a) == build(b)) == (a is b), (a, b)
+    assert Left(1) != Right(1) and Just(1) != Id(1) and Comp(1) != Id(1)
+    assert Just(Left(1)) == Just(Left(1)) != Just(Right(1))
+
+
+def test_step_arg_defaults_to_none():
+    assert Step("fst") == Step("fst", None) == Step(kind="fst")
+    assert Step("fst").arg is None
+    assert Step("key", "a") != Step("key", "b")
+
+
+def test_container_shape_defaults_and_point_check():
+    shape = ContainerShape("S", "map")
+    assert (shape.product, shape.sum, shape.point, shape.ident) == (None,) * 4
+    assert (shape.payloads, shape.parts, shape.lawful) == (None, None, True)
+    with pytest.raises(ValueError, match="point requires product"):
+        ContainerShape("S", "map", point=PointCap(Id(())))
+
+
+def test_functor_family_equality_ignores_member():
+    assert FunctorFamily("F", len) == FunctorFamily("F", abs)
+    assert hash(FunctorFamily("F", len)) == hash(FunctorFamily("F", abs))
+    assert FunctorFamily("F", len) != FunctorFamily("G", len)
+
+
+def test_finite_domain_checks_its_elements():
+    assert FiniteDomain("d", ["x", "y"]).elements == ("x", "y")
+    with pytest.raises(ValueError, match="empty"):
+        FiniteDomain("d", [])
+    with pytest.raises(ValueError, match="duplicate"):
+        FiniteDomain("d", ["x", Just(1), Just(1)])
+
+
+def test_law_report_compares_by_field_and_stays_mutable():
+    report = LawReport("a.law")
+    assert report == LawReport("a.law", 0, [], PASS)
+    assert report != LawReport("a.law", 1, [], PASS)
+    assert LawReport("a.law").failures is not LawReport("a.law").failures
+    report.cases += 1
+    assert report.cases == 1
+    with pytest.raises(TypeError):
+        hash(report)
