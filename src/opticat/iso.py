@@ -102,7 +102,7 @@ def enhance_iso(shape: ContainerShape, family=None) -> IsoOptic:
     )
 
 
-def observational_eq(l1, l2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
+def observational_eq(l1, l2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     """Equality via map agreement on the probe set.
 
     Two iso optics are compared through their residual form: ``map h`` is
@@ -113,8 +113,8 @@ def observational_eq(l1, l2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, s
     are the same.  Any other pair of optics goes to :func:`maps_agree`.
     """
     if not (isinstance(l1, IsoOptic) and isinstance(l2, IsoOptic)):
-        return maps_agree(l1, l2, dom_a, dom_b, dom_s, max_evals=max_evals, seed=seed)
-    fns, _ = probes.probe_functions(dom_a, dom_b, dom_s, max_evals, seed)
+        return maps_agree(l1, l2, dom_a, dom_b, dom_s, max_evals=max_evals)
+    fns, _ = probes.probe_functions(dom_a, dom_b, dom_s, max_evals)
     fwd1, map1, bwd1 = l1.forward, l1.shape.map, l1.backward
     fwd2, map2, bwd2 = l2.forward, l2.shape.map, l2.backward
     payloads = []  # per whole, the (forward of l1, forward of l2) pair

@@ -3,9 +3,11 @@
 Checkers never assert; they return :class:`LawReport` values whose failures
 carry the first counterexample in enumeration order.  Budgeted runs that hit
 the evaluation cap, or that would compare optics on a sampled probe set, come
-back INCONCLUSIVE, never silently passed.  The module keeps a registry
-mapping every named law to exactly one checker, by law-group prefix, so a
-coverage guard can fail when a law goes untested.
+back INCONCLUSIVE, never silently passed.  Every comparison of two optics
+goes through :func:`observational_eq`.  The evaluation budget is the suite's
+only setting: fixtures and seeds are fixed.  :data:`REQUIRED_LAWS` is the
+coverage list, and :func:`main` fails when the laws the suite reports differ
+from it.
 """
 
 import itertools
@@ -41,7 +43,9 @@ from .functors import (
 )
 from . import probes
 from .iso import IsoOptic, enhance_iso, iso_identity, iso_inj, observational_eq
-from .probes import FiniteFn, all_functions, maps_agree
+# Unused here, but perfbench/tracing.py patches laws.maps_agree by name, and
+# a missing name crashes a traced law_suite run.
+from .probes import DEFAULT_MAX_EVALS, FiniteFn, all_functions, maps_agree
 from .prof import (
     FUNCTION_ARROW,
     GETTING,
@@ -53,8 +57,6 @@ from .prof import (
     prof_inj,
     prof_to_iso,
 )
-
-MAX_EVALS_PER_LAW = 100_000
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -81,9 +83,6 @@ class FiniteDomain(Record):
 def labels(prefix: str, n: int) -> FiniteDomain:
     return FiniteDomain(prefix, tuple(f"{prefix}{i}" for i in range(n)))
 
-
-def _elems(dom):
-    return tuple(dom.elements) if isinstance(dom, FiniteDomain) else tuple(dom)
 
 
 class LawReport:
@@ -113,7 +112,7 @@ class _LawRun:
     never lets a comparison on a sampled probe set pass.
     """
 
-    def __init__(self, law, budget=MAX_EVALS_PER_LAW):
+    def __init__(self, law, budget=DEFAULT_MAX_EVALS):
         self.report = LawReport(law=law)
         self.budget = budget
 
@@ -139,22 +138,21 @@ class _LawRun:
                 break
         return self.report
 
-    def agrees(self, lhs, rhs, dom_a, dom_b, dom_s, eq=None):
-        """Observational equality under this law's budget.  A sampled probe
+    def agrees(self, lhs, rhs, dom_a, dom_b, dom_s):
+        """:func:`observational_eq` under this law's budget.  A sampled probe
         set can refute equality but not show it, so it leaves the law
-        INCONCLUSIVE at best.  The probe set is built once: ``eq`` gets
-        the same one back from :func:`probes.probe_functions`."""
+        INCONCLUSIVE at best.  The probe set is built once: the comparison
+        gets the same one back from :func:`probes.probe_functions`."""
         _, exhaustive = probes.probe_functions(dom_a, dom_b, dom_s, self.budget)
         if not exhaustive and self.report.status == PASS:
             self.report.status = INCONCLUSIVE
-        eq = eq or maps_agree
-        return eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
+        return observational_eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
 
-    def agreements(self, cases, eq=None):
+    def agreements(self, cases):
         """:meth:`run` over lazy ``(inputs, lhs, rhs, dom_a, dom_b, dom_s)``
         cases, each passing when :meth:`agrees` holds."""
         return self.run(
-            (inputs, True, self.agrees(lhs, rhs, *doms, eq=eq))
+            (inputs, True, self.agrees(lhs, rhs, *doms))
             for inputs, lhs, rhs, *doms in cases
         )
 
@@ -213,7 +211,7 @@ def _seeded_bijection(seed, cells, dom_s, size):
     """A seeded bijection from the wholes (``s0``, ``s1``, ... by default)
     onto ``cells``.  Returns the RNG, for further seeded choices, the table
     and its inverse."""
-    ss = _elems(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(cells)))
+    ss = tuple(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(cells)))
     if len(ss) != len(cells):
         raise ValueError(f"|S|={len(ss)} but {size}={len(cells)}")
     rng = random.Random(seed)
@@ -222,7 +220,7 @@ def _seeded_bijection(seed, cells, dom_s, size):
 
 
 def _lens_bijection(seed, dom_r, dom_a, dom_s):
-    pairs = list(itertools.product(_elems(dom_r), _elems(dom_a)))
+    pairs = list(itertools.product(dom_r, dom_a))
     return _seeded_bijection(seed, pairs, dom_s, "|R|*|A|")
 
 
@@ -239,7 +237,7 @@ def gen_lawful_lens(seed, dom_r, dom_a, dom_s=None) -> Lens:
 def gen_lawful_prism(seed, dom_r, dom_a, dom_s=None) -> Prism:
     """A lawful simple prism from a seeded bijection between the whole domain
     and a residual-plus-focus sum."""
-    cells = [Left(r) for r in _elems(dom_r)] + [Right(a) for a in _elems(dom_a)]
+    cells = [Left(r) for r in dom_r] + [Right(a) for a in dom_a]
     _, split, unsplit = _seeded_bijection(seed, cells, dom_s, "|R|+|A|")
 
     def match(s):
@@ -253,7 +251,7 @@ def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
     """A lawful achromatic lens: a lens bijection whose residual has a
     seeded distinguished point used by ``create``."""
     rng, to_pair, from_pair = _lens_bijection(seed, dom_r, dom_a, dom_s)
-    point = rng.choice(_elems(dom_r))
+    point = rng.choice(tuple(dom_r))
     return AchLens(
         get=lambda s: to_pair[s][1],
         put=lambda b, s: from_pair[(to_pair[s][0], b)],
@@ -262,21 +260,19 @@ def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
 
 
 def gen_lawful_adapter(seed, dom_a, dom_s=None) -> Adapter:
-    _, fwd, bwd = _seeded_bijection(seed, list(_elems(dom_a)), dom_s, "|A|")
+    _, fwd, bwd = _seeded_bijection(seed, list(dom_a), dom_s, "|A|")
     return Adapter(fwd=lambda s: fwd[s], bwd=lambda a: bwd[a])
 
 
-def gen_setter(seed, shape) -> Setter:
-    """The canonical lawful setter of a shape: its map action.  Seed is
-    accepted for interface uniformity; the result is shape-determined."""
-    del seed
+def gen_setter(shape) -> Setter:
+    """The canonical lawful setter of a shape: its map action."""
     return Setter(over=lambda h: (lambda p: shape.map(h, p)))
 
 
 def gen_lawful_optional(seed, dom_miss, dom_keep, dom_a, dom_s=None) -> Optional:
     """A lawful simple optional from a bijection S = miss + keep*focus."""
-    cells = [Left(m) for m in _elems(dom_miss)] + [
-        Right(ka) for ka in itertools.product(_elems(dom_keep), _elems(dom_a))
+    cells = [Left(m) for m in dom_miss] + [
+        Right(ka) for ka in itertools.product(dom_keep, dom_a)
     ]
     _, split, unsplit = _seeded_bijection(seed, cells, dom_s, "|miss|+|keep|*|A|")
 
@@ -295,7 +291,7 @@ def gen_lawful_optional(seed, dom_miss, dom_keep, dom_a, dom_s=None) -> Optional
 
 def gen_unlawful_lens(dom_a, dom_s) -> Lens:
     """Deliberately broken: put ignores the new focus, so GetPut fails."""
-    As, ss = _elems(dom_a), _elems(dom_s)
+    As, ss = tuple(dom_a), tuple(dom_s)
     return Lens(get=lambda s: As[ss.index(s) % len(As)], put=lambda b, s: s)
 
 
@@ -309,7 +305,7 @@ def gen_random_optic(tag: FamilyTag, seed, dom_a, dom_s):
     """An arbitrary total record of the family.  The shared-operation laws
     hold for any record, lawful or not, so these make strong fixtures."""
     rng = random.Random(f"{tag}:{seed}")
-    As, ss = _elems(dom_a), _elems(dom_s)
+    As, ss = tuple(dom_a), tuple(dom_s)
     if tag == FamilyTag.LENS:
         get = _rand_table(rng, ss, As)
         put = {(b, s): rng.choice(ss) for b in As for s in ss}
@@ -353,10 +349,10 @@ def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
     if shape.payloads is None:
         raise ValueError(f"shape {shape.name} has no payload enumeration")
     rng = random.Random(f"{shape.name}:{seed}")
-    pa = shape.payloads(list(_elems(dom_a)))
-    pb = shape.payloads(list(_elems(dom_b)))
-    fwd = {s: rng.choice(pa) for s in _elems(dom_s)}
-    bwd = {p: rng.choice(list(_elems(dom_t))) for p in pb}
+    pa = shape.payloads(list(dom_a))
+    pb = shape.payloads(list(dom_b))
+    fwd = {s: rng.choice(pa) for s in dom_s}
+    bwd = {p: rng.choice(list(dom_t)) for p in pb}
     return IsoOptic(
         family=family,
         shape=shape,
@@ -367,8 +363,8 @@ def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
 
 # Concrete-family law groups --------------------------------------------------
 
-def check_lens_laws(lens, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
-    As, ss = _elems(dom_a), _elems(dom_s)
+def check_lens_laws(lens, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
+    As, ss = tuple(dom_a), tuple(dom_s)
     return [
         _LawRun("lens.get_put", budget).run(
             ({"b": b, "s": s}, b, lens.get(lens.put(b, s)))
@@ -384,8 +380,8 @@ def check_lens_laws(lens, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
     ]
 
 
-def check_prism_laws(prism, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
-    As, ss = _elems(dom_a), _elems(dom_s)
+def check_prism_laws(prism, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
+    As, ss = tuple(dom_a), tuple(dom_s)
     return [
         _LawRun("prism.match_build", budget).run(
             ({"b": b}, Right(b), prism.match(prism.build(b))) for b in As
@@ -403,19 +399,19 @@ def check_prism_laws(prism, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
     ]
 
 
-def check_adapter_laws(adapter, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
+def check_adapter_laws(adapter, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
     return [
         _LawRun("adapter.fwd_bwd", budget).run(
-            ({"a": a}, a, adapter.fwd(adapter.bwd(a))) for a in _elems(dom_a)
+            ({"a": a}, a, adapter.fwd(adapter.bwd(a))) for a in dom_a
         ),
         _LawRun("adapter.bwd_fwd", budget).run(
-            ({"s": s}, s, adapter.bwd(adapter.fwd(s))) for s in _elems(dom_s)
+            ({"s": s}, s, adapter.bwd(adapter.fwd(s))) for s in dom_s
         ),
     ]
 
 
-def check_setter_laws(setter, dom_a, wholes, budget=MAX_EVALS_PER_LAW):
-    As = _elems(dom_a)
+def check_setter_laws(setter, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
+    As = tuple(dom_a)
     run_id = setter.over(identity)
     fns = all_functions(As, As)
 
@@ -435,19 +431,19 @@ def check_setter_laws(setter, dom_a, wholes, budget=MAX_EVALS_PER_LAW):
     ]
 
 
-def check_achlens_laws(al, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
+def check_achlens_laws(al, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
     reports = [
         LawReport(rep.law.replace("lens.", "achlens."), rep.cases, rep.failures, rep.status)
         for rep in check_lens_laws(al, dom_a, dom_s, budget)
     ]
     get_create = _LawRun("achlens.get_create", budget).run(
-        ({"b": b}, b, al.get(al.create(b))) for b in _elems(dom_a)
+        ({"b": b}, b, al.get(al.create(b))) for b in dom_a
     )
     return reports + [get_create]
 
 
-def check_optional_laws(opt, dom_a, dom_s, budget=MAX_EVALS_PER_LAW):
-    As, ss = _elems(dom_a), _elems(dom_s)
+def check_optional_laws(opt, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
+    As, ss = tuple(dom_a), tuple(dom_s)
     return [
         _LawRun("optional.hit_put_identity", budget).run(
             ({"s": s}, s, opt.put(e.value, s))
@@ -490,8 +486,8 @@ def _round_trip_laws(group, key, shape_name, payloads, to, back, budget):
     ]
 
 
-def check_functor_laws(shape, dom_a, budget=MAX_EVALS_PER_LAW):
-    As = _elems(dom_a)
+def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
+    As = tuple(dom_a)
     payloads = shape.payloads(list(As))
     fns = all_functions(As, As)
 
@@ -537,11 +533,11 @@ class FamilyFixture:
         self.inj_tables = inj_tables
 
 
-def check_optic_family_laws(fix, budget=MAX_EVALS_PER_LAW):
+def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
     if isinstance(fix, FamilyTag):
         fix = concrete_family_fixture(fix)
-    ds, d1 = _elems(fix.doms["s"]), _elems(fix.doms["a1"])
-    d2, d3 = _elems(fix.doms["a2"]), _elems(fix.doms["a3"])
+    ds, d1 = tuple(fix.doms["s"]), tuple(fix.doms["a1"])
+    d2, d3 = tuple(fix.doms["a2"]), tuple(fix.doms["a3"])
     triples = list(enumerate(fix.triples))
     tables = list(enumerate(fix.inj_tables))
 
@@ -608,7 +604,7 @@ def _inj_tables(rng, doms):
     ]
 
 
-def concrete_family_fixture(tag: FamilyTag, seed=0, n_triples=3) -> FamilyFixture:
+def concrete_family_fixture(tag: FamilyTag) -> FamilyFixture:
     doms = {
         "s": labels("s", 4),
         "a1": labels("a", 3),
@@ -617,39 +613,39 @@ def concrete_family_fixture(tag: FamilyTag, seed=0, n_triples=3) -> FamilyFixtur
     }
     triples = [
         (
-            gen_random_optic(tag, seed + 10 * k, doms["a1"], doms["s"]),
-            gen_random_optic(tag, seed + 10 * k + 1, doms["a2"], doms["a1"]),
-            gen_random_optic(tag, seed + 10 * k + 2, doms["a3"], doms["a2"]),
+            gen_random_optic(tag, 10 * k, doms["a1"], doms["s"]),
+            gen_random_optic(tag, 10 * k + 1, doms["a2"], doms["a1"]),
+            gen_random_optic(tag, 10 * k + 2, doms["a3"], doms["a2"]),
         )
-        for k in range(n_triples)
+        for k in range(3)
     ]
-    cls = gen_random_optic(tag, seed, doms["a1"], doms["s"]).__class__
+    cls = CONCRETE_FAMILIES[tag]
     return FamilyFixture(
         name=f"concrete.{tag.value}",
         identity=lambda: cls.inj(identity, identity),
         inj=cls.inj,
         triples=triples,
         doms=doms,
-        inj_tables=_inj_tables(random.Random(f"inj:{tag}:{seed}"), doms),
+        inj_tables=_inj_tables(random.Random(f"inj:{tag}:0"), doms),
     )
 
 
-def iso_family_fixture(family, shape_pool, seed=0, n_triples=3) -> FamilyFixture:
+def iso_family_fixture(family, shape_pool) -> FamilyFixture:
     doms = {
         "s": labels("s", 3),
         "a1": labels("a", 3),
         "a2": labels("m", 2),
         "a3": labels("x", 2),
     }
-    rng = random.Random(f"{family.name}:{seed}")
+    rng = random.Random(f"{family.name}:0")
     triples = []
-    for k in range(n_triples):
+    for k in range(3):
         sh1, sh2, sh3 = (rng.choice(shape_pool) for _ in range(3))
         triples.append(
             (
-                gen_iso_optic(seed + 10 * k, sh1, family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
-                gen_iso_optic(seed + 10 * k + 1, sh2, family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
-                gen_iso_optic(seed + 10 * k + 2, sh3, family, doms["a3"], doms["a3"], doms["a2"], doms["a2"]),
+                gen_iso_optic(10 * k, sh1, family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
+                gen_iso_optic(10 * k + 1, sh2, family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
+                gen_iso_optic(10 * k + 2, sh3, family, doms["a3"], doms["a3"], doms["a2"], doms["a2"]),
             )
         )
     return FamilyFixture(
@@ -664,7 +660,8 @@ def iso_family_fixture(family, shape_pool, seed=0, n_triples=3) -> FamilyFixture
 
 # Standard shapes and natural transformations ---------------------------------
 
-def standard_shapes(residuals=("r0", "r1")) -> dict:
+def standard_shapes() -> dict:
+    residuals = ("r0", "r1")
     pair = pair_shape(residuals, name="Pair")
     pair2 = pair_shape(("q0", "q1"), name="Pair2")
     mpair = maybe_pair_shape(residuals, name="MaybePair")
@@ -692,10 +689,10 @@ class Natural(Record):
     __slots__ = ("name", "source", "target", "fn")
 
 
-def standard_naturals(shapes=None, residuals=("r0", "r1")) -> list:
-    sh = shapes or standard_shapes(residuals)
-    r0 = residuals[0]
-    rot = {residuals[i]: residuals[(i + 1) % len(residuals)] for i in range(len(residuals))}
+def standard_naturals(shapes=None) -> list:
+    sh = shapes or standard_shapes()
+    r0 = "r0"
+    rot = {"r0": "r1", "r1": "r0"}
     return [
         Natural("pair_drop", sh["pair"], sh["id"], lambda p: Id(p[1])),
         Natural("pair_tag", sh["pair"], sh["maybe_pair"], lambda p: (Just(p[0]), p[1])),
@@ -783,7 +780,7 @@ def function_arrow_fixture():
 
 
 def getting_fixture(focus_dom):
-    focus = _elems(focus_dom)
+    focus = tuple(focus_dom)
     return CapabilityFixture(
         name="Getting",
         cap=GETTING,
@@ -793,7 +790,7 @@ def getting_fixture(focus_dom):
 
 
 def matching_fixture(focus_dom):
-    focus = _elems(focus_dom)
+    focus = tuple(focus_dom)
 
     def values(din, dout):
         cells = [Left(y) for y in dout] + [Right(a) for a in focus]
@@ -807,22 +804,22 @@ def matching_fixture(focus_dom):
     )
 
 
-def iso_capability_fixture(family, shape_pool, focus_a, focus_b, seed=0, n=4):
-    fa, fb = _elems(focus_a), _elems(focus_b)
+def iso_capability_fixture(family, shape_pool, focus_a, focus_b):
+    fa, fb = tuple(focus_a), tuple(focus_b)
 
     def values(din, dout):
-        rng = random.Random(f"{family.name}:{seed}:{tuple(din)}:{tuple(dout)}")
+        rng = random.Random(f"{family.name}:0:{tuple(din)}:{tuple(dout)}")
         out = []
-        for i in range(n):
+        for i in range(4):
             shape = rng.choice(shape_pool)
-            out.append(gen_iso_optic(seed + i, shape, family, fa, fb, din, dout))
+            out.append(gen_iso_optic(i, shape, family, fa, fb, din, dout))
         return out
 
     return CapabilityFixture(
         name="IsoOptic",
         cap=iso_capability(family),
         values=values,
-        eq=lambda run, p1, p2, din: run.agrees(p1, p2, fa, fb, din, eq=observational_eq),
+        eq=lambda run, p1, p2, din: run.agrees(p1, p2, fa, fb, din),
     )
 
 
@@ -833,12 +830,12 @@ def check_enhancing_laws(
     dom_a,
     dom_b,
     compose_pairs=None,
-    budget=MAX_EVALS_PER_LAW,
+    budget=DEFAULT_MAX_EVALS,
 ):
     """The capability laws: dimap is functorial, enhance respects the
     identity shape, shape composition, registered naturals (wedge), and
     commutes with dimap through the shape's map."""
-    As, Bs = _elems(dom_a), _elems(dom_b)
+    As, Bs = tuple(dom_a), tuple(dom_b)
     cap = fix.cap
     values = fix.values(As, Bs)
     fns_a = all_functions(As, As)
@@ -919,9 +916,9 @@ def check_enhancing_laws(
 # Functorization law group ----------------------------------------------------
 
 def check_functorization_laws(
-    fz, shapes, naturals, dom_a, dom_b, compose_pairs=None, budget=MAX_EVALS_PER_LAW
+    fz, shapes, naturals, dom_a, dom_b, compose_pairs=None, budget=DEFAULT_MAX_EVALS
 ):
-    As, Bs = _elems(dom_a), _elems(dom_b)
+    As, Bs = tuple(dom_a), tuple(dom_b)
     tag = fz.family_tag.value
     cls = type(fz.enhance_op(id_shape()))
     idsh = id_shape()
@@ -979,12 +976,12 @@ def check_functorization_laws(
 
 # Iso-specific law group ------------------------------------------------------
 
-def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LAW):
+def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
     dom_a = labels("a", 2)
     dom_s = labels("s", 3)
     As, ss = dom_a.elements, dom_s.elements
     optics = [
-        (shape, gen_iso_optic(seed + i, shape, family, dom_a, dom_a, dom_s, dom_s))
+        (shape, gen_iso_optic(i, shape, family, dom_a, dom_a, dom_s, dom_s))
         for i, shape in enumerate(shape_pool)
     ]
 
@@ -1008,10 +1005,10 @@ def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LA
         # converse needs natural components (checked below), not raw tables
         for i, shape in enumerate(shape_pool):
             payloads = shape.payloads(list(As))
-            same = gen_iso_optic(seed + 100 + i, shape, family, dom_a, dom_a, payloads, payloads)
+            same = gen_iso_optic(100 + i, shape, family, dom_a, dom_a, payloads, payloads)
             section = all(same.backward(same.forward(p)) == p for p in payloads)
             zoom = enhance_iso(shape, family)
-            ok = section or not retract.agrees(same, zoom, As, As, payloads, eq=observational_eq)
+            ok = section or not retract.agrees(same, zoom, As, As, payloads)
             yield {"family": family.name, "shape": shape.name, "direction": "arbitrary"}, True, ok
         for nat, nat_inv in _natural_retraction_pairs(naturals):
             if not (family.member(nat.source) and family.member(nat.target)):
@@ -1020,7 +1017,7 @@ def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LA
             payloads = nat.source.payloads(list(As))
             section = all(twisted.backward(twisted.forward(p)) == p for p in payloads)
             zoom = enhance_iso(nat.source, family)
-            ok = section and retract.agrees(twisted, zoom, As, As, payloads, eq=observational_eq)
+            ok = section and retract.agrees(twisted, zoom, As, As, payloads)
             yield {"family": family.name, "natural": nat.name, "direction": "natural"}, True, ok
 
     def enhance_composition():
@@ -1033,7 +1030,7 @@ def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LA
 
     def equality_up_to_natural():
         for nat in naturals:
-            rng = random.Random(f"{nat.name}:{seed}")
+            rng = random.Random(f"{nat.name}:0")
             pa_src = nat.source.payloads(list(As))
             pb_tgt = nat.target.payloads(list(As))
             fwd = {s: rng.choice(pa_src) for s in ss}
@@ -1047,15 +1044,11 @@ def check_iso_laws(family, shape_pool, naturals, seed=0, budget=MAX_EVALS_PER_LA
             yield {"family": family.name, "natural": nat.name}, with_fwd, with_bwd, As, As, ss
 
     return [
-        _LawRun("iso.normal_form", budget).agreements(normal_form(), observational_eq),
+        _LawRun("iso.normal_form", budget).agreements(normal_form()),
         retract.run(retractions()),
-        _LawRun("iso.enhance_composition", budget).agreements(
-            enhance_composition(), observational_eq
-        ),
-        _LawRun("iso.endo_identity", budget).agreements(endo_identity(), observational_eq),
-        _LawRun("iso.equality_up_to_natural", budget).agreements(
-            equality_up_to_natural(), observational_eq
-        ),
+        _LawRun("iso.enhance_composition", budget).agreements(enhance_composition()),
+        _LawRun("iso.endo_identity", budget).agreements(endo_identity()),
+        _LawRun("iso.equality_up_to_natural", budget).agreements(equality_up_to_natural()),
     ]
 
 
@@ -1073,8 +1066,8 @@ class MorphismSpec:
         self.doms = doms        # keys: s, a1, a2
 
 
-def check_morphism(spec: MorphismSpec, budget=MAX_EVALS_PER_LAW):
-    ds, d1, d2 = (_elems(spec.doms[k]) for k in ("s", "a1", "a2"))
+def check_morphism(spec: MorphismSpec, budget=DEFAULT_MAX_EVALS):
+    ds, d1, d2 = (tuple(spec.doms[k]) for k in ("s", "a1", "a2"))
     rng = random.Random(spec.name)
     tables = [(_rand_table(rng, ds, d1), _rand_table(rng, d1, ds)) for _ in range(3)]
 
@@ -1158,36 +1151,6 @@ REQUIRED_LAWS = (
     "functorization.inj_commute",
 )
 
-# One checker per law group; a law's group is its name up to the first dot.
-_GROUP_CHECKERS = {
-    "lens": check_lens_laws,
-    "achlens": check_achlens_laws,
-    "prism": check_prism_laws,
-    "adapter": check_adapter_laws,
-    "setter": check_setter_laws,
-    "optional": check_optional_laws,
-    "functor": check_functor_laws,
-    "product": check_functor_laws,
-    "sum": check_functor_laws,
-    "profunctor": check_enhancing_laws,
-    "enhancing": check_enhancing_laws,
-    "optic_family": check_optic_family_laws,
-    "morphism": check_morphism,
-    "iso": check_iso_laws,
-    "functorization": check_functorization_laws,
-}
-
-LAW_CHECKERS = {
-    law: _GROUP_CHECKERS[law.split(".")[0]]
-    for law in REQUIRED_LAWS
-    if law.split(".")[0] in _GROUP_CHECKERS
-}
-
-
-def unregistered_laws():
-    """Coverage guard: required laws with no registered checker."""
-    return tuple(name for name in REQUIRED_LAWS if name not in LAW_CHECKERS)
-
 
 # Standard fixtures and the full suite ----------------------------------------
 
@@ -1204,7 +1167,7 @@ def shape_pools(shapes=None):
     }
 
 
-def standard_morphism_specs(seed=0, n_pairs=3):
+def standard_morphism_specs(n_pairs):
     """Morphism fixtures for every conversion the library ships, over every
     concrete family, and for every embedding of the family order."""
     doms = {"s": labels("s", 3), "a1": labels("a", 3), "a2": labels("x", 2)}
@@ -1225,18 +1188,18 @@ def standard_morphism_specs(seed=0, n_pairs=3):
         def concrete_pairs(k):
             return [
                 (
-                    gen_random_optic(tag, seed + k + 2 * j, doms["a1"], doms["s"]),
-                    gen_random_optic(tag, seed + k + 2 * j + 1, doms["a2"], doms["a1"]),
+                    gen_random_optic(tag, k + 2 * j, doms["a1"], doms["s"]),
+                    gen_random_optic(tag, k + 2 * j + 1, doms["a2"], doms["a1"]),
                 )
                 for j in range(n_pairs)
             ]
 
         def iso_pairs(k):
-            rng = random.Random(f"{family.name}:pairs:{seed + k}")
+            rng = random.Random(f"{family.name}:pairs:{k}")
             return [
                 (
-                    gen_iso_optic(seed + k + 2 * j, rng.choice(pool), family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
-                    gen_iso_optic(seed + k + 2 * j + 1, rng.choice(pool), family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
+                    gen_iso_optic(k + 2 * j, rng.choice(pool), family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
+                    gen_iso_optic(k + 2 * j + 1, rng.choice(pool), family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
                 )
                 for j in range(n_pairs)
             ]
@@ -1267,9 +1230,9 @@ def standard_morphism_specs(seed=0, n_pairs=3):
     ]
 
 
-def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
-    """Run every registered checker over the standard fixtures and return
-    the merged reports, sorted by law name."""
+def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
+    """Run every checker over the standard fixtures and return the merged
+    reports, sorted by law name."""
     shapes = standard_shapes()
     naturals = standard_naturals(shapes)
     pools = shape_pools(shapes)
@@ -1281,22 +1244,22 @@ def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
     # concrete record laws on generated lawful optics
     dom_ls = labels("s", len(dom_r) * 3)
     big_a = labels("a", 3)
-    for k in range(n_samples):
-        lens = gen_lawful_lens(seed + k, dom_r, big_a, dom_ls)
+    for k in range(2):
+        lens = gen_lawful_lens(k, dom_r, big_a, dom_ls)
         reports += check_lens_laws(lens, big_a, dom_ls, budget)
         dom_ps = labels("s", len(dom_r) + 3)
-        prism = gen_lawful_prism(seed + k, dom_r, big_a, dom_ps)
+        prism = gen_lawful_prism(k, dom_r, big_a, dom_ps)
         reports += check_prism_laws(prism, big_a, dom_ps, budget)
-        al = gen_lawful_achlens(seed + k, dom_r, big_a, dom_ls)
+        al = gen_lawful_achlens(k, dom_r, big_a, dom_ls)
         reports += check_achlens_laws(al, big_a, dom_ls, budget)
-        ad = gen_lawful_adapter(seed + k, big_a, labels("s", 3))
+        ad = gen_lawful_adapter(k, big_a, labels("s", 3))
         reports += check_adapter_laws(ad, big_a, labels("s", 3), budget)
-        st = gen_setter(seed + k, shapes["pair"])
+        st = gen_setter(shapes["pair"])
         reports += check_setter_laws(
             st, big_a, shapes["pair"].payloads(list(big_a)), budget
         )
         dom_os = labels("s", 2 + 1 * 3)
-        opt = gen_lawful_optional(seed + k, labels("m", 2), labels("k", 1), big_a, dom_os)
+        opt = gen_lawful_optional(k, labels("m", 2), labels("k", 1), big_a, dom_os)
         reports += check_optional_laws(opt, big_a, dom_os, budget)
 
     # shape laws
@@ -1305,9 +1268,9 @@ def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
 
     # shared optic-family laws: six concrete families, iso over each registry family
     for tag in FamilyTag:
-        reports += check_optic_family_laws(concrete_family_fixture(tag, seed), budget)
+        reports += check_optic_family_laws(concrete_family_fixture(tag), budget)
     for fam_name, family in FAMILY_REGISTRY.items():
-        fix = iso_family_fixture(family, pools[fam_name], seed)
+        fix = iso_family_fixture(family, pools[fam_name])
         reports += check_optic_family_laws(fix, budget)
 
     # capability laws
@@ -1338,7 +1301,7 @@ def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
         pool = pools[fam_name]
         pairs = [(f, g) for f in pool for g in pool if f.payloads and g.payloads][:3]
         reports += check_enhancing_laws(
-            iso_capability_fixture(family, pool, dom_a, dom_b, seed),
+            iso_capability_fixture(family, pool, dom_a, dom_b),
             pool,
             fam_nats,
             dom_a,
@@ -1350,7 +1313,7 @@ def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
     # iso-specific laws per registry family
     for fam_name, family in FAMILY_REGISTRY.items():
         reports += check_iso_laws(
-            family, pools[fam_name], naturals_within(family, naturals), seed, budget
+            family, pools[fam_name], naturals_within(family, naturals), budget
         )
 
     # functorizations for all six concrete families
@@ -1364,17 +1327,19 @@ def run_all_law_checks(budget=MAX_EVALS_PER_LAW, seed=0, n_samples=2):
         )
 
     # conversions are morphisms
-    for spec in standard_morphism_specs(seed, n_pairs=n_samples):
+    for spec in standard_morphism_specs(n_pairs=2):
         reports += check_morphism(spec, budget)
 
     return merge_reports(reports)
 
 
 def main(argv=None):
-    """Emit the full law report as JSON lines; exit 1 on any failure."""
+    """Emit the full law report as JSON lines.  Exit 1 when a law does not
+    pass, or when the laws reported differ from :data:`REQUIRED_LAWS`."""
     reports = run_all_law_checks()
     write_report(reports, sys.stdout)
-    return 0 if all(rep.passed for rep in reports) else 1
+    covered = {rep.law for rep in reports} == set(REQUIRED_LAWS)
+    return 0 if covered and all(rep.passed for rep in reports) else 1
 
 
 if __name__ == "__main__":

@@ -52,13 +52,13 @@ def all_functions(dom_a, dom_b):
     ]
 
 
-def sample_functions(dom_a, dom_b, n=SAMPLE_SIZE, seed=0):
-    """A seeded sample of n function tables from dom_a to dom_b."""
-    rng = random.Random(seed)
+def sample_functions(dom_a, dom_b):
+    """A seeded sample of SAMPLE_SIZE function tables from dom_a to dom_b."""
+    rng = random.Random(0)
     dom_a, dom_b = list(dom_a), list(dom_b)
     return [
         FiniteFn((a, rng.choice(dom_b)) for a in dom_a)
-        for _ in range(n)
+        for _ in range(SAMPLE_SIZE)
     ]
 
 
@@ -72,31 +72,30 @@ def probes_exhaustive(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
 _last = (None, None)  # (key, result) of the last probe_functions call
 
 
-def probe_functions(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
+def probe_functions(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     """The probe set :func:`probes_exhaustive` chooses.  Returns
     (functions, exhaustive_flag), the functions as a tuple.
 
     The last result is kept and returned again while the arguments are
-    equal.  Its key is everything the set depends on: both domains, the
-    size of ``dom_s`` and the budget, which with the domains fix the mode,
-    and the seed.  Callers share the tuple and its tables, so none may
-    change them.
+    equal.  Its key is everything the set depends on: both domains, and
+    the size of ``dom_s`` and the budget, which with the domains fix the
+    mode.  Callers share the tuple and its tables, so none may change them.
     """
     global _last
     dom_a, dom_b = tuple(dom_a), tuple(dom_b)
-    key = (dom_a, dom_b, len(dom_s), max_evals, seed)
+    key = (dom_a, dom_b, len(dom_s), max_evals)
     if _last[0] != key:
         if probes_exhaustive(dom_a, dom_b, dom_s, max_evals):
             result = tuple(all_functions(dom_a, dom_b)), True
         else:
-            result = tuple(sample_functions(dom_a, dom_b, SAMPLE_SIZE, seed)), False
+            result = tuple(sample_functions(dom_a, dom_b)), False
         _last = key, result
     return _last[1]
 
 
-def maps_agree(o1, o2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS, seed=0):
+def maps_agree(o1, o2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     """Observational equality of two optics via their map actions."""
-    fns, _ = probe_functions(dom_a, dom_b, dom_s, max_evals, seed)
+    fns, _ = probe_functions(dom_a, dom_b, dom_s, max_evals)
     for h in fns:
         run1, run2 = o1.map_optic(h), o2.map_optic(h)
         for s in dom_s:

@@ -280,7 +280,7 @@ def test_criterion_5_derivation_theorem():
 
 def test_criterion_6_morphism_preservation():
     start = time.perf_counter()
-    specs = standard_morphism_specs(seed=0, n_pairs=20)
+    specs = standard_morphism_specs(n_pairs=20)
     by_kind = {}
     for spec in specs:
         kind = spec.name.split(".")[0]

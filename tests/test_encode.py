@@ -188,7 +188,7 @@ def test_unfunctorize_round_trip_adapter():
 
 
 def test_unfunctorize_round_trip_setter():
-    setter = gen_setter(0, pair_shape(("r0", "r1")))
+    setter = gen_setter(pair_shape(("r0", "r1")))
     back = unfunctorize(concrete_to_iso(setter), FamilyTag.SETTER)
     wholes = pair_shape(("r0", "r1")).payloads(list(DOM))
     for h in all_functions(DOM, DOM):
@@ -292,7 +292,7 @@ def test_decode_encode_all_families():
         FamilyTag.LENS: gen_lawful_lens(1, labels("r", 2), dom_a, dom_s),
         FamilyTag.PRISM: gen_lawful_prism(1, labels("r", 2), dom_a, dom_s),
         FamilyTag.ADAPTER: gen_lawful_adapter(1, dom_a, ("s0", "s1")),
-        FamilyTag.SETTER: gen_setter(1, pair_shape(("r0", "r1"))),
+        FamilyTag.SETTER: gen_setter(pair_shape(("r0", "r1"))),
         FamilyTag.ACHLENS: gen_lawful_achlens(1, labels("r", 2), dom_a, dom_s),
     }
     wholes = {

@@ -12,7 +12,6 @@ from opticat.laws import (
     INCONCLUSIVE,
     PASS,
     FiniteDomain,
-    LAW_CHECKERS,
     REQUIRED_LAWS,
     check_adapter_laws,
     check_achlens_laws,
@@ -34,7 +33,6 @@ from opticat.laws import (
     report_lines,
     run_all_law_checks,
     standard_shapes,
-    unregistered_laws,
 )
 
 
@@ -129,7 +127,7 @@ def test_generated_prisms_achlenses_optionals_adapters_are_lawful():
 
 def test_setter_from_shape_map_is_lawful():
     shape = pair_shape(("r0", "r1"))
-    setter = gen_setter(0, shape)
+    setter = gen_setter(shape)
     dom_a = labels("a", 2)
     reports = check_setter_laws(setter, dom_a, shape.payloads(list(dom_a)))
     assert all(rep.passed for rep in reports)
@@ -213,11 +211,23 @@ def test_budget_marks_inconclusive_never_passed():
     assert not reports["lens.get_put"].passed
 
 
-# Registry, merging, reports --------------------------------------------------------
+# Coverage, merging, reports --------------------------------------------------------
 
-def test_every_required_law_has_a_checker():
-    assert unregistered_laws() == ()
-    assert set(REQUIRED_LAWS) <= set(LAW_CHECKERS)
+def test_entry_point_fails_when_reported_laws_differ_from_required(monkeypatch, capsys):
+    # REQUIRED_LAWS is the coverage list: main exits 1 when the suite
+    # reports another law set, even though every reported law passes.
+    import opticat.laws as laws
+
+    reports = run_all_law_checks()
+    monkeypatch.setattr(laws, "run_all_law_checks", lambda: reports)
+    for required, code in [
+        (REQUIRED_LAWS, 0),
+        (REQUIRED_LAWS + ("lens.unchecked",), 1),
+        (REQUIRED_LAWS[1:], 1),
+    ]:
+        monkeypatch.setattr(laws, "REQUIRED_LAWS", required)
+        assert laws.main([]) == code, len(required)
+        assert len(capsys.readouterr().out.splitlines()) == len(reports)
 
 
 def test_full_suite_passes_and_covers_required_laws():
@@ -269,11 +279,9 @@ def test_iso_capability_fixture_compares_under_the_law_budget(monkeypatch):
 
     probe_functions, budgets = probes.probe_functions, []
 
-    def recording_probe_functions(
-        dom_a, dom_b, dom_s, max_evals=probes.DEFAULT_MAX_EVALS, seed=0
-    ):
+    def recording_probe_functions(dom_a, dom_b, dom_s, max_evals=probes.DEFAULT_MAX_EVALS):
         budgets.append(max_evals)
-        return probe_functions(dom_a, dom_b, dom_s, max_evals, seed)
+        return probe_functions(dom_a, dom_b, dom_s, max_evals)
 
     monkeypatch.setattr(probes, "probe_functions", recording_probe_functions)
     shapes = standard_shapes()
@@ -353,6 +361,24 @@ def test_default_suite_decides_each_probe_set_at_most_once_per_comparison(monkey
                 monkeypatch.setattr(module, name, counting)
     run_all_law_checks()
     assert 0 < len(calls) <= 7150
+
+
+def test_default_suite_compares_iso_pairs_only_in_residual_form(monkeypatch):
+    # Every comparison goes through observational_eq, which compares two
+    # IsoOptics through their residual form, so maps_agree never gets two.
+    import opticat.iso as iso
+    import opticat.laws as laws
+
+    iso_pairs = []
+    for module in (laws, iso):
+        def recording(o1, o2, *args, original=module.maps_agree, **kwargs):
+            if isinstance(o1, iso.IsoOptic) and isinstance(o2, iso.IsoOptic):
+                iso_pairs.append((o1, o2))
+            return original(o1, o2, *args, **kwargs)
+
+        monkeypatch.setattr(module, "maps_agree", recording)
+    run_all_law_checks()
+    assert iso_pairs == []
 
 
 def test_fail_counterexample_prints_probe_functions_by_repr():

@@ -51,13 +51,11 @@ def test_probe_set_is_built_once_for_equal_arguments(monkeypatch):
     assert len(calls) == 1
 
 
-def test_probe_set_key_holds_domains_size_budget_and_seed():
+def test_probe_set_key_holds_domains_size_and_budget():
     dom, wholes = ("p0", "p1", "p2"), ("s0", "s1")
     fns, _ = probe_functions(dom, dom, wholes)
     sampled, exhaustive = probe_functions(dom, dom, wholes, max_evals=10)
     assert not exhaustive and len(sampled) == probes.SAMPLE_SIZE
-    reseeded, _ = probe_functions(dom, dom, wholes, max_evals=10, seed=1)
-    assert [f.table for f in reseeded] != [f.table for f in sampled]
     assert probe_functions(dom, dom, wholes + ("s2",), max_evals=50)[1] is False
     assert probe_functions(dom, dom, wholes, max_evals=54)[1] is True
     assert probe_functions(dom, dom[:2], wholes)[0] != fns
