@@ -361,5 +361,5 @@ _IS_AFFINE = FunctorFamily("IsAffine", lambda s: s.lawful and affine_supported(s
 
 FAMILY_REGISTRY = {
     fam.name: fam
-    for fam in (_ANY_FUNCTOR, _IS_PRODUCT, _IS_SUM, _IS_POINTED_PRODUCT, _ID_ONLY)
+    for fam in (_ANY_FUNCTOR, _IS_PRODUCT, _IS_SUM, _IS_POINTED_PRODUCT, _ID_ONLY, _IS_AFFINE)
 }

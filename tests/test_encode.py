@@ -111,6 +111,14 @@ def test_functorize_families():
     assert functorize(FamilyTag.OPTIONAL).functor_family.name == "IsAffine"
 
 
+def test_registry_holds_the_functor_family_of_every_concrete_family():
+    # The law suite runs its iso-level laws over FAMILY_REGISTRY, so a
+    # family missing from it skips them.
+    from opticat.functors import FAMILY_REGISTRY
+
+    assert {functorize(tag).functor_family.name for tag in FamilyTag} == set(FAMILY_REGISTRY)
+
+
 # Residual forms ------------------------------------------------------------------
 
 def test_lens_residual_form_pairs_the_whole():

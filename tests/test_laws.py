@@ -342,9 +342,10 @@ def test_report_lines_are_json_records():
 
 
 def test_default_suite_decides_each_probe_set_at_most_once_per_comparison(monkeypatch):
-    # The default suite makes 7 150 observational comparisons.  Deciding a
-    # comparison's probe set (exhaustive or sampled) takes one
-    # probes_exhaustive call at most, under whatever name a module bound it.
+    # The default suite makes 8 536 observational comparisons, more than
+    # the bound below.  Deciding a comparison's probe set (exhaustive or
+    # sampled) takes one probes_exhaustive call at most, under whatever name
+    # a module bound it.
     import opticat.iso as iso
     import opticat.laws as laws
     import opticat.probes as probes
