@@ -43,8 +43,8 @@ from .functors import (
 )
 from . import probes
 from .iso import IsoOptic, enhance_iso, iso_identity, iso_inj, observational_eq
-# Unused here, but perfbench/tracing.py patches laws.maps_agree by name, and
-# a missing name crashes a traced law_suite run.
+# maps_agree is unused here, but perfbench/tracing.py patches laws.maps_agree
+# by name, and a missing name crashes a traced law_suite run.
 from .probes import DEFAULT_MAX_EVALS, FiniteFn, all_functions, maps_agree
 from .prof import (
     FUNCTION_ARROW,
@@ -82,7 +82,6 @@ class FiniteDomain(Record):
 
 def labels(prefix: str, n: int) -> FiniteDomain:
     return FiniteDomain(prefix, tuple(f"{prefix}{i}" for i in range(n)))
-
 
 
 class LawReport:
@@ -534,8 +533,6 @@ class FamilyFixture:
 
 
 def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
-    if isinstance(fix, FamilyTag):
-        fix = concrete_family_fixture(fix)
     ds, d1 = tuple(fix.doms["s"]), tuple(fix.doms["a1"])
     d2, d3 = tuple(fix.doms["a2"]), tuple(fix.doms["a3"])
     triples = list(enumerate(fix.triples))
@@ -691,13 +688,12 @@ class Natural(Record):
 
 def standard_naturals(shapes=None) -> list:
     sh = shapes or standard_shapes()
-    r0 = "r0"
     rot = {"r0": "r1", "r1": "r0"}
     return [
         Natural("pair_drop", sh["pair"], sh["id"], lambda p: Id(p[1])),
         Natural("pair_tag", sh["pair"], sh["maybe_pair"], lambda p: (Just(p[0]), p[1])),
         Natural("id_point", sh["id"], sh["maybe_pair"], lambda p: (Nothing(), p.value)),
-        Natural("id_const_pair", sh["id"], sh["pair"], lambda p: (r0, p.value)),
+        Natural("id_const_pair", sh["id"], sh["pair"], lambda p: ("r0", p.value)),
         Natural(
             "pair_rotate", sh["pair"], sh["pair"], lambda p: (rot[p[0]], p[1])
         ),
@@ -726,7 +722,7 @@ def standard_naturals(shapes=None) -> list:
             "maybe_pair_default",
             sh["maybe_pair"],
             sh["pair"],
-            lambda p: (p[0].value if isinstance(p[0], Just) else r0, p[1]),
+            lambda p: (p[0].value if isinstance(p[0], Just) else "r0", p[1]),
         ),
     ]
 
