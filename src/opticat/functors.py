@@ -73,7 +73,11 @@ class IdentCap(Record):
 class ContainerShape(Record):
     # map: (h, payload) -> payload.  payloads enumerates all payloads over a
     # finite focus domain; None when the payload space is not enumerable
-    # (e.g. continuation containers).
+    # (e.g. continuation containers).  The enumeration is closed under map:
+    # map(h, p) is in payloads(B) for every p in payloads(A) and h: A -> B
+    # (the functor.payloads_closed law), and iso.observational_eq relies on
+    # it.  parts is (f, g) on a compose_shapes result and None otherwise;
+    # two results over the same parts act alike.
     __slots__ = (
         "name", "map", "product", "sum", "point", "ident", "payloads", "parts", "lawful",
     )

@@ -105,32 +105,56 @@ def enhance_iso(shape: ContainerShape, family=None) -> IsoOptic:
 def observational_eq(l1, l2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     """Equality via map agreement on the probe set.
 
-    Two iso optics are compared through their residual form: ``map h`` is
-    ``backward . shape.map(h) . forward`` and ``forward`` does not depend on
-    ``h``, so each whole's ``forward`` runs once, when the first probe
-    reaches it, and later probes reuse its payload.  The calls run in
-    :func:`maps_agree`'s order otherwise, so the verdict and any exception
-    are the same.  Any other pair of optics goes to :func:`maps_agree`.
+    Two iso optics are compared through their residual form, where ``map h``
+    is ``backward . shape.map(h) . forward``.  Each whole's ``forward`` runs
+    once, before any probe.  When the tables decide (see
+    :func:`_tables_agree`) the optics are equal without a probe; otherwise
+    every probe reuses the stored payloads.  The verdict is
+    :func:`maps_agree`'s.  An exception need not be: ``forward`` runs on
+    every whole before ``backward`` runs, and the tables run ``backward`` on
+    payloads no probe may reach.  Any other pair of optics goes to
+    :func:`maps_agree`.
     """
     if not (isinstance(l1, IsoOptic) and isinstance(l2, IsoOptic)):
         return maps_agree(l1, l2, dom_a, dom_b, dom_s, max_evals=max_evals)
+    fwd1, fwd2 = l1.forward, l2.forward
+    payloads = [(fwd1(s), fwd2(s)) for s in dom_s]
+    if _tables_agree(l1, l2, payloads, dom_a, dom_b):
+        return True
     fns, _ = probes.probe_functions(dom_a, dom_b, dom_s, max_evals)
-    fwd1, map1, bwd1 = l1.forward, l1.shape.map, l1.backward
-    fwd2, map2, bwd2 = l2.forward, l2.shape.map, l2.backward
-    payloads = []  # per whole, the (forward of l1, forward of l2) pair
-    for h in fns[:1]:
-        for s in dom_s:
-            p1 = fwd1(s)
-            r1 = bwd1(map1(h, p1))
-            p2 = fwd2(s)
-            if r1 != bwd2(map2(h, p2)):
-                return False
-            payloads.append((p1, p2))
-    for h in fns[1:]:
+    map1, bwd1 = l1.shape.map, l1.backward
+    map2, bwd2 = l2.shape.map, l2.backward
+    for h in fns:
         for p1, p2 in payloads:
             if bwd1(map1(h, p1)) != bwd2(map2(h, p2)):
                 return False
     return True
+
+
+def _tables_agree(l1, l2, payloads, dom_a, dom_b):
+    """Equal residual-form tables: one enumerable shape, equal payloads in
+    ``payloads(dom_a)`` for every whole, and equal ``backward``s on
+    ``payloads(dom_b)``.  Then the optics agree on every ``h``, because
+    ``shape.map(h)`` sends ``payloads(dom_a)`` into ``payloads(dom_b)`` (the
+    ``functor.payloads_closed`` law)."""
+    shape = l1.shape
+    if shape.payloads is None or not _same_shape(shape, l2.shape):
+        return False
+    over_a = shape.payloads(list(dom_a))
+    if not all(p1 == p2 and p1 in over_a for p1, p2 in payloads):
+        return False
+    bwd1, bwd2 = l1.backward, l2.backward
+    return all(bwd1(q) == bwd2(q) for q in shape.payloads(list(dom_b)))
+
+
+def _same_shape(a, b):
+    """One shape: the same object, or :func:`compose_shapes` results over
+    the same parts, whose ``map`` and ``payloads`` act alike."""
+    if a is b:
+        return True
+    if a.parts is None or b.parts is None:
+        return False
+    return all(map(_same_shape, a.parts, b.parts))
 
 
 def enhance_to_arrow(optic: IsoOptic, enhance_op):

@@ -29,11 +29,11 @@ from opticat.families import (
     second,
 )
 from opticat.laws import (
+    check_lens_laws,
     gen_lawful_lens,
     gen_lawful_prism,
     gen_random_optic,
     labels,
-    lens_is_lawful,
 )
 from opticat.probes import all_functions, maps_agree
 
@@ -200,11 +200,11 @@ def test_composition_preserves_lens_lawfulness():
     outer_s = tuple(f"s{i}" for i in range(8))
     outer = gen_lawful_lens(12, labels("q", 2), dom_a1, outer_s)
     composite = compose(outer, inner)
-    assert lens_is_lawful(composite, dom_a2, outer_s)
+    assert all(r.passed for r in check_lens_laws(composite, dom_a2, outer_s))
 
 
 def test_composition_preserves_prism_lawfulness():
-    from opticat.laws import prism_is_lawful
+    from opticat.laws import check_prism_laws
 
     dom_a2 = labels("x", 2)
     dom_a1 = labels("a", 3)
@@ -212,7 +212,7 @@ def test_composition_preserves_prism_lawfulness():
     outer_s = tuple(f"s{i}" for i in range(5))
     outer = gen_lawful_prism(14, labels("q", 2), dom_a1, outer_s)
     composite = compose(outer, inner)
-    assert prism_is_lawful(composite, dom_a2, outer_s)
+    assert all(r.passed for r in check_prism_laws(composite, dom_a2, outer_s))
 
 
 def test_composition_preserves_achlens_lawfulness():

@@ -8,9 +8,11 @@ from opticat.families import FamilyMismatchError, FamilyTag, Lens, first
 from opticat.functors import (
     Comp,
     Id,
+    any_functor,
     compose_shapes,
     id_shape,
     is_product,
+    maybe_shape,
     pair_shape,
     sum_shape,
 )
@@ -25,7 +27,7 @@ from opticat.iso import (
     observational_eq,
 )
 from opticat.laws import gen_iso_optic, gen_lawful_lens, labels
-from opticat.probes import all_functions, distinguishing_probe
+from opticat.probes import all_functions, distinguishing_probe, maps_agree
 
 DOM3 = ("a0", "a1", "a2")
 
@@ -322,3 +324,104 @@ def test_residual_form_raises_where_maps_agree_raises():
         observational_eq(optic, partial, DOM3, DOM3, payloads)
     with pytest.raises(KeyError):
         observational_eq(partial, optic, DOM3, DOM3, payloads)
+
+
+# Tables before probes: observational_eq decides equal residual-form tables
+# without a probe, and must give maps_agree's verdict either way.
+
+def _probing_eq(monkeypatch):
+    """observational_eq, returning its verdict and whether it asked for a
+    probe set."""
+    import opticat.probes as probes
+
+    original, requests = probes.probe_functions, []
+
+    def recording(*args, **kwargs):
+        requests.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "probe_functions", recording)
+
+    def eq(*args):
+        requests.clear()
+        return observational_eq(*args), bool(requests)
+
+    return eq
+
+
+def test_backward_differing_on_one_payload_gets_maps_agree_verdict(monkeypatch):
+    eq = _probing_eq(monkeypatch)
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    As, ss = dom_a.elements, dom_s.elements
+    family = any_functor()
+    pair = pair_shape(("r0", "r1"))
+    verdicts = []
+    for shape in (pair, sum_shape(("r0", "r1")), compose_shapes(pair, maybe_shape())):
+        for seed in range(3):
+            o1 = gen_iso_optic(seed, shape, family, dom_a, dom_a, dom_s, dom_s)
+            for q in shape.payloads(list(As)):
+                table = {p: o1.backward(p) for p in shape.payloads(list(As))}
+                table[q] = next(t for t in ss if t != table[q])
+                o2 = IsoOptic(family, shape, o1.forward, table.__getitem__)
+                verdict, probed = eq(o1, o2, As, As, ss)
+                assert verdict == maps_agree(o1, o2, As, As, ss), (shape, seed, q)
+                assert probed  # the tables differ
+                verdicts.append(verdict)
+    assert 0 < verdicts.count(True) < len(verdicts)
+
+
+def test_separately_composed_shapes_over_the_same_parts_are_one_shape(monkeypatch):
+    eq = _probing_eq(monkeypatch)
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    As, ss = dom_a.elements, dom_s.elements
+    family = any_functor()
+    pair, maybe, q = pair_shape(("r0", "r1")), maybe_shape(), pair_shape(("q0",), name="Q")
+
+    def nested():
+        return compose_shapes(compose_shapes(pair, maybe), q)
+
+    for build in (lambda: compose_shapes(pair, maybe), nested):
+        fg1, fg2 = build(), build()
+        assert fg1 is not fg2
+        for seed in range(4):
+            o1 = gen_iso_optic(seed, fg1, family, dom_a, dom_a, dom_s, dom_s)
+            same = IsoOptic(family, fg2, o1.forward, o1.backward)
+            assert maps_agree(o1, same, As, As, ss)
+            assert eq(o1, same, As, As, ss) == (True, False)
+            # enhancing twice builds two composed shapes over the same parts
+            zoom1 = iso_compose(enhance_iso(pair, family), o1)
+            zoom2 = iso_compose(enhance_iso(pair, family), same)
+            assert zoom1.shape is not zoom2.shape
+            wholes = pair.payloads(list(ss))
+            assert eq(zoom1, zoom2, As, As, wholes) == (True, False)
+
+    # other tables, or a part that is another object, go to the probes
+    fg = compose_shapes(pair, maybe)
+    lookalike = compose_shapes(pair_shape(("r0", "r1")), maybe)
+    verdicts = []
+    for seed in range(4):
+        o1 = gen_iso_optic(seed, fg, family, dom_a, dom_a, dom_s, dom_s)
+        o2 = gen_iso_optic(seed + 1, compose_shapes(pair, maybe), family, dom_a, dom_a, dom_s, dom_s)
+        twin = IsoOptic(family, lookalike, o1.forward, o1.backward)
+        for other in (o2, twin):
+            verdict, probed = eq(o1, other, As, As, ss)
+            assert verdict == maps_agree(o1, other, As, As, ss) and probed
+            verdicts.append(verdict)
+    assert verdicts[1::2] == [True] * 4 and False in verdicts[::2]
+
+
+def test_forward_outside_the_enumerated_payloads_falls_back_to_probes(monkeypatch):
+    # ("r9", a) is no payload of the enumeration, so the backwards' agreement
+    # on payloads(dom_b) says nothing about where the probes land.
+    eq = _probing_eq(monkeypatch)
+    shape = pair_shape(("r0", "r1"))
+    family = any_functor()
+    forward = lambda s: ("r9", "a0")
+    o1 = IsoOptic(family, shape, forward, lambda p: p[1])
+    o2 = IsoOptic(family, shape, forward, lambda p: "s0" if p[0] == "r9" else p[1])
+    o3 = IsoOptic(family, shape, forward, lambda p: p[1])
+    dom = ("a0", "a1")
+    assert all(o1.backward(q) == o2.backward(q) for q in shape.payloads(list(dom)))
+    assert maps_agree(o1, o2, dom, dom, DOM3) is False
+    assert eq(o1, o2, dom, dom, DOM3) == (False, True)
+    assert eq(o1, o3, dom, dom, DOM3) == (True, True)

@@ -211,6 +211,29 @@ def test_budget_marks_inconclusive_never_passed():
     assert not reports["lens.get_put"].passed
 
 
+def test_shape_whose_payloads_leave_one_out_fails_payloads_closed():
+    from opticat.functors import ContainerShape
+    from opticat.laws import check_functor_laws
+
+    pair = pair_shape(("r0", "r1"))
+    lossy = ContainerShape(
+        name="LossyPair",
+        map=pair.map,
+        product=pair.product,
+        payloads=lambda dom: pair.payloads(dom)[:-1],
+    )
+    reports = {rep.law: rep for rep in check_functor_laws(lossy, labels("a", 3))}
+    rep = reports["functor.payloads_closed"]
+    assert rep.status == FAIL
+    inputs = rep.failures[0]["inputs"]
+    assert set(inputs) == {"shape", "h", "p"} and inputs["shape"] == "LossyPair"
+    # the counterexample replays: map(h, p) is the payload left out over B
+    image = lossy.map(inputs["h"], inputs["p"])
+    assert image not in lossy.payloads(list(labels("b", 2)))
+    assert image in pair.payloads(list(labels("b", 2)))
+    assert reports["functor.map_composition"].passed
+
+
 # Coverage, merging, reports --------------------------------------------------------
 
 def test_entry_point_fails_when_reported_laws_differ_from_required(monkeypatch, capsys):
@@ -228,6 +251,26 @@ def test_entry_point_fails_when_reported_laws_differ_from_required(monkeypatch, 
         monkeypatch.setattr(laws, "REQUIRED_LAWS", required)
         assert laws.main([]) == code, len(required)
         assert len(capsys.readouterr().out.splitlines()) == len(reports)
+
+
+@pytest.mark.parametrize("argv", [["--budget", "5", "--nonsense"], ["--budget", "5"], [""]])
+def test_entry_point_rejects_arguments(argv, monkeypatch, capsys):
+    # Any argument exits 2 with one line on stderr, before the suite runs;
+    # main() reads sys.argv when it is given no argument list.
+    import sys
+
+    import opticat.laws as laws
+
+    def not_run():
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(laws, "run_all_law_checks", not_run)
+    monkeypatch.setattr(sys, "argv", ["opticat.laws"] + argv)
+    for args in (argv, None):
+        code = laws.main(args)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
 
 
 def test_full_suite_passes_and_covers_required_laws():
