@@ -76,8 +76,12 @@ class ContainerShape(Record):
     # (e.g. continuation containers).  The enumeration is closed under map:
     # map(h, p) is in payloads(B) for every p in payloads(A) and h: A -> B
     # (the functor.payloads_closed law), and iso.observational_eq relies on
-    # it.  parts is (f, g) on a compose_shapes result and None otherwise;
-    # two results over the same parts act alike.
+    # it.  The constructors below enumerate once per domain and hand every
+    # equal domain (a list, tuple or FiniteDomain of the same elements) the
+    # same tuple, so domains must be hashable and callers must not expect a
+    # fresh list.  The memo belongs to the shape; a payloads function passed
+    # in here runs as given.  parts is (f, g) on a compose_shapes result and
+    # None otherwise; two results over the same parts act alike.
     __slots__ = (
         "name", "map", "product", "sum", "point", "ident", "payloads", "parts", "lawful",
     )
@@ -118,6 +122,20 @@ class FunctorFamily(Record):
 
 # Shape constructors ---------------------------------------------------------
 
+def _enumerated(enum):
+    """``enum`` run once per domain: equal domains get the same tuple."""
+    memo = {}
+
+    def payloads(dom):
+        dom = tuple(dom)
+        found = memo.get(dom)
+        if found is None:
+            found = memo[dom] = tuple(enum(dom))
+        return found
+
+    return payloads
+
+
 def id_shape() -> ContainerShape:
     return _ID_SHAPE
 
@@ -138,7 +156,7 @@ def _mk_id_shape():
         sum=SumCap(to_sum=lambda p: Right(p.value), from_sum=from_sum),
         point=PointCap(unit=Id(UNIT)),
         ident=IdentCap(wrap=Id, unwrap=lambda p: p.value),
-        payloads=lambda dom: [Id(a) for a in dom],
+        payloads=_enumerated(lambda dom: [Id(a) for a in dom]),
     )
 
 
@@ -148,7 +166,7 @@ def pair_shape(residuals=None, name=None) -> ContainerShape:
     enum = None
     if residuals is not None:
         residuals = tuple(residuals)
-        enum = lambda dom: [(c, a) for c in residuals for a in dom]
+        enum = _enumerated(lambda dom: [(c, a) for c in residuals for a in dom])
     return ContainerShape(
         name=name or "Pair",
         map=lambda h, p: (p[0], h(p[1])),
@@ -165,7 +183,7 @@ def maybe_pair_shape(residuals=None, name=None) -> ContainerShape:
     enum = None
     if residuals is not None:
         tags = [Nothing()] + [Just(c) for c in residuals]
-        enum = lambda dom: [(mc, a) for mc in tags for a in dom]
+        enum = _enumerated(lambda dom: [(mc, a) for mc in tags for a in dom])
     return ContainerShape(
         name=name or "MaybePair",
         map=lambda h, p: (p[0], h(p[1])),
@@ -183,7 +201,7 @@ def sum_shape(residuals=None, name=None) -> ContainerShape:
     enum = None
     if residuals is not None:
         residuals = tuple(residuals)
-        enum = lambda dom: [Left(c) for c in residuals] + [Right(a) for a in dom]
+        enum = _enumerated(lambda dom: [Left(c) for c in residuals] + [Right(a) for a in dom])
     return ContainerShape(
         name=name or "Sum",
         map=lambda h, p: Right(h(p.value)) if isinstance(p, Right) else p,
@@ -201,7 +219,7 @@ def maybe_shape(name=None) -> ContainerShape:
             to_sum=lambda p: Right(p.value) if isinstance(p, Just) else Left(UNIT),
             from_sum=lambda e: Just(e.value) if isinstance(e, Right) else Nothing(),
         ),
-        payloads=lambda dom: [Nothing()] + [Just(a) for a in dom],
+        payloads=_enumerated(lambda dom: [Nothing()] + [Just(a) for a in dom]),
     )
 
 
@@ -273,7 +291,7 @@ def compose_shapes(f: ContainerShape, g: ContainerShape) -> ContainerShape:
 
     enum = None
     if f.payloads and g.payloads:
-        enum = lambda dom: [Comp(fp) for fp in f.payloads(g.payloads(dom))]
+        enum = _enumerated(lambda dom: [Comp(fp) for fp in f.payloads(g.payloads(dom))])
 
     return ContainerShape(
         name=f"Compose({f.name},{g.name})",

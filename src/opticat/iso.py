@@ -136,15 +136,16 @@ def _tables_agree(l1, l2, payloads, dom_a, dom_b):
     ``payloads(dom_a)`` for every whole, and equal ``backward``s on
     ``payloads(dom_b)``.  Then the optics agree on every ``h``, because
     ``shape.map(h)`` sends ``payloads(dom_a)`` into ``payloads(dom_b)`` (the
-    ``functor.payloads_closed`` law)."""
+    ``functor.payloads_closed`` law).  Both enumerations are the shape's
+    stored tuples (see :class:`ContainerShape`)."""
     shape = l1.shape
     if shape.payloads is None or not _same_shape(shape, l2.shape):
         return False
-    over_a = shape.payloads(list(dom_a))
+    over_a = shape.payloads(dom_a)
     if not all(p1 == p2 and p1 in over_a for p1, p2 in payloads):
         return False
     bwd1, bwd2 = l1.backward, l2.backward
-    return all(bwd1(q) == bwd2(q) for q in shape.payloads(list(dom_b)))
+    return all(bwd1(q) == bwd2(q) for q in shape.payloads(dom_b))
 
 
 def _same_shape(a, b):

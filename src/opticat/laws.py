@@ -477,22 +477,48 @@ def _round_trip_laws(group, key, shape_name, payloads, to, back, budget):
     ]
 
 
+def _index(values):
+    """The first position of each hashable value."""
+    index = {}
+    for j, value in enumerate(values):
+        try:
+            index.setdefault(value, j)
+        except TypeError:
+            pass
+    return index
+
+
+def _lookup(index, value):
+    """``index[value]``, or None when the value is absent or unhashable."""
+    try:
+        return index.get(value)
+    except TypeError:
+        return None
+
+
 def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
     As, Bs = tuple(dom_a), labels("b", 2).elements
     payloads = shape.payloads(list(As))
     fns = all_functions(As, As)
 
     def map_composition():
-        # map(g, p) once per (g, p), and f . g once per (f, g) as a table
-        mapped = [[shape.map(g, p) for p in payloads] for g in fns]
-        for f in fns:
-            for g, g_mapped in zip(fns, mapped):
-                fg = FiniteFn((a, f(g(a))) for a in As)
-                for p, gp in zip(payloads, g_mapped):
+        # One table, mapped[h][j] = map(h, payloads[j]).  fns holds every
+        # function, f . g among them, so map(f . g, p) is a read of the row
+        # found by its image tuple; map(f, map(g, p)) reads row f where
+        # map(g, p) sits in the payloads (functor.payloads_closed), and is
+        # mapped afresh when it is not there or cannot be hashed.
+        mapped = [[shape.map(h, p) for p in payloads] for h in fns]
+        row_of = {tuple(map(h, As)): row for h, row in zip(fns, mapped)}
+        index = _index(payloads)
+        at = [[_lookup(index, gp) for gp in row] for row in mapped]
+        for f, f_mapped in zip(fns, mapped):
+            for g, g_mapped, g_at in zip(fns, mapped, at):
+                fg_mapped = row_of[tuple(f(g(a)) for a in As)]
+                for p, fgp, gp, j in zip(payloads, fg_mapped, g_mapped, g_at):
                     yield (
                         {"shape": shape.name, "f": f, "g": g, "p": p},
-                        shape.map(fg, p),
-                        shape.map(f, gp),
+                        fgp,
+                        shape.map(f, gp) if j is None else f_mapped[j],
                     )
 
     def payloads_closed():

@@ -212,3 +212,53 @@ def test_affine_unsupported_on_cps():
     assert not affine_supported(cps_shape())
     with pytest.raises(UnsupportedShapeError):
         affine_match(cps_shape(), lambda fn: None)
+
+
+# Payload enumerations ------------------------------------------------------------
+
+def memo_shapes():
+    from opticat.laws import standard_shapes
+
+    shapes = list(standard_shapes().values())
+    nested = compose_shapes(compose_shapes(pair_shape(("r0",)), maybe_shape()), id_shape())
+    return shapes + [nested]
+
+
+@pytest.mark.parametrize("shape", memo_shapes(), ids=lambda s: s.name)
+def test_payloads_enumerate_once_per_domain(shape):
+    # Equal domains share one tuple, whatever holds their elements.
+    from opticat.laws import FiniteDomain
+
+    first = shape.payloads(list(DOM))
+    assert type(first) is tuple
+    for dom in (list(DOM), DOM, FiniteDomain("a", DOM)):
+        assert shape.payloads(dom) is first
+    other = shape.payloads(DOM[:2])
+    assert other is not first and shape.payloads(list(DOM[:2])) is other
+
+
+def test_payload_memo_belongs_to_its_shape():
+    # No table outlives the shape: two shapes built alike enumerate apart.
+    assert pair_shape(("r0",)).payloads(DOM) is not pair_shape(("r0",)).payloads(DOM)
+
+
+@pytest.mark.parametrize("shape", memo_shapes(), ids=lambda s: s.name)
+def test_shapes_survive_deepcopy(shape):
+    import copy
+
+    assert copy.deepcopy(shape) == shape
+
+
+def test_payload_order_is_pinned():
+    # Seeded fixtures draw from the enumeration with rng.choice, so its
+    # order is part of every fixture.
+    assert pair_shape(("r0", "r1")).payloads(DOM[:2]) == (
+        ("r0", "a0"), ("r0", "a1"), ("r1", "a0"), ("r1", "a1"),
+    )
+    shape = compose_shapes(sum_shape(("r0",)), maybe_shape())
+    assert shape.payloads(DOM[:2]) == (
+        Comp(Left("r0")),
+        Comp(Right(Nothing())),
+        Comp(Right(Just("a0"))),
+        Comp(Right(Just("a1"))),
+    )

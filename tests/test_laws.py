@@ -6,7 +6,7 @@ import json
 import pytest
 
 from opticat.families import Lens
-from opticat.functors import pair_shape
+from opticat.functors import ContainerShape, pair_shape
 from opticat.laws import (
     FAIL,
     INCONCLUSIVE,
@@ -16,6 +16,7 @@ from opticat.laws import (
     check_adapter_laws,
     check_achlens_laws,
     check_enhancing_laws,
+    check_functor_laws,
     check_lens_laws,
     check_optional_laws,
     check_prism_laws,
@@ -211,10 +212,8 @@ def test_budget_marks_inconclusive_never_passed():
     assert not reports["lens.get_put"].passed
 
 
-def test_shape_whose_payloads_leave_one_out_fails_payloads_closed():
-    from opticat.functors import ContainerShape
-    from opticat.laws import check_functor_laws
-
+def _lossy_pair():
+    """A pair shape whose enumeration leaves its last payload out."""
     pair = pair_shape(("r0", "r1"))
     lossy = ContainerShape(
         name="LossyPair",
@@ -222,6 +221,11 @@ def test_shape_whose_payloads_leave_one_out_fails_payloads_closed():
         product=pair.product,
         payloads=lambda dom: pair.payloads(dom)[:-1],
     )
+    return pair, lossy
+
+
+def test_shape_whose_payloads_leave_one_out_fails_payloads_closed():
+    pair, lossy = _lossy_pair()
     reports = {rep.law: rep for rep in check_functor_laws(lossy, labels("a", 3))}
     rep = reports["functor.payloads_closed"]
     assert rep.status == FAIL
@@ -234,14 +238,84 @@ def test_shape_whose_payloads_leave_one_out_fails_payloads_closed():
     assert reports["functor.map_composition"].passed
 
 
+def _list_pair():
+    """A pair shape whose map returns a list, which no enumeration holds
+    and no dict can hash; mapping a list again forgets the function."""
+    pair = pair_shape(("r0", "r1"))
+    return ContainerShape(
+        name="ListPair",
+        map=lambda h, p: [p[0], h(p[1])] if isinstance(p, tuple) else list(p),
+        payloads=pair.payloads,
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, line",
+    [
+        (
+            _lossy_pair()[1],
+            '{"cases": 3645, "counterexample": null, "law": "functor.map_composition", '
+            '"status": "PASS"}',
+        ),
+        (
+            _list_pair(),
+            '{"cases": 9, "counterexample": {"actual": ["r0", "a1"], "expected": ["r0", "a0"], '
+            '"inputs": {"f": "FiniteFn({\'a0\':\'a0\', \'a1\':\'a0\', \'a2\':\'a0\'})", '
+            '"g": "FiniteFn({\'a0\':\'a0\', \'a1\':\'a0\', \'a2\':\'a1\'})", '
+            '"p": ["r0", "a2"], "shape": "ListPair"}}, "law": "functor.map_composition", '
+            '"status": "FAIL"}',
+        ),
+    ],
+    ids=["lossy", "unhashable"],
+)
+def test_map_composition_maps_afresh_off_the_enumeration(shape, line):
+    # map(g, p) off the enumeration, or unhashable, is mapped again with f
+    # instead of read from the table: the verdict and counterexample are
+    # those of mapping every case, pinned from that implementation.
+    reports = check_functor_laws(shape, labels("a", 3))
+    lines = [out for out in report_lines(reports) if '"functor.map_composition"' in out]
+    assert lines == [line]
+
+
+def test_functor_laws_map_each_function_and_payload_once():
+    # Over the standard shapes, functor.map_composition reads map(f . g, p)
+    # and map(f, map(g, p)) from one table of map(h, p), so the checker maps
+    # 36 times per payload (the identity, 27 table rows over a 3-element
+    # domain, 8 closure probes): 2 376 calls, against 98 604 when each
+    # composition case maps on both sides.
+    calls = 0
+
+    def counting(inner):
+        def map_(h, p):
+            nonlocal calls
+            calls += 1
+            return inner(h, p)
+        return map_
+
+    for shape in standard_shapes().values():
+        fields = {name: getattr(shape, name) for name in ContainerShape.__slots__}
+        fields["map"] = counting(shape.map)
+        reports = check_functor_laws(ContainerShape(**fields), labels("a", 3))
+        assert all(rep.passed for rep in reports), shape.name
+    assert 0 < calls <= 2376
+
+
 # Coverage, merging, reports --------------------------------------------------------
 
-def test_entry_point_fails_when_reported_laws_differ_from_required(monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def default_reports():
+    """One default run_all_law_checks(), for the tests that only read it."""
+    return run_all_law_checks()
+
+
+def test_entry_point_fails_when_reported_laws_differ_from_required(
+    default_reports, monkeypatch, capsys
+):
     # REQUIRED_LAWS is the coverage list: main exits 1 when the suite
     # reports another law set, even though every reported law passes.
     import opticat.laws as laws
 
-    reports = run_all_law_checks()
+    reports = default_reports
     monkeypatch.setattr(laws, "run_all_law_checks", lambda: reports)
     for required, code in [
         (REQUIRED_LAWS, 0),
@@ -273,8 +347,8 @@ def test_entry_point_rejects_arguments(argv, monkeypatch, capsys):
         assert len(err.splitlines()) == 1 and err.endswith("\n")
 
 
-def test_full_suite_passes_and_covers_required_laws():
-    reports = run_all_law_checks()
+def test_full_suite_passes_and_covers_required_laws(default_reports):
+    reports = default_reports
     assert {rep.law for rep in reports} == set(REQUIRED_LAWS)
     failing = [rep.law for rep in reports if not rep.passed]
     assert failing == []
@@ -445,11 +519,14 @@ def test_fail_counterexample_prints_probe_functions_by_repr():
     "golden, budget",
     [("law_report.jsonl", None), ("law_report_budget20.jsonl", 20)],
 )
-def test_law_reports_match_golden(golden, budget):
+def test_law_reports_match_golden(golden, budget, request):
     # Speed work on the suite may not change a verdict or a case count: the
     # golden files are `python -m opticat.laws` and the budget-20 report.
     from pathlib import Path
 
     expected = (Path(__file__).parent / "golden" / golden).read_text().splitlines()
-    reports = run_all_law_checks() if budget is None else run_all_law_checks(budget=budget)
+    if budget is None:
+        reports = request.getfixturevalue("default_reports")
+    else:
+        reports = run_all_law_checks(budget=budget)
     assert list(report_lines(reports)) == expected
