@@ -186,34 +186,38 @@ def _fail(doc, name, expected):
     raise DocTypeError(f"{name} expects {expected}, got {_kind(doc)}")
 
 
-def _as_pair(doc, step):
-    if not isinstance(doc, list) or len(doc) != 2:
-        _fail(doc, step, "a 2-element array")
-    return doc
-
-
-def _is_some(doc):
-    # options encode as null (absent) or a single-key {"some": ...} object
-    return isinstance(doc, dict) and len(doc) == 1 and "some" in doc
-
-
 _MISS = object()  # a view's result where a partial step has no focus
 
 # Each step kind, stated once as (family, view, over).  ``view(arg, d)``
 # checks d's type, then gives the focus, or _MISS.  ``over(arg, h)`` gives
 # the function that checks d's type, then rebuilds d with ``h`` applied to
 # the focus, and gives d itself on a miss.  These are the step's actions on
-# the reading capabilities and on the function arrow.
+# the reading capabilities and on the function arrow.  Each check is an
+# inline ``isinstance``/``len`` test, so a step costs one frame per element;
+# only a failed check calls ``_fail``.  Options encode as null (absent) or a
+# single-key {"some": ...} object.
 _STEPS = {
     FST: (
         FamilyTag.LENS,
-        lambda _, d: _as_pair(d, FST)[0],
-        lambda _, h: lambda d: [h(_as_pair(d, FST)[0]), d[1]],
+        lambda _, d: (
+            d[0] if isinstance(d, list) and len(d) == 2
+            else _fail(d, FST, "a 2-element array")
+        ),
+        lambda _, h: lambda d: (
+            [h(d[0]), d[1]] if isinstance(d, list) and len(d) == 2
+            else _fail(d, FST, "a 2-element array")
+        ),
     ),
     SND: (
         FamilyTag.LENS,
-        lambda _, d: _as_pair(d, SND)[1],
-        lambda _, h: lambda d: [_as_pair(d, SND)[0], h(d[1])],
+        lambda _, d: (
+            d[1] if isinstance(d, list) and len(d) == 2
+            else _fail(d, SND, "a 2-element array")
+        ),
+        lambda _, h: lambda d: (
+            [d[0], h(d[1])] if isinstance(d, list) and len(d) == 2
+            else _fail(d, SND, "a 2-element array")
+        ),
     ),
     KEY: (
         FamilyTag.OPTIONAL,
@@ -240,11 +244,14 @@ _STEPS = {
     SOME: (
         FamilyTag.PRISM,
         lambda _, d: (
-            _MISS if d is None else d["some"] if _is_some(d)
+            _MISS if d is None
+            else d["some"] if isinstance(d, dict) and len(d) == 1 and "some" in d
             else _fail(d, SOME, "null or a some-object")
         ),
         lambda _, h: lambda d: (
-            d if d is None else {"some": h(d["some"])} if _is_some(d)
+            d if d is None
+            else {"some": h(d["some"])}
+            if isinstance(d, dict) and len(d) == 1 and "some" in d
             else _fail(d, SOME, "null or a some-object")
         ),
     ),
@@ -357,10 +364,17 @@ def _loads(text):
 
 
 def render(doc) -> str:
-    """Canonical serialization: sorted keys, no insignificant whitespace."""
+    """Canonical serialization: sorted keys, no insignificant whitespace.
+
+    Every value rendered here holds no cycle: documents and values come from
+    ``json.loads``, and a write only rebuilds containers along its path (a
+    ``set`` through ``each`` shares its value between rows, which is not a
+    cycle).  So the encoder skips its per-container cycle bookkeeping.  Its
+    depth guard stays: a value too deep to render raises ``RecursionError``.
+    """
     return json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-        allow_nan=False,
+        allow_nan=False, check_circular=False,
     )
 
 

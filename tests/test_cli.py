@@ -1,6 +1,7 @@
 """Path parsing, compilation, command semantics, and the golden table."""
 
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -261,6 +262,60 @@ def test_golden(command, path, value, doc, exit_code, stdout):
         assert out == stdout
 
 
+# One mismatch per step kind, read and write, and one per map function: the
+# whole message, byte for byte.
+TYPE_ERRORS = [
+    ("get", "fst", None, {}, 3,
+     "opticat: type error: fst expects a 2-element array, got object"),
+    ("set", "fst", "0", [1, 2, 3], 3,
+     "opticat: type error: fst expects a 2-element array, got array"),
+    ("get", "snd", None, "x", 3,
+     "opticat: type error: snd expects a 2-element array, got string"),
+    ("set", "snd", "0", [1], 3,
+     "opticat: type error: snd expects a 2-element array, got array"),
+    ("match", "key(a)", None, [1], 3,
+     "opticat: type error: key(a) expects an object, got array"),
+    ("set", 'key("a b")', "0", 1, 3,
+     "opticat: type error: key(a b) expects an object, got number"),
+    ("match", "idx(0)", None, {}, 3,
+     "opticat: type error: idx(0) expects an array, got object"),
+    ("set", "idx(1)", "0", None, 3,
+     "opticat: type error: idx(1) expects an array, got null"),
+    ("match", "some", None, 1, 3,
+     "opticat: type error: some expects null or a some-object, got number"),
+    ("match", "some", None, {"some": 1, "x": 2}, 3,
+     "opticat: type error: some expects null or a some-object, got object"),
+    ("set", "some", "0", [1], 3,
+     "opticat: type error: some expects null or a some-object, got array"),
+    ("map", "some", "incr", {"none": 1}, 3,
+     "opticat: type error: some expects null or a some-object, got object"),
+    # each has no read
+    ("get", "each", None, [1], 2,
+     "opticat: command 'get' is not supported by a SETTER path"),
+    ("map", "each", "incr", {}, 3,
+     "opticat: type error: each expects an array, got object"),
+    ("set", "each.fst", "0", [[1, 2], True], 3,
+     "opticat: type error: fst expects a 2-element array, got boolean"),
+    ("map", "snd.some.key(v)", "incr", [0, {"some": {"v": "x"}}], 3,
+     "opticat: type error: incr expects a number, got string"),
+    ("map", "fst", "negate", [True, 0], 3,
+     "opticat: type error: negate expects a number, got boolean"),
+    ("map", "fst", "upper", [1, 0], 3,
+     "opticat: type error: upper expects a string, got number"),
+    ("map", "fst", "lower", [None, 0], 3,
+     "opticat: type error: lower expects a string, got null"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,value,doc,exit_code,message",
+    TYPE_ERRORS,
+    ids=[f"{c[0]}-{c[1]}-{i}" for i, c in enumerate(TYPE_ERRORS)],
+)
+def test_type_error_messages(command, path, value, doc, exit_code, message):
+    assert run(command, path, value, doc) == (exit_code, message)
+
+
 def test_strict_turns_misses_into_exit_3():
     assert run("set", "key(a)", "9", {"b": 1}, strict=True)[0] == EXIT_TYPE
     assert run("map", "snd.some", "incr", [1, None], strict=True)[0] == EXIT_TYPE
@@ -431,22 +486,35 @@ def test_too_deep_to_evaluate_or_render_exits_3():
 
 
 def test_long_path_put_visits_each_step_a_bounded_number_of_times(monkeypatch):
-    # Composed right to left, a put runs each step's get and put once; a
-    # left fold re-ran the whole prefix at every step (n^2/2 gets).
-    import opticat.cli as cli
-
+    # Composed right to left, a put runs each step's modify action once; a
+    # left fold re-ran the whole prefix at every step (n^2/2 reads).
     n = 800
-    optic, _ = compile_path(PathExpr((Step("fst"),) * n))
     calls = []
-    as_pair = cli._as_pair
+    family, view, over = cli._STEPS["fst"]
 
-    def counting(doc, step):
-        calls.append(step)
-        return as_pair(doc, step)
+    def counted_view(arg, d):
+        calls.append("view")
+        return view(arg, d)
 
-    monkeypatch.setattr(cli, "_as_pair", counting)
-    assert optic.put(7, _deep_pairs(n)) == _deep_pairs(n, leaf=7)
-    assert len(calls) <= 2 * n
+    def counted_over(arg, h):
+        action = over(arg, h)
+
+        def counted(d):
+            calls.append("over")
+            return action(d)
+
+        return counted
+
+    monkeypatch.setitem(cli._STEPS, "fst", (family, counted_view, counted_over))
+    optic, _ = compile_path(PathExpr((Step("fst"),) * n))
+    # The counting wrapper is a second frame per step.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * n)
+    try:
+        assert optic.put(7, _deep_pairs(n)) == _deep_pairs(n, leaf=7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 0 < len(calls) <= 2 * n
 
 
 _DOCS = st.recursive(
@@ -461,6 +529,44 @@ _STEPS = st.one_of(
     st.builds(Step, st.just("key"), st.sampled_from(["a", "b", "some"])),
     st.builds(Step, st.just("idx"), st.integers(0, 2)),
 )
+
+
+def _reference_render(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_render_matches_the_cycle_checked_encoder(doc):
+    assert render(doc) == _reference_render(doc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    doc=_DOCS,
+    path=st.lists(_STEPS, min_size=1, max_size=4).map(lambda steps: PathExpr(tuple(steps))),
+    write=st.sampled_from([("set", "0"), ("set", "[1]"), ("set", '{"a":[0]}'),
+                           ("map", "incr"), ("map", "upper")]),
+)
+def test_writes_render_canonically_and_leave_their_input_alone(doc, path, write):
+    command, value = write
+    before = copy.deepcopy(doc)
+    # a set shares one value between every focus, as run's set does
+    shared = None if command == "map" else json.loads(value)
+    h = cli._map_fn(value) if command == "map" else lambda _: shared
+    try:
+        out = compile_path(path)[0].map_optic(h)(doc)
+    except cli.DocTypeError:
+        out = None
+    else:
+        assert render(out) == _reference_render(out)
+    assert doc == before
+    code, text = run(command, print_path(path), value, doc)
+    assert doc == before
+    if out is not None and code == EXIT_OK:
+        assert text == _reference_render(out)
 
 
 @settings(max_examples=300, deadline=None,

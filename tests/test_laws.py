@@ -435,10 +435,11 @@ def test_merge_is_deterministic_and_keeps_first_failure():
     assert merged[0].failures == [{"inputs": 1, "expected": 2, "actual": 3}]
 
 
-def test_law_report_entry_point(capsys):
-    from opticat.laws import main
+def test_law_report_entry_point(default_reports, monkeypatch, capsys):
+    import opticat.laws as laws
 
-    assert main([]) == 0
+    monkeypatch.setattr(laws, "run_all_law_checks", lambda: default_reports)
+    assert laws.main([]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= len(REQUIRED_LAWS)
     assert all(json.loads(line)["status"] == PASS for line in lines)
