@@ -17,7 +17,6 @@ not Unicode text).
 import gc
 import json
 import math
-import operator
 import re
 import sys
 from functools import reduce
@@ -327,24 +326,14 @@ _REQUIRES = {
     "build": FamilyTag.PRISM,
 }
 
-# map function name -> (the exact types it accepts, their kind, the function)
+# map function name -> the function.  Each checks its argument's exact type
+# inline, so a mapped element costs one frame; only a mismatch calls _fail.
 _MAP_FNS = {
-    "incr": ((int, float), "a number", lambda x: x + 1),
-    "negate": ((int, float), "a number", operator.neg),
-    "upper": ((str,), "a string", str.upper),
-    "lower": ((str,), "a string", str.lower),
+    "incr": lambda x: x + 1 if type(x) in (int, float) else _fail(x, "incr", "a number"),
+    "negate": lambda x: -x if type(x) in (int, float) else _fail(x, "negate", "a number"),
+    "upper": lambda x: x.upper() if type(x) is str else _fail(x, "upper", "a string"),
+    "lower": lambda x: x.lower() if type(x) is str else _fail(x, "lower", "a string"),
 }
-
-
-def _map_fn(name):
-    types, expected, fn = _MAP_FNS[name]
-
-    def h(x):
-        if type(x) not in types:
-            _fail(x, name, expected)
-        return fn(x)
-
-    return h
 
 
 def _not_json(constant):
@@ -421,7 +410,7 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
         elif command == "build":
             out = optic.build(value)
         else:
-            h = _map_fn(value_text) if command == "map" else lambda _: value
+            h = _MAP_FNS[value_text] if command == "map" else lambda _: value
             out = optic.map_optic(h)(doc)
         text = render(out)
     except DocTypeError as exc:

@@ -72,14 +72,10 @@ def _lens_enhance(shape: ContainerShape) -> Lens:
 def _prism_enhance(shape: ContainerShape) -> Prism:
     if shape.sum is None:
         raise UnsupportedShapeError(f"shape {shape.name} has no sum capability")
-
-    def match(p):
-        e = shape.sum.to_sum(p)
-        if isinstance(e, Left):
-            return Left(shape.sum.from_sum(e))
-        return e
-
-    return Prism(match=match, build=lambda b: shape.sum.from_sum(Right(b)))
+    return Prism(
+        match=lambda p: affine_match(shape, p),
+        build=lambda b: shape.sum.from_sum(Right(b)),
+    )
 
 
 def _setter_enhance(shape: ContainerShape) -> Setter:

@@ -1,8 +1,10 @@
 """Concrete optic families and the operations every family shares.
 
-Each family is a small record of total functions.  All families support the
-same four operations: composition, identity, injection of a plain function
-pair, and an action on functions (``map_optic``).  Composing two records of
+Each family is a small record of total functions.  Every family's class
+carries the same operations: the class method ``inj`` injects a plain
+function pair (the identity optic is ``inj(identity, identity)``), and the
+methods ``compose`` and ``map_optic`` (an action on functions) run on
+records.  Composing two records of
 different families raises.  Heterogeneous composition goes either through
 the tag lattice, where :func:`embed` takes each record into the join of the
 families, or through the profunctor encoding (see :mod:`opticat.prof`).
@@ -259,28 +261,6 @@ CONCRETE_FAMILIES = {
     FamilyTag.ACHLENS: AchLens,
     FamilyTag.SETTER: Setter,
 }
-
-
-def compose(outer, inner):
-    """Compose two optics of the same family, outer applied to the whole."""
-    return outer.compose(inner)
-
-
-def identity_optic(family):
-    """The identity optic of a family (class or tag)."""
-    cls = CONCRETE_FAMILIES.get(family, family)
-    return cls.inj(identity, identity)
-
-
-def inj_optic(family, fwd, bwd):
-    """Embed a plain function pair into a family (class or tag)."""
-    cls = CONCRETE_FAMILIES.get(family, family)
-    return cls.inj(fwd, bwd)
-
-
-def map_optic(optic, h):
-    """Run an optic as a function transformer: ``(a -> b) -> (s -> t)``."""
-    return optic.map_optic(h)
 
 
 def multi_map_optic(fa, fb, fs, ft, optic):

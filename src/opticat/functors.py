@@ -83,14 +83,14 @@ class ContainerShape(Record):
     # in here runs as given.  parts is (f, g) on a compose_shapes result and
     # None otherwise; two results over the same parts act alike.
     __slots__ = (
-        "name", "map", "product", "sum", "point", "ident", "payloads", "parts", "lawful",
+        "name", "map", "product", "sum", "point", "ident", "payloads", "parts",
     )
 
     def __init__(
         self, name, map, product=None, sum=None, point=None, ident=None,
-        payloads=None, parts=None, lawful=True,
+        payloads=None, parts=None,
     ):
-        super().__init__(name, map, product, sum, point, ident, payloads, parts, lawful)
+        super().__init__(name, map, product, sum, point, ident, payloads, parts)
         if self.point is not None and self.product is None:
             raise ValueError(f"shape {self.name}: point requires product")
 
@@ -302,7 +302,6 @@ def compose_shapes(f: ContainerShape, g: ContainerShape) -> ContainerShape:
         ident=ident,
         payloads=enum,
         parts=(f, g),
-        lawful=f.lawful and g.lawful,
     )
 
 
@@ -371,15 +370,14 @@ def is_affine() -> FunctorFamily:
 
 
 _ID_SHAPE = _mk_id_shape()
-_ANY_FUNCTOR = FunctorFamily("Functor", lambda s: s.lawful)
-_IS_PRODUCT = FunctorFamily("IsProduct", lambda s: s.lawful and s.product is not None)
-_IS_SUM = FunctorFamily("IsSum", lambda s: s.lawful and s.sum is not None)
+_ANY_FUNCTOR = FunctorFamily("Functor", lambda s: True)
+_IS_PRODUCT = FunctorFamily("IsProduct", lambda s: s.product is not None)
+_IS_SUM = FunctorFamily("IsSum", lambda s: s.sum is not None)
 _IS_POINTED_PRODUCT = FunctorFamily(
-    "IsPointedProduct",
-    lambda s: s.lawful and s.product is not None and s.point is not None,
+    "IsPointedProduct", lambda s: s.product is not None and s.point is not None
 )
-_ID_ONLY = FunctorFamily("IdOnly", lambda s: s.lawful and s.ident is not None)
-_IS_AFFINE = FunctorFamily("IsAffine", lambda s: s.lawful and affine_supported(s))
+_ID_ONLY = FunctorFamily("IdOnly", lambda s: s.ident is not None)
+_IS_AFFINE = FunctorFamily("IsAffine", affine_supported)
 
 FAMILY_REGISTRY = {
     fam.name: fam

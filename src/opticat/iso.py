@@ -77,10 +77,6 @@ def iso_compose(outer: IsoOptic, inner: IsoOptic) -> IsoOptic:
     )
 
 
-def iso_map_optic(optic: IsoOptic, h):
-    return optic.map_optic(h)
-
-
 def iso_dimap(fs, ft, optic: IsoOptic) -> IsoOptic:
     """Reparametrize the whole-structure slots without growing the shape."""
     return IsoOptic(

@@ -3,8 +3,10 @@
 Checkers never assert; they return :class:`LawReport` values whose failures
 carry the first counterexample in enumeration order.  Budgeted runs that hit
 the evaluation cap, or that would compare optics on a sampled probe set, come
-back INCONCLUSIVE, never silently passed.  Every comparison of two optics
-goes through :func:`observational_eq`.  The evaluation budget is the suite's
+back INCONCLUSIVE, never silently passed.  Laws that state two optics equal
+compare them through :func:`observational_eq`; ``optic_family.map_inj``,
+``optic_family.map_composition`` and ``functorization.map_is_shape_map``
+compare map actions probe by probe.  The evaluation budget is the suite's
 only setting: fixtures and seeds are fixed.  :data:`REQUIRED_LAWS` is the
 coverage list, and :func:`main` fails when the laws the suite reports differ
 from it.
@@ -50,8 +52,6 @@ from .prof import (
     FUNCTION_ARROW,
     GETTING,
     MATCHING,
-    Getting,
-    Matching,
     iso_capability,
     iso_to_prof,
     prof_inj,
@@ -189,11 +189,6 @@ def report_lines(reports):
         )
 
 
-def write_report(reports, fp):
-    for line in report_lines(reports):
-        fp.write(line + "\n")
-
-
 def _plain(value):
     if isinstance(value, dict) and not isinstance(value, FiniteFn):
         return {k: _plain(v) for k, v in value.items()}
@@ -261,11 +256,6 @@ def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
 def gen_lawful_adapter(seed, dom_a, dom_s=None) -> Adapter:
     _, fwd, bwd = _seeded_bijection(seed, list(dom_a), dom_s, "|A|")
     return Adapter(fwd=lambda s: fwd[s], bwd=lambda a: bwd[a])
-
-
-def gen_setter(shape) -> Setter:
-    """The canonical lawful setter of a shape: its map action."""
-    return Setter(over=lambda h: (lambda p: shape.map(h, p)))
 
 
 def gen_lawful_optional(seed, dom_miss, dom_keep, dom_a, dom_s=None) -> Optional:
@@ -552,10 +542,9 @@ def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
 class FamilyFixture:
     """Everything the shared-operation law checker needs for one family."""
 
-    def __init__(self, name, identity, inj, triples, doms, inj_tables):
+    def __init__(self, name, inj, triples, doms, inj_tables):
         self.name = name
-        self.identity = identity      # () -> identity optic
-        self.inj = inj                # (fwd, bwd) -> optic
+        self.inj = inj                # (fwd, bwd) -> optic; inj(identity, identity) is the identity
         self.triples = triples        # [(o1, o2, o3)] composable, outermost first
         self.doms = doms              # keys: s, a1, a2, a3  (simple optics: b=a, t=s)
         # [(f, g, f2, g2)]  f: s->a1, g: a1->s, f2: a1->a3, g2: a3->a1
@@ -596,15 +585,17 @@ def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
             for i, (o1, o2, o3) in triples
         ),
         _LawRun("optic_family.identity_left", budget).agreements(
-            ({"fixture": fix.name, "triple": i}, fix.identity().compose(o1), o1, d1, d1, ds)
+            ({"fixture": fix.name, "triple": i}, fix.inj(identity, identity).compose(o1), o1, d1, d1, ds)
             for i, (o1, _, _) in triples
         ),
         _LawRun("optic_family.identity_right", budget).agreements(
-            ({"fixture": fix.name, "triple": i}, o1.compose(fix.identity()), o1, d1, d1, ds)
+            ({"fixture": fix.name, "triple": i}, o1.compose(fix.inj(identity, identity)), o1, d1, d1, ds)
             for i, (o1, _, _) in triples
         ),
+        # The identity optic is inj(identity, identity), so this compares
+        # two separate injections of the identity pair.
         _LawRun("optic_family.inj_identity", budget).agreements(
-            ({"fixture": fix.name, "table": i}, fix.inj(identity, identity), fix.identity(), ds, ds, ds)
+            ({"fixture": fix.name, "table": i}, fix.inj(identity, identity), fix.inj(identity, identity), ds, ds, ds)
             for i, _ in tables
         ),
         _LawRun("optic_family.inj_composition", budget).agreements(
@@ -646,11 +637,9 @@ def concrete_family_fixture(tag: FamilyTag) -> FamilyFixture:
         )
         for k in range(3)
     ]
-    cls = CONCRETE_FAMILIES[tag]
     return FamilyFixture(
         name=f"concrete.{tag.value}",
-        identity=lambda: cls.inj(identity, identity),
-        inj=cls.inj,
+        inj=CONCRETE_FAMILIES[tag].inj,
         triples=triples,
         doms=doms,
         inj_tables=_inj_tables(random.Random(f"inj:{tag}:0"), doms),
@@ -677,7 +666,6 @@ def iso_family_fixture(family, shape_pool) -> FamilyFixture:
         )
     return FamilyFixture(
         name=f"iso.{family.name}",
-        identity=lambda: iso_identity(family),
         inj=lambda f, g: iso_inj(f, g, family),
         triples=triples,
         doms=doms,
@@ -796,12 +784,18 @@ class CapabilityFixture:
         self.eq = eq          # (run, p1, p2, dom_in) -> bool
 
 
+def _pointwise_eq(run, p1, p2, din):
+    """Equality of function-valued profunctor values (arrows and readers):
+    they agree on every input."""
+    return all(p1(x) == p2(x) for x in din)
+
+
 def function_arrow_fixture():
     return CapabilityFixture(
         name="FunctionArrow",
         cap=FUNCTION_ARROW,
         values=lambda din, dout: all_functions(din, dout),
-        eq=lambda run, p1, p2, din: all(p1(x) == p2(x) for x in din),
+        eq=_pointwise_eq,
     )
 
 
@@ -810,8 +804,8 @@ def getting_fixture(focus_dom):
     return CapabilityFixture(
         name="Getting",
         cap=GETTING,
-        values=lambda din, dout: [Getting(f) for f in all_functions(din, focus)],
-        eq=lambda run, p1, p2, din: all(p1.run(x) == p2.run(x) for x in din),
+        values=lambda din, dout: all_functions(din, focus),
+        eq=_pointwise_eq,
     )
 
 
@@ -820,13 +814,13 @@ def matching_fixture(focus_dom):
 
     def values(din, dout):
         cells = [Left(y) for y in dout] + [Right(a) for a in focus]
-        return [Matching(f) for f in all_functions(din, cells)]
+        return all_functions(din, cells)
 
     return CapabilityFixture(
         name="Matching",
         cap=MATCHING,
         values=values,
-        eq=lambda run, p1, p2, din: all(p1.run(x) == p2.run(x) for x in din),
+        eq=_pointwise_eq,
     )
 
 
@@ -1281,7 +1275,7 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
         reports += check_achlens_laws(al, big_a, dom_ls, budget)
         ad = gen_lawful_adapter(k, big_a, labels("s", 3))
         reports += check_adapter_laws(ad, big_a, labels("s", 3), budget)
-        st = gen_setter(shapes["pair"])
+        st = functorize(FamilyTag.SETTER).enhance_op(shapes["pair"])
         reports += check_setter_laws(
             st, big_a, shapes["pair"].payloads(list(big_a)), budget
         )
@@ -1370,7 +1364,8 @@ def main(argv=None):
         print(f"python -m opticat.laws: takes no arguments, got {args[0]!r}", file=sys.stderr)
         return 2
     reports = run_all_law_checks()
-    write_report(reports, sys.stdout)
+    for line in report_lines(reports):
+        sys.stdout.write(line + "\n")
     covered = {rep.law for rep in reports} == set(REQUIRED_LAWS)
     return 0 if covered and all(rep.passed for rep in reports) else 1
 

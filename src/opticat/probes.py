@@ -34,10 +34,6 @@ class FiniteFn(dict):
     def __ne__(self, other):
         return self is not other
 
-    @property
-    def table(self):
-        return dict(self)
-
     def __repr__(self):
         items = ", ".join(f"{k!r}:{v!r}" for k, v in self.items())
         return f"FiniteFn({{{items}}})"

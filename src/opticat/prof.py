@@ -43,19 +43,11 @@ class ProfOptic(Record):
         )
 
     def map_optic(self, h):
-        return prof_apply(self, FUNCTION_ARROW, h)
-
-
-def prof_apply(optic: ProfOptic, cap: ProfunctorCapability, pab):
-    return optic.run(cap, pab)
+        return self.run(FUNCTION_ARROW, h)
 
 
 def prof_inj(fwd, bwd, family) -> ProfOptic:
     return ProfOptic(family=family, run=lambda cap, p: cap.dimap(fwd, bwd, p))
-
-
-def prof_identity(family) -> ProfOptic:
-    return prof_inj(identity, identity, family)
 
 
 def _merge_families(f1: FunctorFamily, f2: FunctorFamily) -> FunctorFamily:
@@ -83,43 +75,34 @@ FUNCTION_ARROW = ProfunctorCapability(
 )
 
 
-class Getting(Record):
-    """Forgets the update side: carries only a reader to the focus."""
-
-    # run: s -> a
-    __slots__ = ("run",)
-
+# A Getting value forgets the update side: it is a reader s -> a.
 
 def _getting_enhance(shape, p):
     if shape.product is None:
         raise UnsupportedOperatorError(
             f"get needs a product decomposition; shape {shape.name} has none"
         )
-    return Getting(lambda payload: p.run(shape.product.to_product(payload)[1]))
+    return lambda payload: p(shape.product.to_product(payload)[1])
 
 
 GETTING = ProfunctorCapability(
     name="Getting",
-    dimap=lambda f, g, p: Getting(lambda s: p.run(f(s))),
+    dimap=lambda f, g, p: (lambda s: p(f(s))),
     enhance=_getting_enhance,
 )
 
 
-class Matching(Record):
-    """Carries a partial reader: Right(focus) on a hit, Left(rest) on a miss."""
-
-    # run: s -> Left(t) | Right(a)
-    __slots__ = ("run",)
-
+# A Matching value is a partial reader s -> Left(t) | Right(a): Right(focus)
+# on a hit, Left(rest) on a miss.
 
 def _matching_dimap(f, g, p):
     def run(s):
-        e = p.run(f(s))
+        e = p(f(s))
         if isinstance(e, Left):
             return Left(g(e.value))
         return e
 
-    return Matching(run)
+    return run
 
 
 def _matching_enhance(shape, p):
@@ -132,13 +115,13 @@ def _matching_enhance(shape, p):
         m = affine_match(shape, payload)
         if isinstance(m, Left):
             return m
-        e = p.run(m.value)
+        e = p(m.value)
         if isinstance(e, Left):
             t = e.value
             return Left(shape.map(lambda _: t, payload))
         return e
 
-    return Matching(run)
+    return run
 
 
 MATCHING = ProfunctorCapability(
@@ -150,12 +133,12 @@ MATCHING = ProfunctorCapability(
 
 def get_operator(optic: ProfOptic):
     """Total reader of a profunctor optic over a product-capable family."""
-    return optic.run(GETTING, Getting(identity)).run
+    return optic.run(GETTING, identity)
 
 
 def match_operator(optic: ProfOptic):
     """Partial reader: s -> Left(rest) | Right(focus)."""
-    return optic.run(MATCHING, Matching(Right)).run
+    return optic.run(MATCHING, Right)
 
 
 # Prebuilt profunctor optics -------------------------------------------------

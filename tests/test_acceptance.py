@@ -41,7 +41,6 @@ from opticat.prof import (
     get_operator,
     iso_to_prof,
     match_operator,
-    prof_apply,
     prof_first,
     prof_just,
     prof_to_iso,
@@ -73,9 +72,9 @@ def test_criterion_1_worked_examples():
     # profunctor-encoded forms
     pf = prof_first()
     assert get_operator(pf)((4, "hello")) == 4
-    assert prof_apply(pf, FUNCTION_ARROW, lambda _: 12)((4, "hello")) == (12, "hello")
+    assert pf.run(FUNCTION_ARROW, lambda _: 12)((4, "hello")) == (12, "hello")
     pf3 = pf.compose(pf).compose(pf)
-    assert prof_apply(pf3, FUNCTION_ARROW, lambda _: 42)((((1, 2), "hi"), 4)) == (
+    assert pf3.run(FUNCTION_ARROW, lambda _: 42)((((1, 2), "hi"), 4)) == (
         ((42, 2), "hi"),
         4,
     )

@@ -517,6 +517,37 @@ def test_long_path_put_visits_each_step_a_bounded_number_of_times(monkeypatch):
     assert 0 < len(calls) <= 2 * n
 
 
+def test_a_bulk_map_calls_the_map_function_once_per_hit():
+    # Rows: hits, a null option, a some-object without the key, and a float.
+    rows = [[0, {"some": {"v": i}}] for i in range(5)]
+    rows += [[1, None], [2, {"some": {"w": 0}}], [3, {"some": {"v": 0.5}}]]
+    hits = 6
+    key_over = cli._STEPS[cli.KEY][2]("v", None).__code__
+    below_key = 0
+
+    def profile(frame, event, arg):
+        # a Python call made by the key step's modify action, or below it
+        nonlocal below_key
+        if event == "call":
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not key_over:
+                caller = caller.f_back
+            below_key += caller is not None
+
+    sys.setprofile(profile)
+    try:
+        result = run("map", "each.snd.some.key(v)", "incr", rows)
+    finally:
+        sys.setprofile(None)
+    assert result == (
+        EXIT_OK,
+        '[[0,{"some":{"v":1}}],[0,{"some":{"v":2}}],[0,{"some":{"v":3}}],'
+        '[0,{"some":{"v":4}}],[0,{"some":{"v":5}}],[1,null],'
+        '[2,{"some":{"w":0}}],[3,{"some":{"v":1.5}}]]',
+    )
+    assert below_key == hits
+
+
 _DOCS = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
     | st.sampled_from(["\udc80", "\udcff"]),
@@ -555,7 +586,7 @@ def test_writes_render_canonically_and_leave_their_input_alone(doc, path, write)
     before = copy.deepcopy(doc)
     # a set shares one value between every focus, as run's set does
     shared = None if command == "map" else json.loads(value)
-    h = cli._map_fn(value) if command == "map" else lambda _: shared
+    h = cli._MAP_FNS[value] if command == "map" else lambda _: shared
     try:
         out = compile_path(path)[0].map_optic(h)(doc)
     except cli.DocTypeError:

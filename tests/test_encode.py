@@ -38,7 +38,6 @@ from opticat.laws import (
     gen_lawful_adapter,
     gen_lawful_lens,
     gen_lawful_prism,
-    gen_setter,
     labels,
 )
 from opticat.probes import all_functions, maps_agree
@@ -196,7 +195,7 @@ def test_unfunctorize_round_trip_adapter():
 
 
 def test_unfunctorize_round_trip_setter():
-    setter = gen_setter(pair_shape(("r0", "r1")))
+    setter = functorize(FamilyTag.SETTER).enhance_op(pair_shape(("r0", "r1")))
     back = unfunctorize(concrete_to_iso(setter), FamilyTag.SETTER)
     wholes = pair_shape(("r0", "r1")).payloads(list(DOM))
     for h in all_functions(DOM, DOM):
@@ -271,12 +270,11 @@ def test_decode_encode_first():
 
 
 def test_encode_identity_at_function_arrow():
-    from opticat.families import identity_optic
-    from opticat.prof import FUNCTION_ARROW, prof_apply
+    from opticat.prof import FUNCTION_ARROW
 
     enc = prof_encoding(FamilyTag.LENS)
-    optic = enc.encode(identity_optic(Lens))
-    run = prof_apply(optic, FUNCTION_ARROW, lambda x: x + 1)
+    optic = enc.encode(Lens.inj(identity, identity))
+    run = optic.run(FUNCTION_ARROW, lambda x: x + 1)
     assert all(run(x) == x + 1 for x in range(4))
 
 
@@ -300,7 +298,7 @@ def test_decode_encode_all_families():
         FamilyTag.LENS: gen_lawful_lens(1, labels("r", 2), dom_a, dom_s),
         FamilyTag.PRISM: gen_lawful_prism(1, labels("r", 2), dom_a, dom_s),
         FamilyTag.ADAPTER: gen_lawful_adapter(1, dom_a, ("s0", "s1")),
-        FamilyTag.SETTER: gen_setter(pair_shape(("r0", "r1"))),
+        FamilyTag.SETTER: functorize(FamilyTag.SETTER).enhance_op(pair_shape(("r0", "r1"))),
         FamilyTag.ACHLENS: gen_lawful_achlens(1, labels("r", 2), dom_a, dom_s),
     }
     wholes = {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opticat.base import Just, Left, Nothing, Right
+from opticat.base import Just, Left, Nothing, Right, identity
 from opticat.families import (
     CONCRETE_FAMILIES,
     Adapter,
@@ -14,17 +14,13 @@ from opticat.families import (
     FamilyTag,
     Lens,
     Prism,
-    compose,
     dimap_optic,
     each,
     embed,
     family_join,
     family_le,
     first,
-    identity_optic,
-    inj_optic,
     just,
-    map_optic,
     multi_map_optic,
     second,
 )
@@ -94,25 +90,25 @@ def test_second_lens():
 # Shared operations -------------------------------------------------------------
 
 def test_identity_lens_is_get_identity():
-    lens = identity_optic(Lens)
+    lens = Lens.inj(identity, identity)
     assert lens.get("anything") == "anything"
 
 
 def test_identity_prism_matches_right():
-    prism = identity_optic(Prism)
+    prism = Prism.inj(identity, identity)
     assert prism.match("x") == Right("x")
 
 
 def test_identity_map_optic_is_plain_application():
     for tag in TAGS:
-        optic = identity_optic(tag)
+        optic = CONCRETE_FAMILIES[tag].inj(identity, identity)
         run = optic.map_optic(lambda x: x + 10)
         assert all(run(x) == x + 10 for x in range(5))
 
 
 def test_compose_rejects_family_mismatch():
     with pytest.raises(FamilyMismatchError):
-        compose(first(), just())
+        first().compose(just())
 
 
 def test_compose_identity_left_and_right():
@@ -120,14 +116,14 @@ def test_compose_identity_left_and_right():
     lens = gen_lawful_lens(3, dom_r, dom_a)
     dom_s = tuple(f"s{i}" for i in range(4))
     for composite in (
-        compose(identity_optic(Lens), lens),
-        compose(lens, identity_optic(Lens)),
+        Lens.inj(identity, identity).compose(lens),
+        lens.compose(Lens.inj(identity, identity)),
     ):
         assert maps_agree(composite, lens, dom_a.elements, dom_a.elements, dom_s)
 
 
 def test_inj_lens_put_discards_whole():
-    lens = inj_optic(Lens, lambda s: s * 2, lambda b: b + 1)
+    lens = Lens.inj(lambda s: s * 2, lambda b: b + 1)
     assert lens.put(10, "ignored") == 11
     assert lens.get(3) == 6
 
@@ -135,15 +131,15 @@ def test_inj_lens_put_discards_whole():
 def test_inj_prism_match_always_hits():
     dom_s = ["e0", "e1", "e2", "e3", "e4"]
     fwd = {s: f"a{i % 2}" for i, s in enumerate(dom_s)}
-    prism = inj_optic(Prism, lambda s: fwd[s], lambda b: b)
+    prism = Prism.inj(lambda s: fwd[s], lambda b: b)
     for s in dom_s:
         assert prism.match(s) == Right(fwd[s])
 
 
 def test_inj_identity_equals_identity_optic():
     for tag in TAGS:
-        lhs = inj_optic(tag, lambda x: x, lambda x: x)
-        rhs = identity_optic(tag)
+        lhs = CONCRETE_FAMILIES[tag].inj(lambda x: x, lambda x: x)
+        rhs = CONCRETE_FAMILIES[tag].inj(identity, identity)
         dom = ("u0", "u1", "u2")
         assert maps_agree(lhs, rhs, dom, dom, dom)
 
@@ -158,10 +154,9 @@ def test_inj_functoriality():
     f2 = dict(zip(dom_a, ("x0", "x1")))
     g2 = dict(zip(dom_x, ("a1", "a1")))
     for tag in TAGS:
-        fused = inj_optic(tag, lambda s: f2[f[s]], lambda y: g[g2[y]])
-        staged = compose(
-            inj_optic(tag, lambda s: f[s], lambda b: g[b]),
-            inj_optic(tag, lambda a: f2[a], lambda y: g2[y]),
+        fused = CONCRETE_FAMILIES[tag].inj(lambda s: f2[f[s]], lambda y: g[g2[y]])
+        staged = CONCRETE_FAMILIES[tag].inj(lambda s: f[s], lambda b: g[b]).compose(
+            CONCRETE_FAMILIES[tag].inj(lambda a: f2[a], lambda y: g2[y])
         )
         assert maps_agree(fused, staged, dom_x, dom_x, dom_s)
 
@@ -172,9 +167,9 @@ def test_map_optic_of_inj_is_sandwich():
     f = dict(zip(dom_s, ("a1", "a0", "a1")))
     g = dict(zip(dom_a, ("s2", "s0")))
     for tag in TAGS:
-        optic = inj_optic(tag, lambda s: f[s], lambda b: g[b])
+        optic = CONCRETE_FAMILIES[tag].inj(lambda s: f[s], lambda b: g[b])
         for h in all_functions(dom_a, dom_a):
-            run = map_optic(optic, h)
+            run = optic.map_optic(h)
             assert all(run(s) == g[h(f[s])] for s in dom_s)
 
 
@@ -186,7 +181,7 @@ def test_map_optic_homomorphism_lens():
     inner = gen_lawful_lens(7, dom_r, dom_a2, inner_s)
     outer = gen_lawful_lens(8, labels("q", 2), FiniteDomain("mid", inner_s))
     outer_s = tuple(f"s{i}" for i in range(8))
-    composite = compose(outer, inner)
+    composite = outer.compose(inner)
     for h in all_functions(dom_a2.elements, dom_a2.elements):
         fused = composite.map_optic(h)
         staged = outer.map_optic(inner.map_optic(h))
@@ -199,7 +194,7 @@ def test_composition_preserves_lens_lawfulness():
     inner = gen_lawful_lens(11, labels("r", 2), dom_a2, dom_a1)
     outer_s = tuple(f"s{i}" for i in range(8))
     outer = gen_lawful_lens(12, labels("q", 2), dom_a1, outer_s)
-    composite = compose(outer, inner)
+    composite = outer.compose(inner)
     assert all(r.passed for r in check_lens_laws(composite, dom_a2, outer_s))
 
 
@@ -211,7 +206,7 @@ def test_composition_preserves_prism_lawfulness():
     inner = gen_lawful_prism(13, labels("r", 1), dom_a2, dom_a1)
     outer_s = tuple(f"s{i}" for i in range(5))
     outer = gen_lawful_prism(14, labels("q", 2), dom_a1, outer_s)
-    composite = compose(outer, inner)
+    composite = outer.compose(inner)
     assert all(r.passed for r in check_prism_laws(composite, dom_a2, outer_s))
 
 
@@ -223,7 +218,7 @@ def test_composition_preserves_achlens_lawfulness():
     inner = gen_lawful_achlens(15, labels("r", 2), dom_a2, dom_a1)
     outer_s = tuple(f"s{i}" for i in range(8))
     outer = gen_lawful_achlens(16, labels("q", 2), dom_a1, outer_s)
-    composite = compose(outer, inner)
+    composite = outer.compose(inner)
     assert all(r.passed for r in check_achlens_laws(composite, dom_a2, outer_s))
 
 
@@ -237,8 +232,8 @@ def test_compose_associativity_observational():
         o1 = gen_random_optic(tag, 21, mid, top)
         o2 = gen_random_optic(tag, 22, mid, mid)
         o3 = gen_random_optic(tag, 23, dom, mid)
-        lhs = compose(o1, compose(o2, o3))
-        rhs = compose(compose(o1, o2), o3)
+        lhs = o1.compose(o2.compose(o3))
+        rhs = o1.compose(o2).compose(o3)
         assert maps_agree(lhs, rhs, dom, dom, top)
 
 
@@ -360,7 +355,7 @@ def test_join_is_upper_bound(a, b):
 
 def test_embed_same_family_is_identity():
     for tag in TAGS:
-        optic = identity_optic(tag)
+        optic = CONCRETE_FAMILIES[tag].inj(identity, identity)
         assert embed(optic, tag) is optic
 
 
@@ -374,7 +369,7 @@ def test_embed_same_family_is_identity():
 )
 def test_embed_rejects_pairs_outside_the_order(src, dst):
     with pytest.raises(FamilyMismatchError):
-        embed(identity_optic(src), dst)
+        embed(CONCRETE_FAMILIES[src].inj(identity, identity), dst)
 
 
 class _FieldProxy:

@@ -23,7 +23,6 @@ from opticat.iso import (
     enhance_to_arrow,
     iso_compose,
     iso_inj,
-    iso_map_optic,
     observational_eq,
 )
 from opticat.laws import gen_iso_optic, gen_lawful_lens, labels
@@ -48,7 +47,7 @@ def test_iso_inj_map_is_sandwich():
     g = dict(zip(DOM3, ("a2", "a2", "a1")))
     optic = iso_inj(lambda s: f[s], lambda b: g[b])
     for h in all_functions(DOM3, DOM3):
-        run = iso_map_optic(optic, h)
+        run = optic.map_optic(h)
         assert all(run(s) == g[h(f[s])] for s in DOM3)
 
 
@@ -122,7 +121,7 @@ def test_enhance_iso_on_id_shape_equals_wrapping_inj():
 
 def test_lens_to_iso_map_const_12():
     optic = concrete_to_iso(first())
-    assert iso_map_optic(optic, lambda _: 12)((4, "hello")) == (12, "hello")
+    assert optic.map_optic(lambda _: 12)((4, "hello")) == (12, "hello")
 
 
 def test_converted_lens_agrees_with_concrete_map():

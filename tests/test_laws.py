@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from opticat.families import Lens
+from opticat.encode import functorize
+from opticat.families import FamilyTag, Lens
 from opticat.functors import ContainerShape, pair_shape
 from opticat.laws import (
     FAIL,
@@ -27,7 +28,6 @@ from opticat.laws import (
     gen_lawful_lens,
     gen_lawful_optional,
     gen_lawful_prism,
-    gen_setter,
     gen_unlawful_lens,
     labels,
     merge_reports,
@@ -128,7 +128,7 @@ def test_generated_prisms_achlenses_optionals_adapters_are_lawful():
 
 def test_setter_from_shape_map_is_lawful():
     shape = pair_shape(("r0", "r1"))
-    setter = gen_setter(shape)
+    setter = functorize(FamilyTag.SETTER).enhance_op(shape)
     dom_a = labels("a", 2)
     reports = check_setter_laws(setter, dom_a, shape.payloads(list(dom_a)))
     assert all(rep.passed for rep in reports)

@@ -18,15 +18,11 @@ from opticat.prof import (
     FUNCTION_ARROW,
     GETTING,
     MATCHING,
-    Getting,
-    Matching,
     UnsupportedOperatorError,
     get_operator,
     iso_to_prof,
     match_operator,
-    prof_apply,
     prof_first,
-    prof_identity,
     prof_inj,
     prof_just,
     prof_right,
@@ -39,22 +35,22 @@ from opticat.probes import maps_agree
 DOM = ("a0", "a1")
 
 
-# prof_apply and operators -------------------------------------------------------
+# run and operators ---------------------------------------------------------------
 
 def test_identity_leaves_value_unchanged():
-    ident = prof_identity(is_product())
+    ident = prof_inj(identity, identity, is_product())
     h = lambda x: x + 1
-    assert prof_apply(ident, FUNCTION_ARROW, h)(41) == 42
-    assert prof_apply(ident, GETTING, Getting(identity)).run("s") == "s"
+    assert ident.run(FUNCTION_ARROW, h)(41) == 42
+    assert ident.run(GETTING, identity)("s") == "s"
 
 
 def test_prof_first_function_arrow():
-    run = prof_apply(prof_first(), FUNCTION_ARROW, lambda x: x + 8)
+    run = prof_first().run(FUNCTION_ARROW, lambda x: x + 8)
     assert run((4, "c")) == (12, "c")
 
 
 def test_prof_second_function_arrow():
-    run = prof_apply(prof_second(), FUNCTION_ARROW, lambda x: x + 1)
+    run = prof_second().run(FUNCTION_ARROW, lambda x: x + 1)
     assert run(("c", 1)) == ("c", 2)
 
 
@@ -63,7 +59,7 @@ def test_get_operator_prof_first():
 
 
 def test_get_operator_identity():
-    assert get_operator(prof_identity(is_product()))("s0") == "s0"
+    assert get_operator(prof_inj(identity, identity, is_product()))("s0") == "s0"
 
 
 def test_get_operator_agrees_with_concrete_lens():
@@ -82,7 +78,7 @@ def test_match_operator_prof_just():
 
 
 def test_match_operator_identity_orientation():
-    m = match_operator(prof_identity(is_sum()))
+    m = match_operator(prof_inj(identity, identity, is_sum()))
     assert m("s") == Right("s")
 
 
@@ -98,14 +94,14 @@ def test_build_through_decode():
 
 
 def test_prof_right_function_arrow():
-    run = prof_apply(prof_right(), FUNCTION_ARROW, lambda x: x + 1)
+    run = prof_right().run(FUNCTION_ARROW, lambda x: x + 1)
     assert run(Right(1)) == Right(2)
     assert run(Left("c")) == Left("c")
 
 
 def test_prof_first_twice_is_nested_pair_map():
     stacked = prof_first().compose(prof_first())
-    run = prof_apply(stacked, FUNCTION_ARROW, lambda x: x + 1)
+    run = stacked.run(FUNCTION_ARROW, lambda x: x + 1)
     assert run(((1, 2), 3)) == ((2, 2), 3)
     assert get_operator(stacked)(((1, 2), 3)) == 1
 
@@ -127,7 +123,7 @@ def test_cross_family_optional_matches_oracle():
     wholes = [(c, mb) for c in ("c0", "c1") for mb in (Nothing(), Just("a0"), Just("a1"))]
     for s in wholes:
         assert m(s) == oracle.match(s)
-    run = prof_apply(composite, FUNCTION_ARROW, lambda a: a.upper())
+    run = composite.run(FUNCTION_ARROW, lambda a: a.upper())
     for s in wholes:
         assert run(s) == oracle.map_optic(lambda a: a.upper())(s)
 
@@ -220,20 +216,20 @@ def test_matching_enhance_requires_affine_shape():
     from opticat.functors import cps_shape
 
     with pytest.raises(UnsupportedOperatorError):
-        MATCHING.enhance(cps_shape(), Matching(Right))
+        MATCHING.enhance(cps_shape(), Right)
 
 
 def test_unknown_shape_error_names_the_shape():
     from opticat.functors import cps_shape
 
     with pytest.raises(UnsupportedOperatorError, match="Cps"):
-        GETTING.enhance(cps_shape(), Getting(identity))
+        GETTING.enhance(cps_shape(), identity)
 
 
 def test_matching_enhance_on_compose_shape():
     shape = compose_shapes(pair_shape(("r0",)), maybe_shape())
     from opticat.functors import Comp
 
-    enhanced = MATCHING.enhance(shape, Matching(Right))
-    assert enhanced.run(Comp(("r0", Just("a1")))) == Right("a1")
-    assert enhanced.run(Comp(("r0", Nothing()))) == Left(Comp(("r0", Nothing())))
+    enhanced = MATCHING.enhance(shape, Right)
+    assert enhanced(Comp(("r0", Just("a1")))) == Right("a1")
+    assert enhanced(Comp(("r0", Nothing()))) == Left(Comp(("r0", Nothing())))

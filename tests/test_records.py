@@ -24,7 +24,7 @@ from opticat.functors import (
 )
 from opticat.iso import IsoOptic
 from opticat.laws import PASS, FiniteDomain, LawReport, Natural
-from opticat.prof import Getting, Matching, ProfOptic, ProfunctorCapability
+from opticat.prof import ProfOptic, ProfunctorCapability
 
 # One example per record class, with the repr the class printed when it was a
 # dataclass.  Law reports print counterexamples with repr, so it must not move.
@@ -39,7 +39,7 @@ EXAMPLES = {
     SumCap: (("to", "from"), "SumCap(to_sum='to', from_sum='from')"),
     PointCap: ((Id(()),), "PointCap(unit=Id(value=()))"),
     IdentCap: (("wrap", "unwrap"), "IdentCap(wrap='wrap', unwrap='unwrap')"),
-    ContainerShape: (("S", "map", None, None, None, None, None, (), False), "ContainerShape(S)"),
+    ContainerShape: (("S", "map", None, None, None, None, None, ()), "ContainerShape(S)"),
     FunctorFamily: (("F", "member"), "FunctorFamily(F)"),
     Lens: (("get", "put"), "Lens(get='get', put='put')"),
     Prism: (("match", "build"), "Prism(match='match', build='build')"),
@@ -57,8 +57,6 @@ EXAMPLES = {
         "ProfunctorCapability(name='P', dimap='dimap', enhance='enhance')",
     ),
     ProfOptic: ((any_functor(), "run"), "ProfOptic(family=FunctorFamily(Functor), run='run')"),
-    Getting: (("run",), "Getting(run='run')"),
-    Matching: (("run",), "Matching(run='run')"),
     Functorization: (
         (FamilyTag.LENS, any_functor(), "enhance_op"),
         "Functorization(family_tag=<FamilyTag.LENS: 'LENS'>, "
@@ -132,7 +130,7 @@ def test_record_semantics(cls):
 @pytest.mark.parametrize(
     "group",
     [
-        (Left, Right, Just, Nothing, Id, Comp, Setter, Getting, Matching, PointCap, PathExpr),
+        (Left, Right, Just, Nothing, Id, Comp, Setter, PointCap, PathExpr),
         (Lens, Prism, Adapter, Optional, ProductCap, SumCap, IdentCap, ProfEncoding),
     ],
     ids=["one_field", "two_fields"],
@@ -156,7 +154,7 @@ def test_step_arg_defaults_to_none():
 def test_container_shape_defaults_and_point_check():
     shape = ContainerShape("S", "map")
     assert (shape.product, shape.sum, shape.point, shape.ident) == (None,) * 4
-    assert (shape.payloads, shape.parts, shape.lawful) == (None, None, True)
+    assert (shape.payloads, shape.parts) == (None, None)
     with pytest.raises(ValueError, match="point requires product"):
         ContainerShape("S", "map", point=PointCap(Id(())))
 
