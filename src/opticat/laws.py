@@ -1275,13 +1275,14 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
         reports += check_achlens_laws(al, big_a, dom_ls, budget)
         ad = gen_lawful_adapter(k, big_a, labels("s", 3))
         reports += check_adapter_laws(ad, big_a, labels("s", 3), budget)
-        st = functorize(FamilyTag.SETTER).enhance_op(shapes["pair"])
-        reports += check_setter_laws(
-            st, big_a, shapes["pair"].payloads(list(big_a)), budget
-        )
         dom_os = labels("s", 2 + 1 * 3)
         opt = gen_lawful_optional(k, labels("m", 2), labels("k", 1), big_a, dom_os)
         reports += check_optional_laws(opt, big_a, dom_os, budget)
+    # the canonical setter takes no seed, so one check covers it
+    pair = shapes["pair"]
+    reports += check_setter_laws(
+        functorize(FamilyTag.SETTER).enhance_op(pair), big_a, pair.payloads(list(big_a)), budget
+    )
 
     # shape laws
     for shape in shapes.values():
