@@ -4,10 +4,10 @@ Each family is a small record of total functions.  Every family's class
 carries the same operations: the class method ``inj`` injects a plain
 function pair (the identity optic is ``inj(identity, identity)``), and the
 methods ``compose`` and ``map_optic`` (an action on functions) run on
-records.  Composing two records of
-different families raises.  Heterogeneous composition goes either through
-the tag lattice, where :func:`embed` takes each record into the join of the
-families, or through the profunctor encoding (see :mod:`opticat.prof`).
+records.  Composing two records of different families raises.
+Heterogeneous composition goes either through the tag lattice, where
+:func:`embed` takes each record into the join of the families, or through
+the profunctor encoding (see :mod:`opticat.prof`).
 """
 
 from enum import Enum

@@ -544,7 +544,7 @@ class FamilyFixture:
 
     def __init__(self, name, inj, triples, doms, inj_tables):
         self.name = name
-        self.inj = inj                # (fwd, bwd) -> optic; inj(identity, identity) is the identity
+        self.inj = inj                # (fwd, bwd) -> optic; the identity is inj(identity, identity)
         self.triples = triples        # [(o1, o2, o3)] composable, outermost first
         self.doms = doms              # keys: s, a1, a2, a3  (simple optics: b=a, t=s)
         # [(f, g, f2, g2)]  f: s->a1, g: a1->s, f2: a1->a3, g2: a3->a1

@@ -75,7 +75,7 @@ FUNCTION_ARROW = ProfunctorCapability(
 )
 
 
-# A Getting value forgets the update side: it is a reader s -> a.
+# A GETTING value forgets the update side: it is a reader s -> a.
 
 def _getting_enhance(shape, p):
     if shape.product is None:
@@ -92,7 +92,7 @@ GETTING = ProfunctorCapability(
 )
 
 
-# A Matching value is a partial reader s -> Left(t) | Right(a): Right(focus)
+# A MATCHING value is a partial reader s -> Left(t) | Right(a): Right(focus)
 # on a hit, Left(rest) on a miss.
 
 def _matching_dimap(f, g, p):

@@ -534,11 +534,12 @@ def test_a_bulk_map_calls_the_map_function_once_per_hit():
                 caller = caller.f_back
             below_key += caller is not None
 
+    previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         result = run("map", "each.snd.some.key(v)", "incr", rows)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     assert result == (
         EXIT_OK,
         '[[0,{"some":{"v":1}}],[0,{"some":{"v":2}}],[0,{"some":{"v":3}}],'

@@ -136,7 +136,7 @@ def test_inj_prism_match_always_hits():
         assert prism.match(s) == Right(fwd[s])
 
 
-def test_inj_identity_equals_identity_optic():
+def test_inj_of_the_identity_pair_is_the_identity():
     for tag in TAGS:
         lhs = CONCRETE_FAMILIES[tag].inj(lambda x: x, lambda x: x)
         rhs = CONCRETE_FAMILIES[tag].inj(identity, identity)

@@ -107,7 +107,7 @@ def test_prof_first_twice_is_nested_pair_map():
 
 
 def test_cross_family_optional_matches_oracle():
-    # second . just needs both product and sum enhancement; at Matching it
+    # second . just needs both product and sum enhancement; at MATCHING it
     # reproduces exactly the concrete optional semantics
     composite = prof_second().compose(prof_just())
     m = match_operator(composite)
