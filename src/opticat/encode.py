@@ -1,10 +1,11 @@
 """Per-family functorizations and the concrete <-> iso <-> prof conversions.
 
-Each concrete family determines the largest shape family it can zoom
-through (its functorization); pairing that with a concrete-to-iso
-transformation yields an executable profunctor encoding whose encode and
-decode are mutually inverse up to observational equality.  For lenses and
-achromatic lenses the round trip holds only for lawful inputs.
+Each concrete family has one row, its :class:`Functorization`: the largest
+shape family it can zoom through, its one-layer optic, and the map from its
+optics to their residual forms.  A row yields an executable profunctor
+encoding whose encode and decode are mutually inverse up to observational
+equality.  For lenses and achromatic lenses the round trip holds only for
+lawful inputs.
 """
 
 from .base import Just, Left, Nothing, Record, Right, identity
@@ -21,7 +22,6 @@ from .families import (
 from .functors import (
     Comp,
     ContainerShape,
-    FunctorFamily,
     UnsupportedShapeError,
     affine_match,
     any_functor,
@@ -43,7 +43,8 @@ from .prof import ProfOptic, iso_to_prof, prof_to_iso
 
 class Functorization(Record):
     # enhance_op: shape -> concrete optic zooming through one layer
-    __slots__ = ("family_tag", "functor_family", "enhance_op")
+    # residual: concrete optic of the family -> its residual form (IsoOptic)
+    __slots__ = ("family_tag", "functor_family", "enhance_op", "residual")
 
 
 class ProfEncoding(Record):
@@ -60,12 +61,25 @@ def _adapter_enhance(shape: ContainerShape) -> Adapter:
     return Adapter(fwd=shape.ident.unwrap, bwd=shape.ident.wrap)
 
 
+def _adapter_residual(optic) -> IsoOptic:
+    return iso_inj(optic.fwd, optic.bwd, id_only())
+
+
 def _lens_enhance(shape: ContainerShape) -> Lens:
     if shape.product is None:
         raise UnsupportedShapeError(f"shape {shape.name} has no product capability")
     return Lens(
         get=lambda p: shape.product.to_product(p)[1],
         put=lambda b, p: shape.map(lambda _: b, p),
+    )
+
+
+def _lens_residual(optic) -> IsoOptic:
+    return IsoOptic(
+        family=is_product(),
+        shape=pair_shape(name="Pair[whole]"),
+        forward=lambda s: (s, optic.get(s)),
+        backward=lambda p: optic.put(p[1], p[0]),
     )
 
 
@@ -78,8 +92,26 @@ def _prism_enhance(shape: ContainerShape) -> Prism:
     )
 
 
+def _prism_residual(optic) -> IsoOptic:
+    return IsoOptic(
+        family=is_sum(),
+        shape=sum_shape(name="Sum[whole]"),
+        forward=optic.match,
+        backward=lambda e: e.value if isinstance(e, Left) else optic.build(e.value),
+    )
+
+
 def _setter_enhance(shape: ContainerShape) -> Setter:
     return Setter(over=lambda h: (lambda p: shape.map(h, p)))
+
+
+def _setter_residual(optic) -> IsoOptic:
+    return IsoOptic(
+        family=any_functor(),
+        shape=cps_shape(),
+        forward=lambda s: (lambda fn: optic.over(fn)(s)),
+        backward=lambda k: k(identity),
+    )
 
 
 def _achlens_enhance(shape: ContainerShape) -> AchLens:
@@ -94,6 +126,21 @@ def _achlens_enhance(shape: ContainerShape) -> AchLens:
     )
 
 
+def _achlens_residual(optic) -> IsoOptic:
+    def backward(p):
+        mc, b = p
+        if isinstance(mc, Nothing):
+            return optic.create(b)
+        return optic.put(b, mc.value)
+
+    return IsoOptic(
+        family=is_pointed_product(),
+        shape=maybe_pair_shape(name="MaybePair[whole]"),
+        forward=lambda s: (Just(s), optic.get(s)),
+        backward=backward,
+    )
+
+
 def _optional_enhance(shape: ContainerShape) -> Optional:
     return Optional(
         match=lambda p: affine_match(shape, p),
@@ -101,33 +148,45 @@ def _optional_enhance(shape: ContainerShape) -> Optional:
     )
 
 
+def _optional_residual(optic) -> IsoOptic:
+    def forward(s):
+        e = optic.match(s)
+        if isinstance(e, Left):
+            return Comp((e.value, Nothing()))
+        return Comp((s, Just(e.value)))
+
+    def backward(p):
+        x, m = p.value
+        if isinstance(m, Nothing):
+            return x
+        return optic.put(m.value, x)
+
+    return IsoOptic(
+        family=is_affine(),
+        shape=compose_shapes(pair_shape(name="Pair[whole]"), maybe_shape()),
+        forward=forward,
+        backward=backward,
+    )
+
+
 _FUNCTORIZATIONS = {
-    FamilyTag.ADAPTER: lambda: Functorization(
-        FamilyTag.ADAPTER, id_only(), _adapter_enhance
-    ),
-    FamilyTag.LENS: lambda: Functorization(
-        FamilyTag.LENS, is_product(), _lens_enhance
-    ),
-    FamilyTag.PRISM: lambda: Functorization(
-        FamilyTag.PRISM, is_sum(), _prism_enhance
-    ),
-    FamilyTag.SETTER: lambda: Functorization(
-        FamilyTag.SETTER, any_functor(), _setter_enhance
-    ),
-    FamilyTag.ACHLENS: lambda: Functorization(
-        FamilyTag.ACHLENS, is_pointed_product(), _achlens_enhance
-    ),
-    FamilyTag.OPTIONAL: lambda: Functorization(
-        FamilyTag.OPTIONAL, is_affine(), _optional_enhance
-    ),
+    row.family_tag: row
+    for row in (
+        Functorization(FamilyTag.ADAPTER, id_only(), _adapter_enhance, _adapter_residual),
+        Functorization(FamilyTag.LENS, is_product(), _lens_enhance, _lens_residual),
+        Functorization(FamilyTag.PRISM, is_sum(), _prism_enhance, _prism_residual),
+        Functorization(FamilyTag.SETTER, any_functor(), _setter_enhance, _setter_residual),
+        Functorization(FamilyTag.ACHLENS, is_pointed_product(), _achlens_enhance, _achlens_residual),
+        Functorization(FamilyTag.OPTIONAL, is_affine(), _optional_enhance, _optional_residual),
+    )
 }
 
 
 def functorize(tag: FamilyTag) -> Functorization:
-    """The shape family a concrete family zooms through, with its one-layer
-    optic."""
+    """A concrete family's row: the shape family it zooms through, its
+    one-layer optic and its residual form."""
     try:
-        return _FUNCTORIZATIONS[tag]()
+        return _FUNCTORIZATIONS[tag]
     except KeyError:
         raise KeyError(f"no functorization registered for {tag}") from None
 
@@ -135,67 +194,16 @@ def functorize(tag: FamilyTag) -> Functorization:
 # Concrete -> iso ------------------------------------------------------------
 
 def concrete_to_iso(optic) -> IsoOptic:
-    """Re-express a concrete optic as an existential residual form.
+    """Re-express a concrete optic as an existential residual form, by the
+    ``residual`` of the row of its family's ``tag``.
 
     Accepts unlawful inputs; the round trip with :func:`unfunctorize` is
     only guaranteed for lawful lenses and achromatic lenses.
     """
-    if isinstance(optic, Lens):
-        return IsoOptic(
-            family=is_product(),
-            shape=pair_shape(name="Pair[whole]"),
-            forward=lambda s: (s, optic.get(s)),
-            backward=lambda p: optic.put(p[1], p[0]),
-        )
-    if isinstance(optic, Prism):
-        return IsoOptic(
-            family=is_sum(),
-            shape=sum_shape(name="Sum[whole]"),
-            forward=optic.match,
-            backward=lambda e: e.value if isinstance(e, Left) else optic.build(e.value),
-        )
-    if isinstance(optic, Adapter):
-        return iso_inj(optic.fwd, optic.bwd, id_only())
-    if isinstance(optic, Setter):
-        return IsoOptic(
-            family=any_functor(),
-            shape=cps_shape(),
-            forward=lambda s: (lambda fn: optic.over(fn)(s)),
-            backward=lambda k: k(identity),
-        )
-    if isinstance(optic, AchLens):
-        def backward(p):
-            mc, b = p
-            if isinstance(mc, Nothing):
-                return optic.create(b)
-            return optic.put(b, mc.value)
-
-        return IsoOptic(
-            family=is_pointed_product(),
-            shape=maybe_pair_shape(name="MaybePair[whole]"),
-            forward=lambda s: (Just(s), optic.get(s)),
-            backward=backward,
-        )
-    if isinstance(optic, Optional):
-        def forward(s):
-            e = optic.match(s)
-            if isinstance(e, Left):
-                return Comp((e.value, Nothing()))
-            return Comp((s, Just(e.value)))
-
-        def backward(p):
-            x, m = p.value
-            if isinstance(m, Nothing):
-                return x
-            return optic.put(m.value, x)
-
-        return IsoOptic(
-            family=is_affine(),
-            shape=compose_shapes(pair_shape(name="Pair[whole]"), maybe_shape()),
-            forward=forward,
-            backward=backward,
-        )
-    raise TypeError(f"no residual form registered for {type(optic).__name__}")
+    row = _FUNCTORIZATIONS.get(getattr(optic, "tag", None))
+    if row is None:
+        raise TypeError(f"no residual form registered for {type(optic).__name__}")
+    return row.residual(optic)
 
 
 # Iso -> concrete ------------------------------------------------------------
@@ -214,10 +222,10 @@ def unfunctorize(optic: IsoOptic, tag: FamilyTag):
 # Profunctor encodings -------------------------------------------------------
 
 def prof_encoding(tag: FamilyTag) -> ProfEncoding:
-    functorize(tag)  # fail early on unregistered tags
+    row = functorize(tag)
 
     def encode(optic) -> ProfOptic:
-        return iso_to_prof(concrete_to_iso(optic))
+        return iso_to_prof(row.residual(optic))
 
     def decode(optic: ProfOptic):
         return unfunctorize(prof_to_iso(optic), tag)

@@ -253,14 +253,7 @@ class Optional(Record):
         return run
 
 
-CONCRETE_FAMILIES = {
-    FamilyTag.ADAPTER: Adapter,
-    FamilyTag.LENS: Lens,
-    FamilyTag.PRISM: Prism,
-    FamilyTag.OPTIONAL: Optional,
-    FamilyTag.ACHLENS: AchLens,
-    FamilyTag.SETTER: Setter,
-}
+CONCRETE_FAMILIES = {cls.tag: cls for cls in (Adapter, Lens, Prism, Optional, AchLens, Setter)}
 
 
 def multi_map_optic(fa, fb, fs, ft, optic):

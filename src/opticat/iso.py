@@ -12,7 +12,6 @@ from .families import FamilyMismatchError
 from .functors import (
     Comp,
     ContainerShape,
-    FunctorFamily,
     any_functor,
     compose_shapes,
     id_shape,

@@ -27,7 +27,6 @@ from .families import (
     Lens,
     Optional,
     Prism,
-    Setter,
     embed,
     family_le,
 )
@@ -287,49 +286,41 @@ def gen_unlawful_lens(dom_a, dom_s) -> Lens:
 # Random (not necessarily lawful) records for structural-law fixtures --------
 
 def _rand_table(rng, dom_in, dom_out):
-    return {x: rng.choice(list(dom_out)) for x in dom_in}
+    """A seeded total function from ``dom_in`` to ``dom_out``: a table lookup."""
+    return {x: rng.choice(list(dom_out)) for x in dom_in}.__getitem__
+
+
+def _draw_put(rng, As, ss):
+    put = _rand_table(rng, itertools.product(As, ss), ss)
+    return lambda b, s: put((b, s))
+
+
+def _draw_over(rng, As, ss):
+    e1 = _rand_table(rng, ss, As)
+    e2 = _rand_table(rng, ss, As)
+    combine = _rand_table(rng, itertools.product(ss, As, As), ss)
+    return lambda h: (lambda s: combine((s, h(e1(s)), h(e2(s)))))
+
+
+# One seeded draw per record field name, from the RNG, the foci As and the
+# wholes ss.
+_FIELD_DRAWS = {
+    **dict.fromkeys(("get", "fwd"), lambda rng, As, ss: _rand_table(rng, ss, As)),
+    **dict.fromkeys(("build", "bwd", "create"), lambda rng, As, ss: _rand_table(rng, As, ss)),
+    "match": lambda rng, As, ss: _rand_table(rng, ss, [Left(t) for t in ss] + [Right(a) for a in As]),
+    "put": _draw_put,
+    "over": _draw_over,
+}
 
 
 def gen_random_optic(tag: FamilyTag, seed, dom_a, dom_s):
-    """An arbitrary total record of the family.  The shared-operation laws
-    hold for any record, lawful or not, so these make strong fixtures."""
+    """An arbitrary total record of the family, its fields drawn in
+    ``__slots__`` order.  The shared-operation laws hold for any record,
+    lawful or not, so these make strong fixtures."""
     rng = random.Random(f"{tag}:{seed}")
     As, ss = tuple(dom_a), tuple(dom_s)
-    if tag == FamilyTag.LENS:
-        get = _rand_table(rng, ss, As)
-        put = {(b, s): rng.choice(ss) for b in As for s in ss}
-        return Lens(get=lambda s: get[s], put=lambda b, s: put[(b, s)])
-    if tag == FamilyTag.PRISM:
-        cells = [Left(t) for t in ss] + [Right(a) for a in As]
-        match = {s: rng.choice(cells) for s in ss}
-        build = _rand_table(rng, As, ss)
-        return Prism(match=lambda s: match[s], build=lambda a: build[a])
-    if tag == FamilyTag.ADAPTER:
-        fwd = _rand_table(rng, ss, As)
-        bwd = _rand_table(rng, As, ss)
-        return Adapter(fwd=lambda s: fwd[s], bwd=lambda a: bwd[a])
-    if tag == FamilyTag.SETTER:
-        e1 = _rand_table(rng, ss, As)
-        e2 = _rand_table(rng, ss, As)
-        combine = {(s, b1, b2): rng.choice(ss) for s in ss for b1 in As for b2 in As}
-        return Setter(
-            over=lambda h: (lambda s: combine[(s, h(e1[s]), h(e2[s]))])
-        )
-    if tag == FamilyTag.ACHLENS:
-        get = _rand_table(rng, ss, As)
-        put = {(b, s): rng.choice(ss) for b in As for s in ss}
-        create = _rand_table(rng, As, ss)
-        return AchLens(
-            get=lambda s: get[s],
-            put=lambda b, s: put[(b, s)],
-            create=lambda b: create[b],
-        )
-    if tag == FamilyTag.OPTIONAL:
-        cells = [Left(t) for t in ss] + [Right(a) for a in As]
-        match = {s: rng.choice(cells) for s in ss}
-        put = {(b, s): rng.choice(ss) for b in As for s in ss}
-        return Optional(match=lambda s: match[s], put=lambda b, s: put[(b, s)])
-    raise KeyError(tag)
+    cls = CONCRETE_FAMILIES[tag]
+    return cls(*(_FIELD_DRAWS[name](rng, As, ss) for name in cls.__slots__))
 
 
 def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
@@ -617,7 +608,7 @@ def _inj_tables(rng, doms):
     g2: a3->a1."""
     signature = (("s", "a1"), ("a1", "s"), ("a1", "a3"), ("a3", "a1"))
     return [
-        tuple(_rand_table(rng, doms[x], doms[y]).__getitem__ for x, y in signature)
+        tuple(_rand_table(rng, doms[x], doms[y]) for x, y in signature)
         for _ in range(2)
     ]
 
@@ -1095,8 +1086,8 @@ def check_morphism(spec: MorphismSpec, budget=DEFAULT_MAX_EVALS):
         _LawRun("morphism.preserves_inj", budget).agreements(
             (
                 {"conversion": spec.name, "sample": i},
-                spec.theta(spec.inj_src(f.__getitem__, g.__getitem__)),
-                spec.inj_dst(f.__getitem__, g.__getitem__),
+                spec.theta(spec.inj_src(f, g)),
+                spec.inj_dst(f, g),
                 d1, d1, ds,
             )
             for i, (f, g) in enumerate(tables)
@@ -1251,6 +1242,38 @@ def standard_morphism_specs(n_pairs):
     ]
 
 
+# Per family: its lawful optics with their wholes, and its checker.  Every
+# checker takes (optic, foci, wholes, budget), with foci _LAWFUL_A.
+_LAWFUL_A = labels("a", 3)
+_LAWFUL_R = labels("r", 2)
+
+
+def _seeded(gen, *doms):
+    """The lawful optics ``gen(k, *doms)`` for seeds 0 and 1; the last domain
+    holds their wholes."""
+    return lambda: ([gen(k, *doms) for k in range(2)], doms[-1])
+
+
+def _canonical_setter():
+    """The canonical setter of the pair shape takes no seed, so one check
+    covers it."""
+    pair = pair_shape(_LAWFUL_R.elements, name="Pair")
+    return [functorize(FamilyTag.SETTER).enhance_op(pair)], pair.payloads(list(_LAWFUL_A))
+
+
+_FAMILY_LAWS = {
+    FamilyTag.ADAPTER: (_seeded(gen_lawful_adapter, _LAWFUL_A, labels("s", 3)), check_adapter_laws),
+    FamilyTag.LENS: (_seeded(gen_lawful_lens, _LAWFUL_R, _LAWFUL_A, labels("s", 6)), check_lens_laws),
+    FamilyTag.PRISM: (_seeded(gen_lawful_prism, _LAWFUL_R, _LAWFUL_A, labels("s", 5)), check_prism_laws),
+    FamilyTag.OPTIONAL: (
+        _seeded(gen_lawful_optional, labels("m", 2), labels("k", 1), _LAWFUL_A, labels("s", 5)),
+        check_optional_laws,
+    ),
+    FamilyTag.ACHLENS: (_seeded(gen_lawful_achlens, _LAWFUL_R, _LAWFUL_A, labels("s", 6)), check_achlens_laws),
+    FamilyTag.SETTER: (_canonical_setter, check_setter_laws),
+}
+
+
 def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
     """Run every checker over the standard fixtures and return the merged
     reports, sorted by law name."""
@@ -1259,41 +1282,26 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
     pools = shape_pools(shapes)
     dom_a = labels("a", 2)
     dom_b = dom_a
-    dom_r = labels("r", 2)
     reports = []
 
-    # concrete record laws on generated lawful optics
-    dom_ls = labels("s", len(dom_r) * 3)
-    big_a = labels("a", 3)
-    for k in range(2):
-        lens = gen_lawful_lens(k, dom_r, big_a, dom_ls)
-        reports += check_lens_laws(lens, big_a, dom_ls, budget)
-        dom_ps = labels("s", len(dom_r) + 3)
-        prism = gen_lawful_prism(k, dom_r, big_a, dom_ps)
-        reports += check_prism_laws(prism, big_a, dom_ps, budget)
-        al = gen_lawful_achlens(k, dom_r, big_a, dom_ls)
-        reports += check_achlens_laws(al, big_a, dom_ls, budget)
-        ad = gen_lawful_adapter(k, big_a, labels("s", 3))
-        reports += check_adapter_laws(ad, big_a, labels("s", 3), budget)
-        dom_os = labels("s", 2 + 1 * 3)
-        opt = gen_lawful_optional(k, labels("m", 2), labels("k", 1), big_a, dom_os)
-        reports += check_optional_laws(opt, big_a, dom_os, budget)
-    # the canonical setter takes no seed, so one check covers it
-    pair = shapes["pair"]
-    reports += check_setter_laws(
-        functorize(FamilyTag.SETTER).enhance_op(pair), big_a, pair.payloads(list(big_a)), budget
-    )
+    # per family: its laws on its lawful optics, the shared optic-family laws
+    # on its random records, and the laws of its functorization
+    for tag, (lawful, check) in _FAMILY_LAWS.items():
+        optics, wholes = lawful()
+        for optic in optics:
+            reports += check(optic, _LAWFUL_A, wholes, budget)
+        reports += check_optic_family_laws(concrete_family_fixture(tag), budget)
+        fz = functorize(tag)
+        pool = pools[fz.functor_family.name]
+        fam_nats = naturals_within(fz.functor_family, naturals)
+        pairs = [(f, g) for f in pool for g in pool][:3]
+        reports += check_functorization_laws(
+            fz, pool, fam_nats, dom_a, dom_b, compose_pairs=pairs, budget=budget
+        )
 
     # shape laws
     for shape in shapes.values():
         reports += check_functor_laws(shape, labels("a", 3), budget)
-
-    # shared optic-family laws: six concrete families, iso over each registry family
-    for tag in FamilyTag:
-        reports += check_optic_family_laws(concrete_family_fixture(tag), budget)
-    for fam_name, family in FAMILY_REGISTRY.items():
-        fix = iso_family_fixture(family, pools[fam_name])
-        reports += check_optic_family_laws(fix, budget)
 
     # capability laws
     arrow_shapes = [shapes[k] for k in ("id", "pair", "sum", "maybe_pair", "maybe", "compose_pm")]
@@ -1318,9 +1326,13 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
         matching_fixture(dom_a), arrow_shapes, naturals, dom_a, dom_b,
         compose_pairs=compose_all, budget=budget,
     )
+
+    # per registry family: the shared optic-family laws of its iso optics, the
+    # laws of its iso capability, and the iso-specific laws
     for fam_name, family in FAMILY_REGISTRY.items():
         fam_nats = naturals_within(family, naturals)
         pool = pools[fam_name]
+        reports += check_optic_family_laws(iso_family_fixture(family, pool), budget)
         pairs = [(f, g) for f in pool for g in pool if f.payloads and g.payloads][:3]
         reports += check_enhancing_laws(
             iso_capability_fixture(family, pool, dom_a, dom_b),
@@ -1331,22 +1343,7 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
             compose_pairs=pairs,
             budget=budget,
         )
-
-    # iso-specific laws per registry family
-    for fam_name, family in FAMILY_REGISTRY.items():
-        reports += check_iso_laws(
-            family, pools[fam_name], naturals_within(family, naturals), budget
-        )
-
-    # functorizations for all six concrete families
-    for tag in FamilyTag:
-        fz = functorize(tag)
-        pool = pools[fz.functor_family.name]
-        fam_nats = naturals_within(fz.functor_family, naturals)
-        pairs = [(f, g) for f in pool for g in pool][:3]
-        reports += check_functorization_laws(
-            fz, pool, fam_nats, dom_a, dom_b, compose_pairs=pairs, budget=budget
-        )
+        reports += check_iso_laws(family, pool, fam_nats, budget)
 
     # conversions are morphisms
     for spec in standard_morphism_specs(n_pairs=2):

@@ -23,6 +23,7 @@ from opticat.laws import (
     gen_lawful_achlens,
     gen_lawful_adapter,
     gen_lawful_lens,
+    gen_lawful_optional,
     gen_lawful_prism,
     gen_unlawful_lens,
     getting_fixture,
@@ -228,13 +229,18 @@ def test_criterion_5_derivation_theorem():
         lens = gen_lawful_lens(seed, dom_r, dom_a, dom_s)
         return Setter(over=lens.map_optic), dom_s
 
+    def optional_case(seed):
+        return gen_lawful_optional(seed, labels("m", 2), labels("k", 1), dom_a, dom_s), dom_s
+
     cases = {
         FamilyTag.LENS: lens_case,
         FamilyTag.PRISM: prism_case,
         FamilyTag.ACHLENS: achlens_case,
         FamilyTag.ADAPTER: adapter_case,
         FamilyTag.SETTER: setter_case,
+        FamilyTag.OPTIONAL: optional_case,
     }
+    assert set(cases) == set(FamilyTag)
     per_family = 200
     for tag, make in cases.items():
         family = functorize(tag).functor_family

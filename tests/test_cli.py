@@ -1,5 +1,6 @@
 """Path parsing, compilation, command semantics, and the golden table."""
 
+import ast
 import contextlib
 import copy
 import gc
@@ -396,6 +397,23 @@ def test_importing_the_laws_loads_no_dataclasses():
     added = _modules_added_by_import("opticat.laws")
     assert "opticat.laws" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # perfbench/tracing.py patches laws.maps_agree by name, so laws keeps it.
+    import opticat
+
+    unused = set()
+    for path in Path(opticat.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.add(f"{path.stem}.{name}")
+    assert unused - {"laws.maps_agree"} == set()
 
 
 def test_main_help(capsys):

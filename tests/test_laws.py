@@ -134,6 +134,33 @@ def test_setter_from_shape_map_is_lawful():
     assert all(rep.passed for rep in reports)
 
 
+def test_every_family_has_a_full_row_in_both_tables():
+    # A family is stated once in encode (its functorization and residual
+    # form) and once in laws (its random record, lawful optics and
+    # checker); a family missing from a table would skip its derivation or
+    # its laws.
+    from opticat import encode, laws
+    from opticat.encode import concrete_to_iso
+    from opticat.families import CONCRETE_FAMILIES
+    from opticat.functors import id_shape
+
+    assert set(encode._FUNCTORIZATIONS) == set(FamilyTag) == set(laws._FAMILY_LAWS)
+    for tag in FamilyTag:
+        row = functorize(tag)
+        assert row.family_tag is tag
+        assert row.functor_family.member(id_shape())
+        assert row.enhance_op(id_shape()).tag is tag
+        optic = laws.gen_random_optic(tag, 0, labels("a", 2), labels("s", 3))
+        assert type(optic) is CONCRETE_FAMILIES[tag]
+        assert concrete_to_iso(optic).family is row.functor_family
+        lawful, check = laws._FAMILY_LAWS[tag]
+        optics, wholes = lawful()
+        assert optics and all(o.tag is tag for o in optics)
+        assert all(rep.passed for o in optics for rep in check(o, laws._LAWFUL_A, wholes))
+    with pytest.raises(TypeError):
+        concrete_to_iso(object())
+
+
 def test_cardinality_mismatch_rejected():
     with pytest.raises(ValueError):
         gen_lawful_lens(0, labels("r", 2), labels("a", 2), ("s0", "s1", "s2"))

@@ -58,9 +58,10 @@ EXAMPLES = {
     ),
     ProfOptic: ((any_functor(), "run"), "ProfOptic(family=FunctorFamily(Functor), run='run')"),
     Functorization: (
-        (FamilyTag.LENS, any_functor(), "enhance_op"),
+        (FamilyTag.LENS, any_functor(), "enhance_op", "residual"),
         "Functorization(family_tag=<FamilyTag.LENS: 'LENS'>, "
-        "functor_family=FunctorFamily(Functor), enhance_op='enhance_op')",
+        "functor_family=FunctorFamily(Functor), enhance_op='enhance_op', "
+        "residual='residual')",
     ),
     ProfEncoding: (("encode", "decode"), "ProfEncoding(encode='encode', decode='decode')"),
     FiniteDomain: (("d", ("x", Just(1))), "FiniteDomain(name='d', elements=('x', Just(value=1)))"),
