@@ -556,6 +556,13 @@ def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
                 ok = all(run(s) == g(h(f(s))) for s in ds)
                 yield {"fixture": fix.name, "table": i, "h": h}, True, ok
 
+    def inj_identity():
+        # the identity optic inj(identity, identity) maps every h to h itself
+        run_id = fix.inj(identity, identity)
+        for h in all_functions(ds, ds):
+            run = run_id.map_optic(h)
+            yield {"fixture": fix.name, "h": h}, True, all(run(s) == h(s) for s in ds)
+
     def map_composition():
         for i, (o1, o2, _) in triples:
             pair_optic = o1.compose(o2)
@@ -583,12 +590,7 @@ def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
             ({"fixture": fix.name, "triple": i}, o1.compose(fix.inj(identity, identity)), o1, d1, d1, ds)
             for i, (o1, _, _) in triples
         ),
-        # The identity optic is inj(identity, identity), so this compares
-        # two separate injections of the identity pair.
-        _LawRun("optic_family.inj_identity", budget).agreements(
-            ({"fixture": fix.name, "table": i}, fix.inj(identity, identity), fix.inj(identity, identity), ds, ds, ds)
-            for i, _ in tables
-        ),
+        _LawRun("optic_family.inj_identity", budget).run(inj_identity()),
         _LawRun("optic_family.inj_composition", budget).agreements(
             (
                 {"fixture": fix.name, "table": i},

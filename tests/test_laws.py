@@ -448,6 +448,22 @@ def test_iso_capability_fixture_compares_under_the_law_budget(monkeypatch):
     assert set(budgets) == {20}
 
 
+def test_an_inj_that_ignores_the_new_focus_fails_inj_identity():
+    # inj(identity, identity) must act as the identity: its map action is h.
+    from opticat.laws import FamilyFixture, check_optic_family_laws, concrete_family_fixture
+
+    fix = concrete_family_fixture(FamilyTag.LENS)
+    broken = FamilyFixture(
+        fix.name,
+        lambda f, g: Lens(get=f, put=lambda b, s: s),
+        fix.triples,
+        fix.doms,
+        fix.inj_tables,
+    )
+    reports = {rep.law: rep for rep in check_optic_family_laws(broken)}
+    assert reports["optic_family.inj_identity"].status == FAIL
+
+
 def test_merge_is_deterministic_and_keeps_first_failure():
     from opticat.laws import LawReport
 
