@@ -115,13 +115,12 @@ def _setter_residual(optic) -> IsoOptic:
 
 
 def _achlens_enhance(shape: ContainerShape) -> AchLens:
-    if shape.product is None or shape.point is None:
-        raise UnsupportedShapeError(
-            f"shape {shape.name} lacks a pointed product capability"
-        )
+    if shape.point is None:
+        raise UnsupportedShapeError(f"shape {shape.name} has no point capability")
+    lens = _lens_enhance(shape)  # a shape with a point has a product
     return AchLens(
-        get=lambda p: shape.product.to_product(p)[1],
-        put=lambda b, p: shape.map(lambda _: b, p),
+        get=lens.get,
+        put=lens.put,
         create=lambda b: shape.product.from_product((shape.point.unit, b)),
     )
 

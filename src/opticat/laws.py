@@ -212,19 +212,12 @@ def _seeded_bijection(seed, cells, dom_s, size):
     return rng, split, {v: k for k, v in split.items()}
 
 
-def _lens_bijection(seed, dom_r, dom_a, dom_s):
-    pairs = list(itertools.product(dom_r, dom_a))
-    return _seeded_bijection(seed, pairs, dom_s, "|R|*|A|")
-
-
 def gen_lawful_lens(seed, dom_r, dom_a, dom_s=None) -> Lens:
     """A lawful simple lens from a seeded bijection between the whole domain
-    and residual-focus pairs."""
-    _, to_pair, from_pair = _lens_bijection(seed, dom_r, dom_a, dom_s)
-    return Lens(
-        get=lambda s: to_pair[s][1],
-        put=lambda b, s: from_pair[(to_pair[s][0], b)],
-    )
+    and residual-focus pairs: the achromatic lens of the same seed without
+    its ``create``."""
+    al = gen_lawful_achlens(seed, dom_r, dom_a, dom_s)
+    return Lens(get=al.get, put=al.put)
 
 
 def gen_lawful_prism(seed, dom_r, dom_a, dom_s=None) -> Prism:
@@ -241,9 +234,11 @@ def gen_lawful_prism(seed, dom_r, dom_a, dom_s=None) -> Prism:
 
 
 def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
-    """A lawful achromatic lens: a lens bijection whose residual has a
-    seeded distinguished point used by ``create``."""
-    rng, to_pair, from_pair = _lens_bijection(seed, dom_r, dom_a, dom_s)
+    """A lawful achromatic lens: a seeded bijection between the whole domain
+    and residual-focus pairs, whose residual has a seeded distinguished
+    point used by ``create``."""
+    pairs = list(itertools.product(dom_r, dom_a))
+    rng, to_pair, from_pair = _seeded_bijection(seed, pairs, dom_s, "|R|*|A|")
     point = rng.choice(tuple(dom_r))
     return AchLens(
         get=lambda s: to_pair[s][1],
