@@ -18,6 +18,7 @@ from .families import (
     Optional,
     Prism,
     Setter,
+    embed,
 )
 from .functors import (
     Comp,
@@ -224,7 +225,7 @@ def prof_encoding(tag: FamilyTag) -> ProfEncoding:
     row = functorize(tag)
 
     def encode(optic) -> ProfOptic:
-        return iso_to_prof(row.residual(optic))
+        return iso_to_prof(row.residual(embed(optic, tag)))
 
     def decode(optic: ProfOptic):
         return unfunctorize(prof_to_iso(optic), tag)

@@ -326,6 +326,18 @@ def test_optional_encoding_is_registered():
     )
 
 
+def test_encoding_takes_an_optic_into_its_family_first():
+    # A lens encodes at OPTIONAL through its embedding; a prism does not
+    # embed into LENS, so the lens encoding refuses it before running it.
+    dom_s = tuple(f"s{i}" for i in range(4))
+    lens = gen_lawful_lens(3, labels("r", 2), labels("a", 2), dom_s)
+    enc = prof_encoding(FamilyTag.OPTIONAL)
+    back = enc.decode(enc.encode(lens))
+    assert all(back.match(s) == Right(lens.get(s)) for s in dom_s)
+    with pytest.raises(FamilyMismatchError):
+        prof_encoding(FamilyTag.LENS).encode(just())
+
+
 def test_prof_encoding_unregistered_tag():
     with pytest.raises(KeyError):
         functorize("nope")
