@@ -4,12 +4,12 @@ Checkers never assert; they return :class:`LawReport` values whose failures
 carry the first counterexample in enumeration order.  Budgeted runs that hit
 the evaluation cap, or that would compare optics on a sampled probe set, come
 back INCONCLUSIVE, never silently passed.  Laws that state two optics equal
-compare them through :func:`observational_eq`; ``optic_family.map_inj``,
-``optic_family.map_composition`` and ``functorization.map_is_shape_map``
-compare map actions probe by probe.  The evaluation budget is the suite's
-only setting: fixtures and seeds are fixed.  :data:`REQUIRED_LAWS` is the
-coverage list, and :func:`main` fails when the laws the suite reports differ
-from it.
+compare them through :func:`observational_eq`; ``optic_family.inj_identity``,
+``optic_family.map_inj``, ``optic_family.map_composition`` and
+``functorization.map_is_shape_map`` compare map actions probe by probe.
+The evaluation budget is the suite's only setting: fixtures and seeds are
+fixed.  :data:`REQUIRED_LAWS` is the coverage list, and :func:`main` fails
+when the laws the suite reports differ from it.
 """
 
 import itertools
