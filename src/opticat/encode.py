@@ -2,10 +2,14 @@
 
 Each concrete family has one row, its :class:`Functorization`: the largest
 shape family it can zoom through, its one-layer optic, and the map from its
-optics to their residual forms.  A row yields an executable profunctor
-encoding whose encode and decode are mutually inverse up to observational
-equality.  For lenses and achromatic lenses the round trip holds only for
-lawful inputs.
+optics to their residual forms.  A row's one-layer optic refuses any shape
+outside its family.  A row yields an executable profunctor encoding whose
+encode and decode are mutually inverse up to observational equality.  For
+lenses and achromatic lenses the round trip holds only for lawful inputs.
+
+The embeddings of the family order come from the rows too: :func:`embed`
+reads an optic's residual form again in the larger family's functor family
+and collapses it there.
 """
 
 from .base import Just, Left, Nothing, Record, Right, identity
@@ -18,7 +22,7 @@ from .families import (
     Optional,
     Prism,
     Setter,
-    embed,
+    family_le,
 )
 from .functors import (
     Comp,
@@ -55,10 +59,6 @@ class ProfEncoding(Record):
 
 
 def _adapter_enhance(shape: ContainerShape) -> Adapter:
-    if shape.ident is None:
-        raise UnsupportedShapeError(
-            f"adapters only zoom through identity-like shapes, not {shape.name}"
-        )
     return Adapter(fwd=shape.ident.unwrap, bwd=shape.ident.wrap)
 
 
@@ -67,8 +67,6 @@ def _adapter_residual(optic) -> IsoOptic:
 
 
 def _lens_enhance(shape: ContainerShape) -> Lens:
-    if shape.product is None:
-        raise UnsupportedShapeError(f"shape {shape.name} has no product capability")
     return Lens(
         get=lambda p: shape.product.to_product(p)[1],
         put=lambda b, p: shape.map(lambda _: b, p),
@@ -85,8 +83,6 @@ def _lens_residual(optic) -> IsoOptic:
 
 
 def _prism_enhance(shape: ContainerShape) -> Prism:
-    if shape.sum is None:
-        raise UnsupportedShapeError(f"shape {shape.name} has no sum capability")
     return Prism(
         match=lambda p: affine_match(shape, p),
         build=lambda b: shape.sum.from_sum(Right(b)),
@@ -116,8 +112,6 @@ def _setter_residual(optic) -> IsoOptic:
 
 
 def _achlens_enhance(shape: ContainerShape) -> AchLens:
-    if shape.point is None:
-        raise UnsupportedShapeError(f"shape {shape.name} has no point capability")
     lens = _lens_enhance(shape)  # a shape with a point has a product
     return AchLens(
         get=lens.get,
@@ -169,15 +163,26 @@ def _optional_residual(optic) -> IsoOptic:
     )
 
 
+def _row(tag, family, enhance, residual) -> Functorization:
+    """A family's row; its one-layer optic refuses shapes outside ``family``."""
+
+    def enhance_op(shape):
+        if not family.member(shape):
+            raise UnsupportedShapeError(f"shape {shape.name} is not a member of {family.name}")
+        return enhance(shape)
+
+    return Functorization(tag, family, enhance_op, residual)
+
+
 _FUNCTORIZATIONS = {
     row.family_tag: row
     for row in (
-        Functorization(FamilyTag.ADAPTER, id_only(), _adapter_enhance, _adapter_residual),
-        Functorization(FamilyTag.LENS, is_product(), _lens_enhance, _lens_residual),
-        Functorization(FamilyTag.PRISM, is_sum(), _prism_enhance, _prism_residual),
-        Functorization(FamilyTag.SETTER, any_functor(), _setter_enhance, _setter_residual),
-        Functorization(FamilyTag.ACHLENS, is_pointed_product(), _achlens_enhance, _achlens_residual),
-        Functorization(FamilyTag.OPTIONAL, is_affine(), _optional_enhance, _optional_residual),
+        _row(FamilyTag.ADAPTER, id_only(), _adapter_enhance, _adapter_residual),
+        _row(FamilyTag.LENS, is_product(), _lens_enhance, _lens_residual),
+        _row(FamilyTag.PRISM, is_sum(), _prism_enhance, _prism_residual),
+        _row(FamilyTag.SETTER, any_functor(), _setter_enhance, _setter_residual),
+        _row(FamilyTag.ACHLENS, is_pointed_product(), _achlens_enhance, _achlens_residual),
+        _row(FamilyTag.OPTIONAL, is_affine(), _optional_enhance, _optional_residual),
     )
 }
 
@@ -217,6 +222,26 @@ def unfunctorize(optic: IsoOptic, tag: FamilyTag):
             f"into {tag.value} (expects {fz.functor_family.name})"
         )
     return enhance_to_arrow(optic, fz.enhance_op)
+
+
+# Embeddings -----------------------------------------------------------------
+
+def embed(optic, tag: FamilyTag):
+    """The record of family ``tag`` with the same action as ``optic``: the
+    one statement of every embedding ``family_le`` allows.
+
+    The optic's residual form, read again in the larger functor family of
+    ``tag``'s row, collapses into ``tag``.  Only the record's ``tag`` and
+    fields are read, so a forwarding proxy of a record embeds like the
+    record itself.  Raises ``FamilyMismatchError`` off the order.
+    """
+    if optic.tag == tag:
+        return optic
+    if not family_le(optic.tag, tag):
+        raise FamilyMismatchError(f"{optic.tag.value} does not embed into {tag.value}")
+    res = concrete_to_iso(optic)
+    family = functorize(tag).functor_family
+    return unfunctorize(IsoOptic(family, res.shape, res.forward, res.backward), tag)
 
 
 # Profunctor encodings -------------------------------------------------------

@@ -6,8 +6,9 @@ function pair (the identity optic is ``inj(identity, identity)``), and the
 methods ``compose`` and ``map_optic`` (an action on functions) run on
 records.  Composing two records of different families raises.
 Heterogeneous composition goes either through the tag lattice, where
-:func:`embed` takes each record into the join of the families, or through
-the profunctor encoding (see :mod:`opticat.prof`).
+:func:`opticat.encode.embed` takes each record into the join of the
+families through its residual form, or through the profunctor encoding
+(see :mod:`opticat.prof`).
 """
 
 from enum import Enum
@@ -52,34 +53,6 @@ def family_join(a: FamilyTag, b: FamilyTag) -> FamilyTag:
         if all(d in _UPSETS[c] for d in shared):
             return c
     raise ValueError(f"no join for {a} and {b}")  # unreachable: SETTER is top
-
-
-def embed(optic, tag: FamilyTag):
-    """The record of family ``tag`` with the same action as ``optic``: the
-    one statement of every embedding ``family_le`` allows.
-
-    Dispatches on the record's ``tag`` and reads only its fields (and
-    ``map_optic``, into SETTER), so a forwarding proxy of a record embeds
-    like the record itself.  Raises ``FamilyMismatchError`` off the order.
-    """
-    src = optic.tag
-    if src == tag:
-        return optic
-    if not family_le(src, tag):
-        raise FamilyMismatchError(f"{src.value} does not embed into {tag.value}")
-    if tag == FamilyTag.SETTER:
-        return Setter(over=optic.map_optic)
-    if src == FamilyTag.ADAPTER:
-        return CONCRETE_FAMILIES[tag].inj(optic.fwd, optic.bwd)
-    if src == FamilyTag.LENS:  # into OPTIONAL: every whole is a hit
-        get = optic.get
-        return Optional(match=lambda s: Right(get(s)), put=optic.put)
-    # PRISM into OPTIONAL: a put on a miss keeps the whole
-    match, build = optic.match, optic.build
-    return Optional(
-        match=match,
-        put=lambda b, s: either(identity, lambda _a: build(b), match(s)),
-    )
 
 
 class Lens(Record):
@@ -194,20 +167,12 @@ class AchLens(Record):
         return cls(get=fwd, put=lambda b, _s: bwd(b), create=bwd)
 
     def compose(self, inner):
-        _require_same_family(self, inner)
-        outer = self
-
-        def put(y, s):
-            return outer.put(inner.put(y, outer.get(s)), s)
-
+        lens = Lens.compose(self, inner)
         return AchLens(
-            get=lambda s: inner.get(outer.get(s)),
-            put=put,
-            create=lambda y: outer.create(inner.create(y)),
+            get=lens.get, put=lens.put, create=lambda y: self.create(inner.create(y))
         )
 
-    def map_optic(self, h):
-        return lambda s: self.put(h(self.get(s)), s)
+    map_optic = Lens.map_optic
 
 
 class Optional(Record):

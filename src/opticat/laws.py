@@ -4,9 +4,11 @@ Checkers never assert; they return :class:`LawReport` values whose failures
 carry the first counterexample in enumeration order.  Budgeted runs that hit
 the evaluation cap, or that would compare optics on a sampled probe set, come
 back INCONCLUSIVE, never silently passed.  Laws that state two optics equal
-compare them through :func:`observational_eq`; ``optic_family.inj_identity``,
-``optic_family.map_inj``, ``optic_family.map_composition`` and
-``functorization.map_is_shape_map`` compare map actions probe by probe.
+compare them through :func:`observational_eq`, and a FAIL there names the
+probe ``{h, s, lhs, rhs}`` on which the two sides differ.
+``optic_family.inj_identity``, ``optic_family.map_inj``,
+``optic_family.map_composition`` and ``functorization.map_is_shape_map``
+compare map actions probe by probe.
 The evaluation budget is the suite's only setting: fixtures and seeds are
 fixed.  :data:`REQUIRED_LAWS` is the coverage list, and :func:`main` fails
 when the laws the suite reports differ from it.
@@ -27,10 +29,9 @@ from .families import (
     Lens,
     Optional,
     Prism,
-    embed,
     family_le,
 )
-from .encode import concrete_to_iso, functorize, prof_encoding, unfunctorize
+from .encode import concrete_to_iso, embed, functorize, prof_encoding, unfunctorize
 from .functors import (
     FAMILY_REGISTRY,
     Comp,
@@ -113,17 +114,26 @@ class _LawRun:
     def __init__(self, law, budget=DEFAULT_MAX_EVALS):
         self.report = LawReport(law=law)
         self.budget = budget
+        # the arguments of the comparison agrees last refuted, until the
+        # case built from it is recorded
+        self._refuted = None
 
     def case(self, inputs, expected, actual):
-        """Record one comparison; returns False when enumeration should stop."""
+        """Record one comparison; returns False when enumeration should stop.
+
+        A failing case whose own :meth:`agrees` comparison came out False
+        names the probe that separates its two sides.
+        """
+        refuted, self._refuted = self._refuted, None
         if self.report.cases >= self.budget:
             self.report.status = INCONCLUSIVE
             return False
         self.report.cases += 1
         if expected != actual:
-            self.report.failures.append(
-                {"inputs": inputs, "expected": expected, "actual": actual}
-            )
+            failure = {"inputs": inputs, "expected": expected, "actual": actual}
+            if refuted is not None:
+                failure["probe"] = probes.distinguishing_probe(*refuted, self.budget)
+            self.report.failures.append(failure)
             self.report.status = FAIL
             return False
         return True
@@ -144,7 +154,10 @@ class _LawRun:
         _, exhaustive = probes.probe_functions(dom_a, dom_b, dom_s, self.budget)
         if not exhaustive and self.report.status == PASS:
             self.report.status = INCONCLUSIVE
-        return observational_eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
+        agree = observational_eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
+        if not agree:
+            self._refuted = lhs, rhs, dom_a, dom_b, dom_s
+        return agree
 
     def agreements(self, cases):
         """:meth:`run` over lazy ``(inputs, lhs, rhs, dom_a, dom_b, dom_s)``
@@ -331,8 +344,8 @@ def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
     return IsoOptic(
         family=family,
         shape=shape,
-        forward=lambda s: fwd[s],
-        backward=lambda p: bwd[p],
+        forward=fwd.__getitem__,
+        backward=bwd.__getitem__,
     )
 
 

@@ -89,24 +89,21 @@ def probe_functions(dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
     return _last[1]
 
 
-def maps_agree(o1, o2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
-    """Observational equality of two optics via their map actions."""
+def distinguishing_probe(o1, o2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
+    """The first probe, in :func:`probe_functions` order, on which the map
+    actions of two optics differ, as ``{h, s, lhs, rhs}`` with ``lhs`` and
+    ``rhs`` each side's ``map_optic(h)(s)``; None if every probe agrees."""
     fns, _ = probe_functions(dom_a, dom_b, dom_s, max_evals)
     for h in fns:
         run1, run2 = o1.map_optic(h), o2.map_optic(h)
         for s in dom_s:
-            if run1(s) != run2(s):
-                return False
-    return True
-
-
-def distinguishing_probe(o1, o2, dom_a, dom_b, dom_s):
-    """Brute-force search for a probe separating two optics; None if all
-    probes agree."""
-    for h in all_functions(dom_a, dom_b):
-        run1, run2 = o1.map_optic(h), o2.map_optic(h)
-        for s in dom_s:
-            r1, r2 = run1(s), run2(s)
-            if r1 != r2:
-                return {"h": h, "s": s, "lhs": r1, "rhs": r2}
+            lhs = run1(s)
+            rhs = run2(s)
+            if lhs != rhs:
+                return {"h": h, "s": s, "lhs": lhs, "rhs": rhs}
     return None
+
+
+def maps_agree(o1, o2, dom_a, dom_b, dom_s, max_evals=DEFAULT_MAX_EVALS):
+    """Observational equality of two optics via their map actions."""
+    return distinguishing_probe(o1, o2, dom_a, dom_b, dom_s, max_evals) is None

@@ -159,34 +159,22 @@ _PAIR = pair_shape()
 _SUM = sum_shape()
 
 
+# Each is the profunctor optic of a residual form (see :func:`iso_to_prof`).
+
 def prof_second() -> ProfOptic:
-    return ProfOptic(
-        family=is_product(),
-        run=lambda cap, p: cap.enhance(_PAIR, p),
-    )
+    return iso_to_prof(enhance_iso(_PAIR, is_product()))
 
 
 def prof_first() -> ProfOptic:
-    return ProfOptic(
-        family=is_product(),
-        run=lambda cap, p: cap.dimap(_swap, _swap, cap.enhance(_PAIR, p)),
-    )
+    return iso_to_prof(IsoOptic(is_product(), _PAIR, _swap, _swap))
 
 
 def prof_right() -> ProfOptic:
-    return ProfOptic(
-        family=is_sum(),
-        run=lambda cap, p: cap.enhance(_SUM, p),
-    )
+    return iso_to_prof(enhance_iso(_SUM, is_sum()))
 
 
 def prof_just() -> ProfOptic:
-    return ProfOptic(
-        family=is_sum(),
-        run=lambda cap, p: cap.dimap(
-            _maybe_to_sum, _sum_to_maybe, cap.enhance(_SUM, p)
-        ),
-    )
+    return iso_to_prof(IsoOptic(is_sum(), _SUM, _maybe_to_sum, _sum_to_maybe))
 
 
 # Conversions to and from iso optics -----------------------------------------
@@ -205,7 +193,7 @@ def iso_capability(family: FunctorFamily) -> ProfunctorCapability:
     """Iso optics themselves form a capability record for their family."""
     return ProfunctorCapability(
         name="IsoOptic",
-        dimap=lambda f, g, optic: iso_dimap(f, g, optic),
+        dimap=iso_dimap,
         enhance=lambda shape, optic: iso_compose(enhance_iso(shape, family), optic),
     )
 

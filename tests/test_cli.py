@@ -416,6 +416,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused - {"laws.maps_agree"} == set()
 
 
+def test_no_module_imports_inside_a_function():
+    # A module's dependencies are its header: no name, embed included, comes
+    # back into a module as a deferred import.
+    import opticat
+
+    deferred = []
+    for path in Path(opticat.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred += [
+                    f"{path.stem}.{func.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert deferred == []
+
+
 def test_main_help(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out

@@ -24,6 +24,7 @@ from opticat.families import (
 from opticat.functors import (
     UnsupportedShapeError,
     compose_shapes,
+    cps_shape,
     id_shape,
     is_sum,
     maybe_pair_shape,
@@ -39,6 +40,7 @@ from opticat.laws import (
     gen_lawful_lens,
     gen_lawful_prism,
     labels,
+    standard_shapes,
 )
 from opticat.probes import all_functions, maps_agree
 
@@ -83,12 +85,19 @@ def test_adapter_zoom_through_identity_like():
 
 
 def test_functorize_rejects_non_member_shapes():
+    # Every row's one-layer optic refuses, at once, each standard shape
+    # outside its functor family, the continuation shape included.
     with pytest.raises(UnsupportedShapeError):
-        functorize(FamilyTag.LENS).enhance_op(sum_shape(("c",)))
-    with pytest.raises(UnsupportedShapeError):
-        functorize(FamilyTag.ADAPTER).enhance_op(pair_shape(("c",)))
-    with pytest.raises(UnsupportedShapeError):
-        functorize(FamilyTag.ACHLENS).enhance_op(pair_shape(("c",)))
+        functorize(FamilyTag.OPTIONAL).enhance_op(cps_shape())
+    refusing = set()
+    for tag in FamilyTag:
+        fz = functorize(tag)
+        for shape in (*standard_shapes().values(), cps_shape()):
+            if not fz.functor_family.member(shape):
+                with pytest.raises(UnsupportedShapeError):
+                    fz.enhance_op(shape)
+                refusing.add(tag)
+    assert refusing == set(FamilyTag) - {FamilyTag.SETTER}
 
 
 def test_adapter_functorization_rigidity():

@@ -16,7 +16,6 @@ from opticat.families import (
     Prism,
     dimap_optic,
     each,
-    embed,
     family_join,
     family_le,
     first,
@@ -24,6 +23,7 @@ from opticat.families import (
     multi_map_optic,
     second,
 )
+from opticat.encode import concrete_to_iso, embed, functorize
 from opticat.laws import (
     check_lens_laws,
     gen_lawful_lens,
@@ -382,15 +382,32 @@ class _FieldProxy:
 
 
 def test_embed_reads_only_tag_and_fields():
-    # Every embedding but the one into SETTER, which runs map_optic.
     dom_a, dom_s = labels("a", 2), labels("s", 3)
-    pairs = [
-        (a, b) for a in TAGS for b in TAGS
-        if a != b and b != FamilyTag.SETTER and family_le(a, b)
-    ]
-    assert len(pairs) == 6
+    pairs = [(a, b) for a in TAGS for b in TAGS if a != b and family_le(a, b)]
+    assert len(pairs) == 11
     for a, b in pairs:
         record = gen_random_optic(a, 0, dom_a, dom_s)
         embedded = embed(_FieldProxy(record), b)
         assert type(embedded) is CONCRETE_FAMILIES[b]
         assert maps_agree(embedded, record, dom_a, dom_a, dom_s), (a, b)
+
+
+def test_residual_shapes_belong_to_every_larger_family():
+    # embed reads a residual form again in the larger family's functor family
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    for a, b in itertools.product(TAGS, TAGS):
+        if family_le(a, b):
+            shape = concrete_to_iso(gen_random_optic(a, 0, dom_a, dom_s)).shape
+            assert functorize(b).functor_family.member(shape), (a, b)
+
+
+def test_embeddings_compose_along_the_order():
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    chains = [
+        (a, b, c) for a, b, c in itertools.product(TAGS, TAGS, TAGS)
+        if family_le(a, b) and family_le(b, c)
+    ]
+    assert len(chains) == 36
+    for a, b, c in chains:
+        optic = gen_random_optic(a, 0, dom_a, dom_s)
+        assert maps_agree(embed(embed(optic, b), c), embed(optic, c), dom_a, dom_a, dom_s)

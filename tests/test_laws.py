@@ -448,20 +448,61 @@ def test_iso_capability_fixture_compares_under_the_law_budget(monkeypatch):
     assert set(budgets) == {20}
 
 
-def test_an_inj_that_ignores_the_new_focus_fails_inj_identity():
-    # inj(identity, identity) must act as the identity: its map action is h.
-    from opticat.laws import FamilyFixture, check_optic_family_laws, concrete_family_fixture
+def _lens_fixture_whose_inj_ignores_the_new_focus():
+    from opticat.laws import FamilyFixture, concrete_family_fixture
 
     fix = concrete_family_fixture(FamilyTag.LENS)
-    broken = FamilyFixture(
+    return FamilyFixture(
         fix.name,
         lambda f, g: Lens(get=f, put=lambda b, s: s),
         fix.triples,
         fix.doms,
         fix.inj_tables,
     )
+
+
+def test_an_inj_that_ignores_the_new_focus_fails_inj_identity():
+    # inj(identity, identity) must act as the identity: its map action is h.
+    from opticat.laws import check_optic_family_laws
+
+    broken = _lens_fixture_whose_inj_ignores_the_new_focus()
     reports = {rep.law: rep for rep in check_optic_family_laws(broken)}
     assert reports["optic_family.inj_identity"].status == FAIL
+
+
+def test_a_comparison_fail_names_a_probe_that_replays():
+    from opticat.base import identity
+    from opticat.laws import check_optic_family_laws
+
+    broken = _lens_fixture_whose_inj_ignores_the_new_focus()
+    reports = {rep.law: rep for rep in check_optic_family_laws(broken)}
+    rep = reports["optic_family.identity_left"]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    o1 = broken.triples[failure["inputs"]["triple"]][0]
+    lhs, rhs = broken.inj(identity, identity).compose(o1), o1
+    probe = failure["probe"]
+    h, s = probe["h"], probe["s"]
+    assert probe["lhs"] == lhs.map_optic(h)(s)
+    assert probe["rhs"] == rhs.map_optic(h)(s)
+    assert probe["lhs"] != probe["rhs"]
+    line = json.loads(next(report_lines([rep])))
+    assert line["status"] == FAIL
+    assert set(line["counterexample"]["probe"]) == {"h", "s", "lhs", "rhs"}
+
+
+def test_a_probe_names_only_the_case_whose_own_comparison_failed():
+    # iso.retraction expects some comparisons to come out False; a later
+    # failure that made no comparison names no probe.
+    from opticat.families import first, second
+    from opticat.laws import _LawRun
+
+    dom_a = ("a0", "a1")
+    pairs = [(a, c) for a in dom_a for c in dom_a]
+    run = _LawRun("x.law")
+    assert not run.agrees(first(), second(), dom_a, dom_a, pairs)
+    run.run([({"case": 0}, True, True), ({"case": 1}, True, False)])
+    assert run.report.failures == [{"inputs": {"case": 1}, "expected": True, "actual": False}]
 
 
 def test_merge_is_deterministic_and_keeps_first_failure():
