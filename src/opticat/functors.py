@@ -4,7 +4,8 @@ A shape packages a ``map`` action over tagged payloads together with the
 capability records (product, sum, point, ident) that decide which shape
 families it belongs to.  Higher-kinded quantification is defunctionalized:
 "a container F" is a :class:`ContainerShape` value, and "an F a" is a payload
-the shape's operations know how to interpret.
+the shape's operations know how to interpret.  The pointed pair is the pair
+over optional residuals plus a point, so the pair's code is stated once.
 """
 
 from .base import UNIT, Just, Left, Nothing, Record, Right
@@ -179,20 +180,14 @@ def pair_shape(residuals=None, name=None) -> ContainerShape:
 
 
 def maybe_pair_shape(residuals=None, name=None) -> ContainerShape:
-    """The (option c, -) container: a pair whose residual has a default."""
-    enum = None
+    """The (option c, -) container: the pair over residuals Nothing() and
+    Just(c), pointed at Nothing()."""
     if residuals is not None:
-        tags = [Nothing()] + [Just(c) for c in residuals]
-        enum = _enumerated(lambda dom: [(mc, a) for mc in tags for a in dom])
+        residuals = [Nothing()] + [Just(c) for c in residuals]
+    pair = pair_shape(residuals, name or "MaybePair")
     return ContainerShape(
-        name=name or "MaybePair",
-        map=lambda h, p: (p[0], h(p[1])),
-        product=ProductCap(
-            to_product=lambda p: ((p[0], UNIT), p[1]),
-            from_product=lambda pair: (pair[0][0], pair[1]),
-        ),
-        point=PointCap(unit=(Nothing(), UNIT)),
-        payloads=enum,
+        pair.name, pair.map, pair.product, point=PointCap(unit=(Nothing(), UNIT)),
+        payloads=pair.payloads,
     )
 
 
@@ -210,10 +205,10 @@ def sum_shape(residuals=None, name=None) -> ContainerShape:
     )
 
 
-def maybe_shape(name=None) -> ContainerShape:
+def maybe_shape() -> ContainerShape:
     """The option container; a sum whose residual is the unit value."""
     return ContainerShape(
-        name=name or "Maybe",
+        name="Maybe",
         map=lambda h, p: Just(h(p.value)) if isinstance(p, Just) else p,
         sum=SumCap(
             to_sum=lambda p: Right(p.value) if isinstance(p, Just) else Left(UNIT),
@@ -223,13 +218,13 @@ def maybe_shape(name=None) -> ContainerShape:
     )
 
 
-def cps_shape(name=None) -> ContainerShape:
+def cps_shape() -> ContainerShape:
     """The continuation container: payloads are functions (a -> b) -> t."""
 
     def cmap(h, k):
         return lambda fn: k(lambda a: fn(h(a)))
 
-    return ContainerShape(name=name or "Cps", map=cmap)
+    return ContainerShape(name="Cps", map=cmap)
 
 
 def compose_shapes(f: ContainerShape, g: ContainerShape) -> ContainerShape:

@@ -57,10 +57,6 @@ def iso_inj(fwd, bwd, family=None):
     )
 
 
-def iso_identity(family=None):
-    return iso_inj(identity, identity, family)
-
-
 def iso_compose(outer: IsoOptic, inner: IsoOptic) -> IsoOptic:
     if outer.family.name != inner.family.name:
         raise FamilyMismatchError(

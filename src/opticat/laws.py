@@ -8,7 +8,8 @@ compare them through :func:`observational_eq`, and a FAIL there names the
 probe ``{h, s, lhs, rhs}`` on which the two sides differ.
 ``optic_family.inj_identity``, ``optic_family.map_inj``,
 ``optic_family.map_composition`` and ``functorization.map_is_shape_map``
-compare map actions probe by probe.
+compare map actions probe by probe; a FAIL there names ``h`` and the first
+whole ``s`` (or payload ``p``) on which the two sides differ.
 The evaluation budget is the suite's only setting: fixtures and seeds are
 fixed.  :data:`REQUIRED_LAWS` is the coverage list, and :func:`main` fails
 when the laws the suite reports differ from it.
@@ -44,7 +45,7 @@ from .functors import (
     sum_shape,
 )
 from . import probes
-from .iso import IsoOptic, enhance_iso, iso_identity, iso_inj, observational_eq
+from .iso import IsoOptic, enhance_iso, iso_inj, observational_eq
 # maps_agree is unused here, but perfbench/tracing.py patches laws.maps_agree
 # by name, and a missing name crashes a traced law_suite run.
 from .probes import DEFAULT_MAX_EVALS, FiniteFn, all_functions, maps_agree
@@ -538,16 +539,25 @@ def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
 
 # Optic-family law group ------------------------------------------------------
 
-class FamilyFixture:
+class FamilyFixture(Record):
     """Everything the shared-operation law checker needs for one family."""
 
-    def __init__(self, name, inj, triples, doms, inj_tables):
-        self.name = name
-        self.inj = inj                # (fwd, bwd) -> optic; the identity is inj(identity, identity)
-        self.triples = triples        # [(o1, o2, o3)] composable, outermost first
-        self.doms = doms              # keys: s, a1, a2, a3  (simple optics: b=a, t=s)
-        # [(f, g, f2, g2)]  f: s->a1, g: a1->s, f2: a1->a3, g2: a3->a1
-        self.inj_tables = inj_tables
+    # inj: (fwd, bwd) -> optic; the identity is inj(identity, identity)
+    # triples: [(o1, o2, o3)] composable, outermost first
+    # doms: keys s, a1, a2, a3  (simple optics: b=a, t=s)
+    # inj_tables: [(f, g, f2, g2)]  f: s->a1, g: a1->s, f2: a1->a3, g2: a3->a1
+    __slots__ = ("name", "inj", "triples", "doms", "inj_tables")
+
+
+def _agree_on(inputs, actual, expected, wholes):
+    """A probe-by-probe case: ``actual`` and ``expected`` agree on every
+    whole.  When they do not, the case names the first whole ``s`` on which
+    they differ and gives each side's value there."""
+    for s in wholes:
+        lhs, rhs = actual(s), expected(s)
+        if lhs != rhs:
+            return {**inputs, "s": s}, rhs, lhs
+    return inputs, True, True
 
 
 def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
@@ -560,25 +570,22 @@ def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
         for i, (f, g, _, _) in tables:
             optic = fix.inj(f, g)
             for h in all_functions(d1, d1):
-                run = optic.map_optic(h)
-                ok = all(run(s) == g(h(f(s))) for s in ds)
-                yield {"fixture": fix.name, "table": i, "h": h}, True, ok
+                inputs = {"fixture": fix.name, "table": i, "h": h}
+                yield _agree_on(inputs, optic.map_optic(h), lambda s: g(h(f(s))), ds)
 
     def inj_identity():
         # the identity optic inj(identity, identity) maps every h to h itself
         run_id = fix.inj(identity, identity)
         for h in all_functions(ds, ds):
-            run = run_id.map_optic(h)
-            yield {"fixture": fix.name, "h": h}, True, all(run(s) == h(s) for s in ds)
+            yield _agree_on({"fixture": fix.name, "h": h}, run_id.map_optic(h), h, ds)
 
     def map_composition():
         for i, (o1, o2, _) in triples:
             pair_optic = o1.compose(o2)
             for h in all_functions(d2, d2):
-                staged = o1.map_optic(o2.map_optic(h))
-                fused = pair_optic.map_optic(h)
-                ok = all(fused(s) == staged(s) for s in ds)
-                yield {"fixture": fix.name, "triple": i, "h": h}, True, ok
+                inputs = {"fixture": fix.name, "triple": i, "h": h}
+                fused, staged = pair_optic.map_optic(h), o1.map_optic(o2.map_optic(h))
+                yield _agree_on(inputs, fused, staged, ds)
 
     return [
         _LawRun("optic_family.compose_associative", budget).agreements(
@@ -705,8 +712,8 @@ class Natural(Record):
     __slots__ = ("name", "source", "target", "fn")
 
 
-def standard_naturals(shapes=None) -> list:
-    sh = shapes or standard_shapes()
+def standard_naturals(sh) -> list:
+    """The registered naturals between the shapes ``sh`` of :func:`standard_shapes`."""
     rot = {"r0": "r1", "r1": "r0"}
     return [
         Natural("pair_drop", sh["pair"], sh["id"], lambda p: Id(p[1])),
@@ -773,16 +780,14 @@ def naturals_within(family, naturals):
 
 # Enhancing law group ---------------------------------------------------------
 
-class CapabilityFixture:
+class CapabilityFixture(Record):
     """A capability record plus the machinery to enumerate and compare its
     profunctor values extensionally.  ``eq`` gets the law's :class:`_LawRun`,
     so a comparison that probes goes through its budget."""
 
-    def __init__(self, name, cap, values, eq):
-        self.name = name
-        self.cap = cap
-        self.values = values  # (dom_in, dom_out) -> list of P values
-        self.eq = eq          # (run, p1, p2, dom_in) -> bool
+    # values: (dom_in, dom_out) -> list of P values
+    # eq: (run, p1, p2, dom_in) -> bool
+    __slots__ = ("name", "cap", "values", "eq")
 
 
 def _pointwise_eq(run, p1, p2, din):
@@ -850,7 +855,7 @@ def check_enhancing_laws(
     naturals,
     dom_a,
     dom_b,
-    compose_pairs=None,
+    compose_pairs,
     budget=DEFAULT_MAX_EVALS,
 ):
     """The capability laws: dimap is functorial, enhance respects the
@@ -890,7 +895,7 @@ def check_enhancing_laws(
             yield {"cap": fix.name, "value": i}, lhs, rhs, id_payloads
 
     def compose_shape():
-        for f_shape, g_shape in compose_pairs or []:
+        for f_shape, g_shape in compose_pairs:
             fg = compose_shapes(f_shape, g_shape)
             fg_payloads = fg.payloads(list(As))
             for i, p in enumerate(values[:4]):
@@ -937,7 +942,7 @@ def check_enhancing_laws(
 # Functorization law group ----------------------------------------------------
 
 def check_functorization_laws(
-    fz, shapes, naturals, dom_a, dom_b, compose_pairs=None, budget=DEFAULT_MAX_EVALS
+    fz, shapes, naturals, dom_a, dom_b, compose_pairs, budget=DEFAULT_MAX_EVALS
 ):
     As, Bs = tuple(dom_a), tuple(dom_b)
     tag = fz.family_tag.value
@@ -953,10 +958,10 @@ def check_functorization_laws(
             for h in probe:
                 run = optic.map_optic(h)
                 for p in payloads:
-                    yield {"tag": tag, "shape": shape.name, "p": p}, shape.map(h, p), run(p)
+                    yield {"tag": tag, "shape": shape.name, "h": h, "p": p}, shape.map(h, p), run(p)
 
     def compose_shape():
-        for f_shape, g_shape in compose_pairs or []:
+        for f_shape, g_shape in compose_pairs:
             fg = compose_shapes(f_shape, g_shape)
             rhs = cls.inj(lambda cp: cp.value, Comp).compose(
                 fz.enhance_op(f_shape)
@@ -1015,8 +1020,9 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
 
     def endo_identity():
         # chasing an optic through inj/compose round trips must be identity
+        ident = iso_inj(identity, identity, family)
         for shape, optic in optics:
-            chained = iso_identity(family).compose(optic).compose(iso_identity(family))
+            chained = ident.compose(optic).compose(ident)
             yield {"family": family.name, "shape": shape.name}, optic, chained, As, As, ss
 
     retract = _LawRun("iso.retraction", budget)
@@ -1075,16 +1081,14 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
 
 # Morphism law group ----------------------------------------------------------
 
-class MorphismSpec:
+class MorphismSpec(Record):
     """A conversion between families plus composable sample pairs."""
 
-    def __init__(self, name, theta, inj_src, inj_dst, pairs, doms):
-        self.name = name
-        self.theta = theta      # source optic -> target optic
-        self.inj_src = inj_src  # (f, g) -> source optic
-        self.inj_dst = inj_dst  # (f, g) -> target optic
-        self.pairs = pairs      # [(o1, o2)] composable in the source family
-        self.doms = doms        # keys: s, a1, a2
+    # theta: source optic -> target optic
+    # inj_src, inj_dst: (f, g) -> source optic, target optic
+    # pairs: [(o1, o2)] composable in the source family
+    # doms: keys s, a1, a2
+    __slots__ = ("name", "theta", "inj_src", "inj_dst", "pairs", "doms")
 
 
 def check_morphism(spec: MorphismSpec, budget=DEFAULT_MAX_EVALS):

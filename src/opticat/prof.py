@@ -17,7 +17,7 @@ from .functors import (
     pair_shape,
     sum_shape,
 )
-from .iso import IsoOptic, enhance_iso, iso_compose, iso_dimap, iso_identity
+from .iso import IsoOptic, enhance_iso, iso_compose, iso_dimap, iso_inj
 
 
 class UnsupportedOperatorError(TypeError):
@@ -200,4 +200,4 @@ def iso_capability(family: FunctorFamily) -> ProfunctorCapability:
 
 def prof_to_iso(optic: ProfOptic) -> IsoOptic:
     """Instantiate at the iso-optic capability and apply to the identity."""
-    return optic.run(iso_capability(optic.family), iso_identity(optic.family))
+    return optic.run(iso_capability(optic.family), iso_inj(identity, identity, optic.family))

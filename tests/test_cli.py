@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from opticat.cli import (
     render,
     run,
 )
+from opticat.encode import embed
 from opticat.families import (
     FamilyTag,
     Lens,
@@ -433,6 +435,92 @@ def test_no_module_imports_inside_a_function():
     assert deferred == []
 
 
+def _defaulted_parameters(func):
+    """A function's parameters that have defaults, each with its position
+    (None for a keyword-only one)."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    params = {arg.arg: i for i, arg in enumerate(positional) if i >= first}
+    params.update(
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    )
+    return params
+
+
+def test_every_default_is_overridden_by_some_call():
+    # A default that no call overrides is a parameter nobody needs.  This
+    # covers each module-level function of the package that some call in the
+    # package or its tests names directly.  A function also used as a value
+    # (kept in a table, passed along or patched) may be called with anything,
+    # so it is left out.
+    import opticat
+
+    src = Path(opticat.__file__).parent
+    paths = [*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    stems = {path.stem for path in paths if path.parent == src}
+    defaults = {
+        (path.stem, node.name): _defaulted_parameters(node)
+        for path, tree in trees.items()
+        if path.parent == src
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    passed = {key: set() for key in defaults}
+    called, as_value = set(), set()
+    for path, tree in trees.items():
+        # the names in this file that stand for a function, or for a module
+        functions = {fn: (mod, fn) for mod, fn in defaults if path == src / f"{mod}.py"}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mod = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    if (mod, alias.name) in defaults:
+                        functions[alias.asname or alias.name] = (mod, alias.name)
+                    elif alias.name in stems:
+                        modules[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname and alias.name.startswith("opticat."):
+                        modules[alias.asname] = alias.name.rpartition(".")[2]
+
+        def refers_to(expr):
+            if isinstance(expr, ast.Name):
+                return functions.get(expr.id)
+            if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+                key = (modules.get(expr.value.id), expr.attr)
+                return key if key in defaults else None
+            return None
+
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (key := refers_to(node.func)):
+                callees.add(node.func)
+                called.add(key)
+                spread = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                    kw.arg is None for kw in node.keywords
+                )
+                passed[key].update(
+                    param for param, i in defaults[key].items()
+                    if spread or (i is not None and i < len(node.args))
+                )
+                passed[key].update(kw.arg for kw in node.keywords)
+        as_value.update(
+            refers_to(node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and node not in callees
+        )
+    never_passed = [
+        f"{mod}.{fn}.{param}"
+        for (mod, fn) in sorted(called - as_value)
+        for param in defaults[mod, fn]
+        if param not in passed[mod, fn]
+    ]
+    assert never_passed == []
+
+
 def test_main_help(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
@@ -797,3 +885,78 @@ def test_a_modify_action_that_ignores_its_function_fails_the_laws(
     mutant = _step_record(kind, arg, family, over=lambda a, h: row_over(a, lambda x: x))
     reports = _CHECKERS[family](mutant, foci, wholes)
     assert any(rep.status == "FAIL" for rep in reports)
+
+
+# A path is the library's composition of its steps ---------------------------------
+
+def _random_steps(rng):
+    steps = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["fst", "snd", "key", "idx", "some", "each"])
+        arg = {"key": rng.choice("ab"), "idx": rng.randint(0, 2)}.get(kind)
+        steps.append(Step(kind, arg))
+    return steps
+
+
+def _document(steps, leaf, at=-1, there=None):
+    """A document on which ``steps`` reach ``leaf``, except that step
+    ``at`` meets ``there``."""
+    if at == 0:
+        return there
+    if not steps:
+        return leaf
+    inner = _document(steps[1:], leaf, at - 1, there)
+    kind, arg = steps[0].kind, steps[0].arg
+    return {
+        "fst": lambda: [inner, 0],
+        "snd": lambda: [0, inner],
+        "key": lambda: {arg: inner, "z": 0},
+        "idx": lambda: [0] * arg + [inner, 0],
+        "some": lambda: {"some": inner},
+        "each": lambda: [inner, inner],
+    }[kind]()
+
+
+# What each partial step meets on a miss
+_MISSES = {"key": lambda arg: {"z": 0}, "idx": lambda arg: [0] * arg, "some": lambda arg: None}
+
+
+def _outcome(run, doc):
+    try:
+        return run(doc)
+    except cli.DocTypeError as err:
+        return ("DocTypeError", str(err))
+
+
+def test_a_path_acts_as_the_composition_of_its_step_records():
+    # The step records, embedded into the path's family and composed, agree
+    # with the compiled path on a hit, a miss and a type mismatch, failed
+    # checks and their messages included.
+    rng = random.Random(8)
+    outcomes = []
+    for _ in range(400):
+        steps = _random_steps(rng)
+        optic, tag = compile_path(PathExpr(tuple(steps)))
+        records = [
+            embed(_step_record(step.kind, step.arg, cli._STEPS[step.kind][0]), tag)
+            for step in steps
+        ]
+        composed = reduce(lambda outer, inner: outer.compose(inner), records)
+        partial = [i for i, step in enumerate(steps) if step.kind in _MISSES]
+        docs = [_document(steps, 7), _document(steps, 7, rng.randrange(len(steps)), "x")]
+        if partial:
+            i = rng.choice(partial)
+            docs.append(_document(steps, 7, i, _MISSES[steps[i].kind](steps[i].arg)))
+        runs = [(optic.map_optic(lambda v: ["h", v]), composed.map_optic(lambda v: ["h", v]))]
+        if tag == FamilyTag.LENS:
+            runs.append((optic.get, composed.get))
+        if family_le(tag, FamilyTag.OPTIONAL):
+            runs.append((optic.match, embed(composed, FamilyTag.OPTIONAL).match))
+        for doc in docs:
+            for path_run, record_run in runs:
+                outcome = _outcome(path_run, doc)
+                assert outcome == _outcome(record_run, doc), (steps, doc)
+                outcomes.append(outcome)
+    assert len(outcomes) > 1500
+    assert sum(isinstance(out, Left) for out in outcomes) > 100
+    assert sum(isinstance(out, tuple) for out in outcomes) > 300

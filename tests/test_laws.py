@@ -5,13 +5,15 @@ import json
 
 import pytest
 
-from opticat.encode import functorize
+from opticat.encode import Functorization, functorize
 from opticat.families import FamilyTag, Lens
 from opticat.functors import ContainerShape, pair_shape
+from opticat.prof import FUNCTION_ARROW, ProfunctorCapability
 from opticat.laws import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    CapabilityFixture,
     FiniteDomain,
     REQUIRED_LAWS,
     check_adapter_laws,
@@ -191,10 +193,21 @@ def test_unlawful_lens_fails_get_put_with_counterexample():
     assert lens.get(lens.put(ce["inputs"]["b"], ce["inputs"]["s"])) == ce["actual"]
 
 
-def test_broken_enhancing_record_is_detected():
-    from opticat.prof import ProfunctorCapability
-    from opticat.laws import CapabilityFixture
+def _function_arrow_with(dimap=FUNCTION_ARROW.dimap, enhance=FUNCTION_ARROW.enhance):
+    """The function-arrow capability fixture with a planted dimap or enhance."""
+    arrow = function_arrow_fixture()
+    cap = ProfunctorCapability(arrow.name, dimap, enhance)
+    return CapabilityFixture(arrow.name, cap, arrow.values, arrow.eq)
 
+
+def _enhancing_reports(fix, compose_pairs=()):
+    shapes = standard_shapes()
+    dom = labels("a", 2)
+    reports = check_enhancing_laws(fix, [shapes["pair"]], [], dom, dom, compose_pairs)
+    return {rep.law: rep for rep in reports}
+
+
+def test_broken_enhancing_record_is_detected():
     # dimap is fine but enhance ignores the shape's nesting at composed
     # shapes, so the shape-composition law must fail
     def broken_enhance(shape, h):
@@ -202,32 +215,29 @@ def test_broken_enhancing_record_is_detected():
             return lambda p: p
         return lambda p: shape.map(h, p)
 
-    broken = ProfunctorCapability(
-        name="BrokenArrow",
-        dimap=lambda f, g, h: (lambda x: g(h(f(x)))),
-        enhance=broken_enhance,
-    )
-    fix = CapabilityFixture(
-        name="BrokenArrow",
-        cap=broken,
-        values=function_arrow_fixture().values,
-        eq=function_arrow_fixture().eq,
-    )
     shapes = standard_shapes()
-    dom = labels("a", 2)
-    reports = {
-        rep.law: rep
-        for rep in check_enhancing_laws(
-            fix,
-            [shapes["pair"]],
-            [],
-            dom,
-            dom,
-            compose_pairs=[(shapes["pair"], shapes["pair2"])],
-        )
-    }
+    reports = _enhancing_reports(
+        _function_arrow_with(enhance=broken_enhance), [(shapes["pair"], shapes["pair2"])]
+    )
     assert reports["enhancing.compose_shape"].status == FAIL
     assert reports["enhancing.compose_shape"].failures
+
+
+def test_a_dimap_that_applies_g_twice_fails_dimap_composition():
+    # g applied twice is still the identity when g is, so dimap_identity
+    # cannot see it.  (Applying f twice instead would raise in
+    # identity_shape, whose f is the identity container's unwrap.)
+    twice = _function_arrow_with(dimap=lambda f, g, h: lambda x: g(g(h(f(x)))))
+    reports = _enhancing_reports(twice)
+    assert reports["profunctor.dimap_identity"].status == PASS
+    assert reports["profunctor.dimap_composition"].status == FAIL
+    assert _enhancing_reports(function_arrow_fixture())["profunctor.dimap_composition"].passed
+
+
+def test_an_enhance_that_maps_twice_fails_map_commute():
+    twice = _function_arrow_with(enhance=lambda shape, h: lambda p: shape.map(h, shape.map(h, p)))
+    assert _enhancing_reports(twice)["enhancing.map_commute"].status == FAIL
+    assert _enhancing_reports(function_arrow_fixture())["enhancing.map_commute"].passed
 
 
 def test_budget_marks_inconclusive_never_passed():
@@ -463,11 +473,54 @@ def _lens_fixture_whose_inj_ignores_the_new_focus():
 
 def test_an_inj_that_ignores_the_new_focus_fails_inj_identity():
     # inj(identity, identity) must act as the identity: its map action is h.
+    from opticat.base import identity
     from opticat.laws import check_optic_family_laws
 
     broken = _lens_fixture_whose_inj_ignores_the_new_focus()
     reports = {rep.law: rep for rep in check_optic_family_laws(broken)}
-    assert reports["optic_family.inj_identity"].status == FAIL
+    rep = reports["optic_family.inj_identity"]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    h, s = failure["inputs"]["h"], failure["inputs"]["s"]
+    assert failure["actual"] == broken.inj(identity, identity).map_optic(h)(s)
+    assert failure["expected"] == h(s) != failure["actual"]
+
+
+def test_a_probe_by_probe_fail_names_the_whole_on_which_the_sides_differ():
+    from opticat.laws import check_optic_family_laws
+
+    broken = _lens_fixture_whose_inj_ignores_the_new_focus()
+    reports = {rep.law: rep for rep in check_optic_family_laws(broken)}
+    rep = reports["optic_family.map_inj"]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    inputs = failure["inputs"]
+    f, g, _, _ = broken.inj_tables[inputs["table"]]
+    h, s = inputs["h"], inputs["s"]
+    assert failure["actual"] == broken.inj(f, g).map_optic(h)(s)
+    assert failure["expected"] == g(h(f(s))) != failure["actual"]
+    line = json.loads(next(report_lines([rep])))
+    assert {"h", "s"} <= set(line["counterexample"]["inputs"])
+
+
+def test_map_is_shape_map_names_its_probe():
+    from opticat.laws import check_functorization_laws
+
+    fz = functorize(FamilyTag.LENS)
+    # a one-layer lens whose put ignores the new focus
+    broken = Functorization(
+        fz.family_tag, fz.functor_family,
+        lambda shape: Lens(get=fz.enhance_op(shape).get, put=lambda b, p: p),
+        fz.residual,
+    )
+    pair, dom = pair_shape(("r0", "r1")), labels("a", 2)
+    reports = check_functorization_laws(broken, [pair], [], dom, dom, compose_pairs=[])
+    rep = {rep.law: rep for rep in reports}["functorization.map_is_shape_map"]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    h, p = failure["inputs"]["h"], failure["inputs"]["p"]
+    assert failure["actual"] == broken.enhance_op(pair).map_optic(h)(p)
+    assert failure["expected"] == pair.map(h, p) != failure["actual"]
 
 
 def test_a_comparison_fail_names_a_probe_that_replays():

@@ -23,11 +23,20 @@ from opticat.functors import (
     id_shape,
 )
 from opticat.iso import IsoOptic
-from opticat.laws import PASS, FiniteDomain, LawReport, Natural
+from opticat.laws import (
+    PASS,
+    CapabilityFixture,
+    FamilyFixture,
+    FiniteDomain,
+    LawReport,
+    MorphismSpec,
+    Natural,
+)
 from opticat.prof import ProfOptic, ProfunctorCapability
 
-# One example per record class, with the repr the class printed when it was a
-# dataclass.  Law reports print counterexamples with repr, so it must not move.
+# One example per record class, with its repr; a class that was a dataclass
+# prints as it did then.  Law reports print counterexamples with repr, so it
+# must not move.
 EXAMPLES = {
     Left: ((1,), "Left(value=1)"),
     Right: (("r",), "Right(value='r')"),
@@ -68,6 +77,20 @@ EXAMPLES = {
     Natural: (
         ("n", id_shape(), id_shape(), "fn"),
         "Natural(name='n', source=ContainerShape(Id), target=ContainerShape(Id), fn='fn')",
+    ),
+    FamilyFixture: (
+        ("f", "inj", "triples", "doms", "inj_tables"),
+        "FamilyFixture(name='f', inj='inj', triples='triples', doms='doms', "
+        "inj_tables='inj_tables')",
+    ),
+    CapabilityFixture: (
+        ("c", "cap", "values", "eq"),
+        "CapabilityFixture(name='c', cap='cap', values='values', eq='eq')",
+    ),
+    MorphismSpec: (
+        ("m", "theta", "inj_src", "inj_dst", "pairs", "doms"),
+        "MorphismSpec(name='m', theta='theta', inj_src='inj_src', inj_dst='inj_dst', "
+        "pairs='pairs', doms='doms')",
     ),
     Step: (("key", "v"), "Step(kind='key', arg='v')"),
     PathExpr: (
