@@ -10,13 +10,16 @@ reads run the steps left to right, and writes compose their modify actions
 right to left.  Documents, values and output are strict UTF-8 JSON.  Exit
 codes: 0 success, 2 unsupported command for the path's family, 3 type
 mismatch (or a miss under --strict, or a path or document too deep to
-evaluate), 4 parse error (or a document too deep to load, or output that is
-not Unicode text).
+evaluate), 4 parse error (or a document that cannot be read, a closed stdin
+included, or is too deep to load, or output that is not Unicode text or
+cannot be written: a reader that closed the pipe, a full disk, a closed
+stdout).
 """
 
 import gc
 import json
 import math
+import os
 import re
 import sys
 from functools import reduce
@@ -367,8 +370,10 @@ def render(doc) -> str:
     )
 
 
-def run(command, path_text, value_text=None, doc=None, strict=False):
-    """Execute one command; returns (exit_code, output_text)."""
+def run(command, path_text, value_text=None, doc=None, strict=False, trees=None):
+    """Execute one command; returns (exit_code, output_text).  A list given
+    as ``trees`` receives the output tree, so the caller decides when it is
+    freed."""
     try:
         path = parse_path(path_text)
     except PathSyntaxError as exc:
@@ -412,6 +417,8 @@ def run(command, path_text, value_text=None, doc=None, strict=False):
         else:
             h = _MAP_FNS[value_text] if command == "map" else lambda _: value
             out = optic.map_optic(h)(doc)
+        if trees is not None:
+            trees.append(out)
         text = render(out)
     except DocTypeError as exc:
         return EXIT_TYPE, f"opticat: type error: {exc}"
@@ -432,6 +439,8 @@ def _read_doc(input_file):
     if input_file is not None:
         with open(input_file, "r", encoding="utf-8") as fh:
             return fh.read()
+    if sys.stdin is None:  # descriptor 0 was closed when the process started
+        raise OSError("stdin is closed")
     text = sys.stdin.read()
     # A surrogateescape stdin (the C locale) turns bad bytes into surrogates.
     text.encode("utf-8")
@@ -439,27 +448,41 @@ def _read_doc(input_file):
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    Without an argument list, ``main`` is the process entry (the ``opticat``
+    console script, ``python -m opticat.cli``) and does not return: after
+    writing and flushing its output it ends the process with ``os._exit``
+    while the input and output trees are still referenced.  Freeing a large
+    document's trees one object at a time, and the interpreter's
+    finalization after that, cost time on every call and give an exiting
+    process nothing: its memory goes back to the system whole.  With an
+    argument list, ``main`` returns the exit code and the trees are freed.
+    """
     # One run over an acyclic JSON tree makes no reference cycles for the
     # collector to find, only a growing heap for it to walk.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
+        trees = []  # referenced up to os._exit, so never freed there
+        code = _write(*_main(sys.argv[1:] if argv is None else argv, trees))
+        if argv is None:
+            os._exit(code)
+        return code
     finally:
         if enabled:
             gc.enable()
 
 
-def _main(argv):
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _main(argv, trees):
+    """Parse one command line and run it: (exit code, the text to print).
+    ``trees`` receives the input and output trees."""
+    argv = list(argv)
 
     if "--help" in argv or "-h" in argv or not argv:
-        print(USAGE)
-        print(__doc__.strip())
-        return EXIT_OK
+        return EXIT_OK, f"{USAGE}\n{__doc__.strip()}"
     if "--version" in argv:
-        print(f"opticat {__version__}")
-        return EXIT_OK
+        return EXIT_OK, f"opticat {__version__}"
 
     strict = False
     input_file = None
@@ -471,8 +494,7 @@ def _main(argv):
             strict = True
         elif arg == "--input":
             if i + 1 >= len(argv):
-                print("opticat: --input needs a file", file=sys.stderr)
-                return EXIT_UNSUPPORTED
+                return EXIT_UNSUPPORTED, "opticat: --input needs a file"
             input_file = argv[i + 1]
             i += 1
         else:
@@ -480,8 +502,7 @@ def _main(argv):
         i += 1
 
     if len(positional) < 2 or len(positional) > 3:
-        print(USAGE, file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return EXIT_UNSUPPORTED, USAGE
 
     command = positional[0]
     path_text = positional[1]
@@ -492,16 +513,36 @@ def _main(argv):
         try:
             doc = _loads(_read_doc(input_file))
         except (OSError, ValueError, RecursionError) as exc:
-            print(f"opticat: cannot read document: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return EXIT_PARSE, f"opticat: cannot read document: {exc}"
+        trees.append(doc)
 
-    code, output = run(command, path_text, value_text, doc, strict)
-    try:
-        print(output, file=sys.stdout if code == EXIT_OK else sys.stderr)
-    except UnicodeEncodeError as exc:
-        # a stdout set to an encoding other than UTF-8 may not carry the output
-        print(f"opticat: input is not Unicode text: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    return run(command, path_text, value_text, doc, strict, trees)
+
+
+def _write(code, text):
+    """Print ``text``: the output on stdout for exit 0, else the message on
+    stderr.  Returns the exit code, EXIT_PARSE when stdout cannot take the
+    output."""
+    if code == EXIT_OK:
+        try:
+            if sys.stdout is None:  # descriptor 1 was closed at start-up
+                raise OSError("stdout is closed")
+            print(text)
+            sys.stdout.flush()
+            return code
+        except UnicodeEncodeError as exc:
+            # a stdout set to an encoding other than UTF-8 may not carry it
+            code, text = EXIT_PARSE, f"opticat: input is not Unicode text: {exc}"
+        except OSError as exc:
+            # a reader that closed the pipe early, a full disk
+            code, text = EXIT_PARSE, f"opticat: cannot write output: {exc}"
+    # print(file=None) would fall back to stdout
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:
+            pass  # no stream is left to report on; the exit code still tells
     return code
 
 

@@ -801,6 +801,82 @@ def test_a_5000_step_path_on_a_shallow_document_exits_3(command, value):
     assert code == EXIT_TYPE and out == "" and _one_line_error(err), err
 
 
+# The process entry: main() without arguments, as the console script calls it -------
+
+_CONSOLE_SCRIPT = "import sys; from opticat.cli import main; sys.exit(main())"
+_ROWS = json.dumps(
+    [[i, {"some": {"v": i, "w": "x" * 10}} if i % 5 else None] for i in range(10_000)]
+).encode()
+
+
+def _console_script(argv, redirect=""):
+    """The argv of a shell that runs the console script on ``argv`` with the
+    shell redirection ``redirect`` (such as ``>&-``), under an environment
+    free of PYTHON* settings (PYTHONUNBUFFERED would hide a failing flush)."""
+    import opticat
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(opticat.__file__).resolve().parents[1])
+    env["PYTHONIOENCODING"] = "utf-8"
+    argv = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-c",
+            _CONSOLE_SCRIPT, *argv]
+    return argv, env
+
+
+def _run_console_script(argv, data=b"", redirect=""):
+    argv, env = _console_script(argv, redirect)
+    proc = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,data,code",
+    [(["--help"], b"", EXIT_OK), (["get", "fst"], b'[4,"hello"]', EXIT_OK),
+     (["get", "each"], b"[1,2]", EXIT_UNSUPPORTED), (["get", "fst"], b"{}", EXIT_TYPE),
+     (["get", "fst..snd"], b"[1,2]", EXIT_PARSE), (["get", "fst"], b"[1,", EXIT_PARSE),
+     (["map", "each.snd.some.key(v)", "incr"], _ROWS, EXIT_OK)],
+    ids=["help", "exit-0", "exit-2", "exit-3", "exit-4-path", "exit-4-document",
+         "map-10k-rows"],
+)
+def test_the_console_script_prints_and_exits_as_main_returns(argv, data, code):
+    in_process = _main_with_stdin(argv, data)
+    assert in_process[0] == code
+    assert _run_console_script(argv, data) == in_process
+
+
+@pytest.mark.parametrize(
+    "argv,redirect,message",
+    [(["get", "fst"], ">&-", "opticat: cannot write output: stdout is closed"),
+     (["--help"], ">&-", "opticat: cannot write output: stdout is closed"),
+     (["get", "fst"], ">/dev/full",
+      "opticat: cannot write output: [Errno 28] No space left on device"),
+     (["get", "fst"], "<&-", "opticat: cannot read document: stdin is closed"),
+     (["get", "fst..snd"], "2>&-", None)],
+    ids=["closed-stdout", "help-closed-stdout", "full-disk", "closed-stdin",
+         "closed-stderr"],
+)
+def test_an_unusable_standard_stream_exits_4(argv, redirect, message):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    code, out, err = _run_console_script(argv, b"[1,2]", redirect)
+    assert (code, out, err) == (EXIT_PARSE, "", "" if message is None else message + "\n")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_one_line_and_exit_4(tmp_path):
+    # The output (about 450 KB) is larger than a pipe holds, so the writer
+    # meets the closed pipe whatever the timing.
+    doc = tmp_path / "rows.json"
+    doc.write_bytes(_ROWS)
+    argv, env = _console_script(["map", "each.snd.some.key(v)", "incr", "--input", str(doc)])
+    with subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(20) == b'[[0,null],[1,{"some"'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_PARSE
+    assert err == b"opticat: cannot write output: [Errno 32] Broken pipe\n"
+
+
 # The CLI's steps under the library's law suite ------------------------------------
 
 _FOCI = (0, "x", None, [1, 2])
