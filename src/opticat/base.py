@@ -64,17 +64,18 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-# The sum and option boxes below are built and compared on every probe of the
-# law suite, so each states its constructor, equality and hash directly.
+class Box(Record):
+    """A one-field payload box, equal to a box of its own class with an equal
+    value.  Boxes are built and compared on every probe of the law suite, so
+    the constructor, equality and hash are stated here directly, once."""
 
-class Left(Record):
-    __slots__ = ("value",)
+    __slots__ = ()
 
     def __init__(self, value):
         object.__setattr__(self, "value", value)
 
     def __eq__(self, other):
-        if type(other) is Left:
+        if type(other) is type(self):
             return self.value is other.value or self.value == other.value
         return NotImplemented
 
@@ -82,43 +83,16 @@ class Left(Record):
         return hash((self.value,))
 
 
-class Right(Record):
+class Left(Box):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
 
-    def __eq__(self, other):
-        if type(other) is Right:
-            return self.value is other.value or self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-
-def either(on_left, on_right, e):
-    """Case analysis on a Left/Right value."""
-    if isinstance(e, Left):
-        return on_left(e.value)
-    if isinstance(e, Right):
-        return on_right(e.value)
-    raise TypeError(f"expected Left or Right, got {e!r}")
-
-
-class Just(Record):
+class Right(Box):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
 
-    def __eq__(self, other):
-        if type(other) is Just:
-            return self.value is other.value or self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
+class Just(Box):
+    __slots__ = ("value",)
 
 
 class Nothing(Record):

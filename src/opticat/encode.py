@@ -25,18 +25,18 @@ from .families import (
     family_le,
 )
 from .functors import (
+    ANY_FUNCTOR,
+    ID_ONLY,
+    IS_AFFINE,
+    IS_POINTED_PRODUCT,
+    IS_PRODUCT,
+    IS_SUM,
     Comp,
     ContainerShape,
     UnsupportedShapeError,
     affine_match,
-    any_functor,
     compose_shapes,
     cps_shape,
-    id_only,
-    is_affine,
-    is_pointed_product,
-    is_product,
-    is_sum,
     maybe_pair_shape,
     maybe_shape,
     pair_shape,
@@ -63,7 +63,7 @@ def _adapter_enhance(shape: ContainerShape) -> Adapter:
 
 
 def _adapter_residual(optic) -> IsoOptic:
-    return iso_inj(optic.fwd, optic.bwd, id_only())
+    return iso_inj(optic.fwd, optic.bwd, ID_ONLY)
 
 
 def _lens_enhance(shape: ContainerShape) -> Lens:
@@ -75,7 +75,7 @@ def _lens_enhance(shape: ContainerShape) -> Lens:
 
 def _lens_residual(optic) -> IsoOptic:
     return IsoOptic(
-        family=is_product(),
+        family=IS_PRODUCT,
         shape=pair_shape(name="Pair[whole]"),
         forward=lambda s: (s, optic.get(s)),
         backward=lambda p: optic.put(p[1], p[0]),
@@ -91,7 +91,7 @@ def _prism_enhance(shape: ContainerShape) -> Prism:
 
 def _prism_residual(optic) -> IsoOptic:
     return IsoOptic(
-        family=is_sum(),
+        family=IS_SUM,
         shape=sum_shape(name="Sum[whole]"),
         forward=optic.match,
         backward=lambda e: e.value if isinstance(e, Left) else optic.build(e.value),
@@ -104,7 +104,7 @@ def _setter_enhance(shape: ContainerShape) -> Setter:
 
 def _setter_residual(optic) -> IsoOptic:
     return IsoOptic(
-        family=any_functor(),
+        family=ANY_FUNCTOR,
         shape=cps_shape(),
         forward=lambda s: (lambda fn: optic.over(fn)(s)),
         backward=lambda k: k(identity),
@@ -128,7 +128,7 @@ def _achlens_residual(optic) -> IsoOptic:
         return optic.put(b, mc.value)
 
     return IsoOptic(
-        family=is_pointed_product(),
+        family=IS_POINTED_PRODUCT,
         shape=maybe_pair_shape(name="MaybePair[whole]"),
         forward=lambda s: (Just(s), optic.get(s)),
         backward=backward,
@@ -156,7 +156,7 @@ def _optional_residual(optic) -> IsoOptic:
         return optic.put(m.value, x)
 
     return IsoOptic(
-        family=is_affine(),
+        family=IS_AFFINE,
         shape=compose_shapes(pair_shape(name="Pair[whole]"), maybe_shape()),
         forward=forward,
         backward=backward,
@@ -177,12 +177,12 @@ def _row(tag, family, enhance, residual) -> Functorization:
 _FUNCTORIZATIONS = {
     row.family_tag: row
     for row in (
-        _row(FamilyTag.ADAPTER, id_only(), _adapter_enhance, _adapter_residual),
-        _row(FamilyTag.LENS, is_product(), _lens_enhance, _lens_residual),
-        _row(FamilyTag.PRISM, is_sum(), _prism_enhance, _prism_residual),
-        _row(FamilyTag.SETTER, any_functor(), _setter_enhance, _setter_residual),
-        _row(FamilyTag.ACHLENS, is_pointed_product(), _achlens_enhance, _achlens_residual),
-        _row(FamilyTag.OPTIONAL, is_affine(), _optional_enhance, _optional_residual),
+        _row(FamilyTag.ADAPTER, ID_ONLY, _adapter_enhance, _adapter_residual),
+        _row(FamilyTag.LENS, IS_PRODUCT, _lens_enhance, _lens_residual),
+        _row(FamilyTag.PRISM, IS_SUM, _prism_enhance, _prism_residual),
+        _row(FamilyTag.SETTER, ANY_FUNCTOR, _setter_enhance, _setter_residual),
+        _row(FamilyTag.ACHLENS, IS_POINTED_PRODUCT, _achlens_enhance, _achlens_residual),
+        _row(FamilyTag.OPTIONAL, IS_AFFINE, _optional_enhance, _optional_residual),
     )
 }
 

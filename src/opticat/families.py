@@ -13,7 +13,7 @@ families through its residual form, or through the profunctor encoding
 
 from enum import Enum
 
-from .base import Just, Left, Nothing, Record, Right, either, identity
+from .base import Just, Left, Nothing, Record, Right
 
 
 class FamilyMismatchError(TypeError):
@@ -111,7 +111,13 @@ class Prism(Record):
         return Prism(match=match, build=lambda y: outer.build(inner.build(y)))
 
     def map_optic(self, h):
-        return lambda s: either(identity, lambda a: self.build(h(a)), self.match(s))
+        def run(s):
+            e = self.match(s)
+            if isinstance(e, Left):
+                return e.value
+            return self.build(h(e.value))
+
+        return run
 
 
 class Adapter(Record):

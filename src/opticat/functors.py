@@ -8,46 +8,24 @@ the shape's operations know how to interpret.  The pointed pair is the pair
 over optional residuals plus a point, so the pair's code is stated once.
 """
 
-from .base import UNIT, Just, Left, Nothing, Record, Right
+from .base import UNIT, Box, Just, Left, Nothing, Record, Right
 
 
 class UnsupportedShapeError(TypeError):
     """Raised when an operation needs a capability a shape does not carry."""
 
 
-class Id(Record):
+class Id(Box):
     """Payload wrapper for the identity container."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
 
-    def __eq__(self, other):
-        if type(other) is Id:
-            return self.value is other.value or self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-
-class Comp(Record):
+class Comp(Box):
     """Payload wrapper for a composed container: an outer payload whose
     focus slots hold inner payloads."""
 
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if type(other) is Comp:
-            return self.value is other.value or self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
 
 
 class ProductCap(Record):
@@ -78,11 +56,11 @@ class ContainerShape(Record):
     # map(h, p) is in payloads(B) for every p in payloads(A) and h: A -> B
     # (the functor.payloads_closed law), and iso.observational_eq relies on
     # it.  The constructors below enumerate once per domain and hand every
-    # equal domain (a list, tuple or FiniteDomain of the same elements) the
-    # same tuple, so domains must be hashable and callers must not expect a
-    # fresh list.  The memo belongs to the shape; a payloads function passed
-    # in here runs as given.  parts is (f, g) on a compose_shapes result and
-    # None otherwise; two results over the same parts act alike.
+    # equal domain (a list or tuple of the same elements) the same tuple, so
+    # domains must be hashable and callers must not expect a fresh list.  The
+    # memo belongs to the shape; a payloads function passed in here runs as
+    # given.  parts is (f, g) on a compose_shapes result and None otherwise;
+    # two results over the same parts act alike.
     __slots__ = (
         "name", "map", "product", "sum", "point", "ident", "payloads", "parts",
     )
@@ -102,7 +80,7 @@ class ContainerShape(Record):
 class FunctorFamily(Record):
     """A named family of shapes, decided by a membership predicate.
 
-    Registry families are closed under :func:`id_shape` and
+    Registry families are closed under :data:`ID_SHAPE` and
     :func:`compose_shapes` by construction of the capability propagation.
     Two families are equal when their names are.
     """
@@ -137,10 +115,6 @@ def _enumerated(enum):
     return payloads
 
 
-def id_shape() -> ContainerShape:
-    return _ID_SHAPE
-
-
 def _mk_id_shape():
     def from_sum(e):
         if isinstance(e, Right):
@@ -159,6 +133,9 @@ def _mk_id_shape():
         ident=IdentCap(wrap=Id, unwrap=lambda p: p.value),
         payloads=_enumerated(lambda dom: [Id(a) for a in dom]),
     )
+
+
+ID_SHAPE = _mk_id_shape()
 
 
 def pair_shape(residuals=None, name=None) -> ContainerShape:
@@ -340,41 +317,16 @@ def affine_match(shape: ContainerShape, payload):
 
 # Family registry ------------------------------------------------------------
 
-def any_functor() -> FunctorFamily:
-    return _ANY_FUNCTOR
-
-
-def is_product() -> FunctorFamily:
-    return _IS_PRODUCT
-
-
-def is_sum() -> FunctorFamily:
-    return _IS_SUM
-
-
-def is_pointed_product() -> FunctorFamily:
-    return _IS_POINTED_PRODUCT
-
-
-def id_only() -> FunctorFamily:
-    return _ID_ONLY
-
-
-def is_affine() -> FunctorFamily:
-    return _IS_AFFINE
-
-
-_ID_SHAPE = _mk_id_shape()
-_ANY_FUNCTOR = FunctorFamily("Functor", lambda s: True)
-_IS_PRODUCT = FunctorFamily("IsProduct", lambda s: s.product is not None)
-_IS_SUM = FunctorFamily("IsSum", lambda s: s.sum is not None)
-_IS_POINTED_PRODUCT = FunctorFamily(
+ANY_FUNCTOR = FunctorFamily("Functor", lambda s: True)
+IS_PRODUCT = FunctorFamily("IsProduct", lambda s: s.product is not None)
+IS_SUM = FunctorFamily("IsSum", lambda s: s.sum is not None)
+IS_POINTED_PRODUCT = FunctorFamily(
     "IsPointedProduct", lambda s: s.product is not None and s.point is not None
 )
-_ID_ONLY = FunctorFamily("IdOnly", lambda s: s.ident is not None)
-_IS_AFFINE = FunctorFamily("IsAffine", affine_supported)
+ID_ONLY = FunctorFamily("IdOnly", lambda s: s.ident is not None)
+IS_AFFINE = FunctorFamily("IsAffine", affine_supported)
 
 FAMILY_REGISTRY = {
     fam.name: fam
-    for fam in (_ANY_FUNCTOR, _IS_PRODUCT, _IS_SUM, _IS_POINTED_PRODUCT, _ID_ONLY, _IS_AFFINE)
+    for fam in (ANY_FUNCTOR, IS_PRODUCT, IS_SUM, IS_POINTED_PRODUCT, ID_ONLY, IS_AFFINE)
 }

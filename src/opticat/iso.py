@@ -10,11 +10,11 @@ exercised in the law suite through registered natural transformations.
 from .base import Record, identity
 from .families import FamilyMismatchError
 from .functors import (
+    ANY_FUNCTOR,
+    ID_SHAPE,
     Comp,
     ContainerShape,
-    any_functor,
     compose_shapes,
-    id_shape,
 )
 from . import probes
 from .probes import DEFAULT_MAX_EVALS, maps_agree
@@ -48,9 +48,9 @@ class IsoOptic(Record):
 
 def iso_inj(fwd, bwd, family=None):
     """Embed a plain function pair: identity shape, wrap on the way in."""
-    shape = id_shape()
+    shape = ID_SHAPE
     return IsoOptic(
-        family=family or any_functor(),
+        family=family or ANY_FUNCTOR,
         shape=shape,
         forward=lambda s: shape.ident.wrap(fwd(s)),
         backward=lambda p: bwd(shape.ident.unwrap(p)),
@@ -86,7 +86,7 @@ def enhance_iso(shape: ContainerShape, family=None) -> IsoOptic:
     """The optic that zooms through one container layer: both arrows are
     identities on payloads."""
     return IsoOptic(
-        family=family or any_functor(),
+        family=family or ANY_FUNCTOR,
         shape=shape,
         forward=identity,
         backward=identity,

@@ -35,10 +35,10 @@ from .families import (
 from .encode import concrete_to_iso, embed, functorize, prof_encoding, unfunctorize
 from .functors import (
     FAMILY_REGISTRY,
+    ID_SHAPE,
     Comp,
     Id,
     compose_shapes,
-    id_shape,
     maybe_pair_shape,
     maybe_shape,
     pair_shape,
@@ -64,25 +64,12 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class FiniteDomain(Record):
-    __slots__ = ("name", "elements")
-
-    def __init__(self, name, elements):
-        super().__init__(name, tuple(elements))
-        if not self.elements:
-            raise ValueError(f"domain {self.name} is empty")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError(f"domain {self.name} has duplicate elements")
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def labels(prefix: str, n: int) -> FiniteDomain:
-    return FiniteDomain(prefix, tuple(f"{prefix}{i}" for i in range(n)))
+def labels(prefix: str, n: int) -> tuple:
+    """The finite domain ``(prefix0, ..., prefix{n-1})``.  A domain is never
+    empty, so that no law can pass on zero cases."""
+    if n < 1:
+        raise ValueError(f"domain {prefix} is empty")
+    return tuple(f"{prefix}{i}" for i in range(n))
 
 
 class LawReport:
@@ -487,7 +474,7 @@ def _lookup(index, value):
 
 
 def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
-    As, Bs = tuple(dom_a), labels("b", 2).elements
+    As, Bs = tuple(dom_a), labels("b", 2)
     payloads = shape.payloads(list(As))
     fns = all_functions(As, As)
 
@@ -692,7 +679,7 @@ def standard_shapes() -> dict:
     sum_unit = sum_shape(((),), name="SumUnit")
     mb = maybe_shape()
     return {
-        "id": id_shape(),
+        "id": ID_SHAPE,
         "pair": pair,
         "pair2": pair2,
         "maybe_pair": mpair,
@@ -702,7 +689,7 @@ def standard_shapes() -> dict:
         "compose_pp": compose_shapes(pair, pair2),
         "compose_sm": compose_shapes(summ, mb),
         "compose_pm": compose_shapes(pair, mb),
-        "compose_ii": compose_shapes(id_shape(), id_shape()),
+        "compose_ii": compose_shapes(ID_SHAPE, ID_SHAPE),
     }
 
 
@@ -866,8 +853,7 @@ def check_enhancing_laws(
     values = fix.values(As, Bs)
     fns_a = all_functions(As, As)
     fns_b = all_functions(Bs, Bs)
-    idsh = id_shape()
-    id_payloads = idsh.payloads(list(As))
+    id_payloads = ID_SHAPE.payloads(list(As))
 
     def law(name, cases):
         """Run lazy ``(inputs, lhs, rhs, dom_in)`` cases through ``fix.eq``."""
@@ -890,8 +876,8 @@ def check_enhancing_laws(
 
     def identity_shape():
         for i, p in enumerate(values):
-            lhs = cap.enhance(idsh, p)
-            rhs = cap.dimap(idsh.ident.unwrap, idsh.ident.wrap, p)
+            lhs = cap.enhance(ID_SHAPE, p)
+            rhs = cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
             yield {"cap": fix.name, "value": i}, lhs, rhs, id_payloads
 
     def compose_shape():
@@ -946,8 +932,7 @@ def check_functorization_laws(
 ):
     As, Bs = tuple(dom_a), tuple(dom_b)
     tag = fz.family_tag.value
-    cls = type(fz.enhance_op(id_shape()))
-    idsh = id_shape()
+    cls = type(fz.enhance_op(ID_SHAPE))
     probe = all_functions(As, Bs)
     fns_a, fns_b = all_functions(As, As)[:4], all_functions(Bs, Bs)[:4]
 
@@ -987,9 +972,9 @@ def check_functorization_laws(
 
     identity_case = (
         {"tag": tag},
-        fz.enhance_op(idsh),
-        cls.inj(idsh.ident.unwrap, idsh.ident.wrap),
-        As, Bs, idsh.payloads(list(As)),
+        fz.enhance_op(ID_SHAPE),
+        cls.inj(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap),
+        As, Bs, ID_SHAPE.payloads(list(As)),
     )
     return [
         _LawRun("functorization.map_is_shape_map", budget).run(map_is_shape_map()),
@@ -1003,11 +988,9 @@ def check_functorization_laws(
 # Iso-specific law group ------------------------------------------------------
 
 def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
-    dom_a = labels("a", 2)
-    dom_s = labels("s", 3)
-    As, ss = dom_a.elements, dom_s.elements
+    As, ss = labels("a", 2), labels("s", 3)
     optics = [
-        (shape, gen_iso_optic(i, shape, family, dom_a, dom_a, dom_s, dom_s))
+        (shape, gen_iso_optic(i, shape, family, As, As, ss, ss))
         for i, shape in enumerate(shape_pool)
     ]
 
@@ -1032,7 +1015,7 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
         # converse needs natural components (checked below), not raw tables
         for i, shape in enumerate(shape_pool):
             payloads = shape.payloads(list(As))
-            same = gen_iso_optic(100 + i, shape, family, dom_a, dom_a, payloads, payloads)
+            same = gen_iso_optic(100 + i, shape, family, As, As, payloads, payloads)
             section = all(same.backward(same.forward(p)) == p for p in payloads)
             zoom = enhance_iso(shape, family)
             ok = section or not retract.agrees(same, zoom, As, As, payloads)
@@ -1061,7 +1044,7 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
             pa_src = nat.source.payloads(list(As))
             pb_tgt = nat.target.payloads(list(As))
             fwd = {s: rng.choice(pa_src) for s in ss}
-            bwd = {p: rng.choice(list(ss)) for p in pb_tgt}
+            bwd = {p: rng.choice(ss) for p in pb_tgt}
             with_fwd = IsoOptic(
                 family, nat.target, forward=lambda s: nat.fn(fwd[s]), backward=bwd.__getitem__
             )
@@ -1271,7 +1254,7 @@ def _seeded(gen, *doms):
 def _canonical_setter():
     """The canonical setter of the pair shape takes no seed, so one check
     covers it."""
-    pair = pair_shape(_LAWFUL_R.elements, name="Pair")
+    pair = pair_shape(_LAWFUL_R, name="Pair")
     return [functorize(FamilyTag.SETTER).enhance_op(pair)], pair.payloads(list(_LAWFUL_A))
 
 

@@ -61,7 +61,7 @@ def sample_functions(dom_a, dom_b):
 def probes_exhaustive(dom_a, dom_b, dom_s, max_evals):
     """Probe set policy: exhaustive when the total evaluation count fits the
     budget, else a seeded sample."""
-    count = len(list(dom_b)) ** len(list(dom_a)) * max(len(list(dom_s)), 1)
+    count = len(dom_b) ** len(dom_a) * max(len(dom_s), 1)
     return count <= max_evals
 
 

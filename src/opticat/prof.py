@@ -9,11 +9,11 @@ per-shape ``enhance``.
 
 from .base import Just, Left, Nothing, Record, Right, identity
 from .functors import (
+    IS_PRODUCT,
+    IS_SUM,
     FunctorFamily,
     affine_match,
     affine_supported,
-    is_product,
-    is_sum,
     pair_shape,
     sum_shape,
 )
@@ -162,19 +162,19 @@ _SUM = sum_shape()
 # Each is the profunctor optic of a residual form (see :func:`iso_to_prof`).
 
 def prof_second() -> ProfOptic:
-    return iso_to_prof(enhance_iso(_PAIR, is_product()))
+    return iso_to_prof(enhance_iso(_PAIR, IS_PRODUCT))
 
 
 def prof_first() -> ProfOptic:
-    return iso_to_prof(IsoOptic(is_product(), _PAIR, _swap, _swap))
+    return iso_to_prof(IsoOptic(IS_PRODUCT, _PAIR, _swap, _swap))
 
 
 def prof_right() -> ProfOptic:
-    return iso_to_prof(enhance_iso(_SUM, is_sum()))
+    return iso_to_prof(enhance_iso(_SUM, IS_SUM))
 
 
 def prof_just() -> ProfOptic:
-    return iso_to_prof(IsoOptic(is_sum(), _SUM, _maybe_to_sum, _sum_to_maybe))
+    return iso_to_prof(IsoOptic(IS_SUM, _SUM, _maybe_to_sum, _sum_to_maybe))
 
 
 # Conversions to and from iso optics -----------------------------------------

@@ -249,14 +249,14 @@ def test_criterion_5_derivation_theorem():
             optic, wholes = make(seed)
             iso = concrete_to_iso(optic)
             back = unfunctorize(iso, tag)
-            assert maps_agree(back, optic, dom_a.elements, dom_a.elements, wholes), (
+            assert maps_agree(back, optic, dom_a, dom_a, wholes), (
                 tag,
                 seed,
             )
             # converse on the image of the residual form
             iso_back = concrete_to_iso(back)
             assert observational_eq(
-                iso, iso_back, dom_a.elements, dom_a.elements, wholes
+                iso, iso_back, dom_a, dom_a, wholes
             ), (tag, seed)
         # converse on generated residual forms off the image
         pool = pools[family.name]
@@ -266,7 +266,7 @@ def test_criterion_5_derivation_theorem():
             optic = gen_iso_optic(2000 + k, shape, family, dom_a, dom_a, dom_s, dom_s)
             back = concrete_to_iso(unfunctorize(optic, tag))
             assert observational_eq(
-                optic, back, dom_a.elements, dom_a.elements, dom_s
+                optic, back, dom_a, dom_a, dom_s
             ), (tag, k)
 
     # profunctor-encoding round trips for the two spotlighted equivalences
@@ -275,7 +275,7 @@ def test_criterion_5_derivation_theorem():
         for seed in range(per_family):
             optic, wholes = make(seed)
             back = enc.decode(enc.encode(optic))
-            assert maps_agree(back, optic, dom_a.elements, dom_a.elements, wholes), (
+            assert maps_agree(back, optic, dom_a, dom_a, wholes), (
                 tag,
                 seed,
             )

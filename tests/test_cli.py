@@ -435,6 +435,55 @@ def test_no_module_imports_inside_a_function():
     assert deferred == []
 
 
+def _global_accessors(tree):
+    """The module-level functions of a module that take no parameters and
+    only return one of the module's globals (after an optional docstring)."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg:
+            continue
+        body = node.body
+        if len(body) == 2 and isinstance(body[0], ast.Expr) and isinstance(
+            body[0].value, ast.Constant
+        ):
+            body = body[1:]
+        if (
+            len(body) == 1
+            and isinstance(body[0], ast.Return)
+            and isinstance(body[0].value, ast.Name)
+            and body[0].value.id in bound
+        ):
+            found.append(node.name)
+    return found
+
+
+def test_no_function_only_returns_a_global():
+    # A constant is named as itself, not through a function that hands back
+    # a module global.
+    import opticat
+
+    accessors = {
+        f"{path.stem}.{name}"
+        for path in Path(opticat.__file__).parent.glob("*.py")
+        for name in _global_accessors(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert accessors == set()
+    planted = ast.parse('X = 1\ndef x():\n    """doc"""\n    return X\ndef y(a):\n    return X\n')
+    assert _global_accessors(planted) == ["x"]
+
+
 def _defaulted_parameters(func):
     """A function's parameters that have defaults, each with its position
     (None for a keyword-only one)."""

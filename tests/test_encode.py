@@ -22,11 +22,11 @@ from opticat.families import (
     just,
 )
 from opticat.functors import (
+    ID_SHAPE,
+    IS_SUM,
     UnsupportedShapeError,
     compose_shapes,
     cps_shape,
-    id_shape,
-    is_sum,
     maybe_pair_shape,
     maybe_shape,
     pair_shape,
@@ -79,7 +79,7 @@ def test_prism_zoom_through_sum():
 def test_adapter_zoom_through_identity_like():
     from opticat.functors import Id
 
-    optic = functorize(FamilyTag.ADAPTER).enhance_op(id_shape())
+    optic = functorize(FamilyTag.ADAPTER).enhance_op(ID_SHAPE)
     assert optic.fwd(Id("x")) == "x"
     assert optic.bwd("x") == Id("x")
 
@@ -102,7 +102,7 @@ def test_functorize_rejects_non_member_shapes():
 
 def test_adapter_functorization_rigidity():
     # every identity-like member shape is a two-sided inverse on payloads
-    for shape in (id_shape(), compose_shapes(id_shape(), id_shape())):
+    for shape in (ID_SHAPE, compose_shapes(ID_SHAPE, ID_SHAPE)):
         optic = functorize(FamilyTag.ADAPTER).enhance_op(shape)
         for p in shape.payloads(list(DOM)):
             assert optic.bwd(optic.fwd(p)) == p
@@ -174,7 +174,7 @@ def test_setter_residual_form_runs_continuations():
 def _lens_case(seed):
     dom_a = labels("a", 2)
     dom_s = tuple(f"s{i}" for i in range(4))
-    return gen_lawful_lens(seed, labels("r", 2), dom_a, dom_s), dom_a.elements, dom_s
+    return gen_lawful_lens(seed, labels("r", 2), dom_a, dom_s), dom_a, dom_s
 
 
 def test_unfunctorize_round_trip_lens():
@@ -236,7 +236,7 @@ def test_reverse_round_trip_other_families():
     cases = [
         (FamilyTag.LENS, pair_shape(("r0", "r1"))),
         (FamilyTag.PRISM, sum_shape(("r0",))),
-        (FamilyTag.ADAPTER, id_shape()),
+        (FamilyTag.ADAPTER, ID_SHAPE),
         (FamilyTag.OPTIONAL, compose_shapes(pair_shape(("r0",)), maybe_shape())),
     ]
     for tag, shape in cases:
@@ -264,7 +264,7 @@ def test_unfunctorize_of_inj_is_inj():
 
 
 def test_unfunctorize_family_mismatch():
-    optic = iso_inj(identity, identity, is_sum())
+    optic = iso_inj(identity, identity, IS_SUM)
     with pytest.raises(FamilyMismatchError):
         unfunctorize(optic, FamilyTag.LENS)
 
@@ -296,7 +296,7 @@ def test_decode_encode_500_random_lawful_lenses():
         back = enc.decode(enc.encode(lens))
         assert all(back.get(s) == lens.get(s) for s in dom_s)
         assert all(
-            back.put(b, s) == lens.put(b, s) for b in dom_a.elements for s in dom_s
+            back.put(b, s) == lens.put(b, s) for b in dom_a for s in dom_s
         )
 
 
@@ -318,7 +318,7 @@ def test_decode_encode_all_families():
         enc = prof_encoding(tag)
         back = enc.decode(enc.encode(optic))
         dom = wholes.get(tag, dom_s)
-        assert maps_agree(back, optic, dom_a.elements, dom_a.elements, dom), tag
+        assert maps_agree(back, optic, dom_a, dom_a, dom), tag
 
 
 def test_optional_encoding_is_registered():
@@ -331,7 +331,7 @@ def test_optional_encoding_is_registered():
     back = enc.decode(enc.encode(opt))
     assert all(back.match(s) == opt.match(s) for s in dom_s)
     assert all(
-        back.put(b, s) == opt.put(b, s) for b in dom_a.elements for s in dom_s
+        back.put(b, s) == opt.put(b, s) for b in dom_a for s in dom_s
     )
 
 

@@ -6,19 +6,19 @@ import pytest
 
 from opticat.base import UNIT, Just, Left, Nothing, Right
 from opticat.functors import (
+    ANY_FUNCTOR,
+    ID_ONLY,
+    ID_SHAPE,
+    IS_POINTED_PRODUCT,
+    IS_PRODUCT,
+    IS_SUM,
     Comp,
     Id,
     UnsupportedShapeError,
     affine_match,
     affine_supported,
-    any_functor,
     compose_shapes,
     cps_shape,
-    id_only,
-    id_shape,
-    is_pointed_product,
-    is_product,
-    is_sum,
     maybe_pair_shape,
     maybe_shape,
     pair_shape,
@@ -32,7 +32,7 @@ DOM = ("a0", "a1", "a2")
 def enumerable_shapes():
     pair = pair_shape(("r0", "r1"))
     return [
-        id_shape(),
+        ID_SHAPE,
         pair,
         maybe_pair_shape(("r0", "r1")),
         sum_shape(("r0", "r1")),
@@ -40,7 +40,7 @@ def enumerable_shapes():
         compose_shapes(pair, pair_shape(("q0",))),
         compose_shapes(sum_shape(("r0",)), maybe_shape()),
         compose_shapes(pair, maybe_shape()),
-        compose_shapes(id_shape(), id_shape()),
+        compose_shapes(ID_SHAPE, ID_SHAPE),
     ]
 
 
@@ -106,7 +106,7 @@ def test_compose_pair_pair_nested_unit():
 
 def test_compose_with_id_acts_like_inner():
     inner = pair_shape(("r0", "r1"))
-    shape = compose_shapes(id_shape(), inner)
+    shape = compose_shapes(ID_SHAPE, inner)
     bump = {"a0": "a1", "a1": "a2", "a2": "a0"}
     for p in inner.payloads(list(DOM)):
         wrapped = Comp(Id(p))
@@ -142,7 +142,7 @@ def test_sum_shape_map_only_touches_hits():
 
 def test_id_shape_sum_has_no_residual():
     with pytest.raises(ValueError):
-        id_shape().sum.from_sum(Left("r"))
+        ID_SHAPE.sum.from_sum(Left("r"))
 
 
 def test_cps_shape_functor_laws():
@@ -166,27 +166,27 @@ def test_cps_shape_functor_laws():
 # Family registry ---------------------------------------------------------------
 
 def test_registry_membership():
-    assert is_product().member(pair_shape(("r0",)))
-    assert not is_product().member(sum_shape(("r0",)))
-    assert is_pointed_product().member(maybe_pair_shape(("r0",)))
-    assert not is_pointed_product().member(pair_shape(("r0",)))
-    assert is_sum().member(maybe_shape())
-    assert not is_sum().member(pair_shape(("r0",)))
-    assert id_only().member(id_shape())
-    assert not id_only().member(pair_shape(("r0",)))
-    assert any_functor().member(cps_shape())
+    assert IS_PRODUCT.member(pair_shape(("r0",)))
+    assert not IS_PRODUCT.member(sum_shape(("r0",)))
+    assert IS_POINTED_PRODUCT.member(maybe_pair_shape(("r0",)))
+    assert not IS_POINTED_PRODUCT.member(pair_shape(("r0",)))
+    assert IS_SUM.member(maybe_shape())
+    assert not IS_SUM.member(pair_shape(("r0",)))
+    assert ID_ONLY.member(ID_SHAPE)
+    assert not ID_ONLY.member(pair_shape(("r0",)))
+    assert ANY_FUNCTOR.member(cps_shape())
 
 
 def test_monoid_closure():
     pools = {
-        any_functor(): [pair_shape(("r0",)), maybe_shape(), cps_shape()],
-        is_product(): [pair_shape(("r0",)), maybe_pair_shape(("q0",))],
-        is_sum(): [sum_shape(("r0",)), maybe_shape()],
-        is_pointed_product(): [maybe_pair_shape(("r0",)), maybe_pair_shape(("q0",))],
-        id_only(): [id_shape()],
+        ANY_FUNCTOR: [pair_shape(("r0",)), maybe_shape(), cps_shape()],
+        IS_PRODUCT: [pair_shape(("r0",)), maybe_pair_shape(("q0",))],
+        IS_SUM: [sum_shape(("r0",)), maybe_shape()],
+        IS_POINTED_PRODUCT: [maybe_pair_shape(("r0",)), maybe_pair_shape(("q0",))],
+        ID_ONLY: [ID_SHAPE],
     }
     for family, pool in pools.items():
-        assert family.member(id_shape()), family.name
+        assert family.member(ID_SHAPE), family.name
         for f, g in itertools.product(pool, pool):
             assert family.member(compose_shapes(f, g)), (family.name, f.name, g.name)
 
@@ -220,18 +220,18 @@ def memo_shapes():
     from opticat.laws import standard_shapes
 
     shapes = list(standard_shapes().values())
-    nested = compose_shapes(compose_shapes(pair_shape(("r0",)), maybe_shape()), id_shape())
+    nested = compose_shapes(compose_shapes(pair_shape(("r0",)), maybe_shape()), ID_SHAPE)
     return shapes + [nested]
 
 
 @pytest.mark.parametrize("shape", memo_shapes(), ids=lambda s: s.name)
 def test_payloads_enumerate_once_per_domain(shape):
     # Equal domains share one tuple, whatever holds their elements.
-    from opticat.laws import FiniteDomain
+    from opticat.laws import labels
 
     first = shape.payloads(list(DOM))
     assert type(first) is tuple
-    for dom in (list(DOM), DOM, FiniteDomain("a", DOM)):
+    for dom in (list(DOM), DOM, labels("a", 3)):
         assert shape.payloads(dom) is first
     other = shape.payloads(DOM[:2])
     assert other is not first and shape.payloads(list(DOM[:2])) is other

@@ -6,12 +6,12 @@ from opticat.base import identity
 from opticat.encode import concrete_to_iso, functorize
 from opticat.families import FamilyMismatchError, FamilyTag, Lens, first
 from opticat.functors import (
+    ANY_FUNCTOR,
+    ID_SHAPE,
+    IS_PRODUCT,
     Comp,
     Id,
-    any_functor,
     compose_shapes,
-    id_shape,
-    is_product,
     maybe_shape,
     pair_shape,
     sum_shape,
@@ -33,7 +33,7 @@ DOM3 = ("a0", "a1", "a2")
 
 def test_membership_is_checked():
     with pytest.raises(FamilyMembershipError):
-        IsoOptic(is_product(), sum_shape(("r0",)), identity, identity)
+        IsoOptic(IS_PRODUCT, sum_shape(("r0",)), identity, identity)
 
 
 def test_iso_inj_identity_is_observational_identity():
@@ -65,10 +65,10 @@ def test_iso_inj_functoriality():
 
 
 def test_compose_requires_same_family():
-    from opticat.functors import is_sum
+    from opticat.functors import IS_SUM
 
-    lhs = iso_inj(identity, identity, is_product())
-    rhs = iso_inj(identity, identity, is_sum())
+    lhs = iso_inj(identity, identity, IS_PRODUCT)
+    rhs = iso_inj(identity, identity, IS_SUM)
     with pytest.raises(FamilyMismatchError):
         iso_compose(lhs, rhs)
 
@@ -85,18 +85,18 @@ def test_enhance_iso_composition_normal_form():
 
 
 def test_compose_with_identity_is_identity():
-    optic = gen_iso_optic(5, pair_shape(("r0", "r1")), is_product(), DOM3, DOM3, DOM3, DOM3)
+    optic = gen_iso_optic(5, pair_shape(("r0", "r1")), IS_PRODUCT, DOM3, DOM3, DOM3, DOM3)
     for composite in (
-        iso_compose(iso_inj(identity, identity, is_product()), optic),
-        iso_compose(optic, iso_inj(identity, identity, is_product())),
+        iso_compose(iso_inj(identity, identity, IS_PRODUCT), optic),
+        iso_compose(optic, iso_inj(identity, identity, IS_PRODUCT)),
     ):
         assert observational_eq(composite, optic, DOM3, DOM3, DOM3)
 
 
 def test_map_optic_of_composite_is_composition():
     sh = pair_shape(("r0",))
-    outer = gen_iso_optic(6, sh, is_product(), DOM3, DOM3, DOM3, DOM3)
-    inner = gen_iso_optic(7, sh, is_product(), ("x0", "x1"), ("x0", "x1"), DOM3, DOM3)
+    outer = gen_iso_optic(6, sh, IS_PRODUCT, DOM3, DOM3, DOM3, DOM3)
+    inner = gen_iso_optic(7, sh, IS_PRODUCT, ("x0", "x1"), ("x0", "x1"), DOM3, DOM3)
     composite = iso_compose(outer, inner)
     for h in all_functions(("x0", "x1"), ("x0", "x1")):
         fused = composite.map_optic(h)
@@ -112,7 +112,7 @@ def test_enhance_iso_map_id_is_identity():
 
 
 def test_enhance_iso_on_id_shape_equals_wrapping_inj():
-    shape = id_shape()
+    shape = ID_SHAPE
     lhs = enhance_iso(shape)
     rhs = iso_inj(shape.ident.unwrap, shape.ident.wrap)
     payloads = shape.payloads(list(DOM3))
@@ -129,7 +129,7 @@ def test_converted_lens_agrees_with_concrete_map():
     dom_s = tuple(f"s{i}" for i in range(4))
     lens = gen_lawful_lens(9, labels("r", 2), dom_a, dom_s)
     optic = concrete_to_iso(lens)
-    for h in all_functions(dom_a.elements, dom_a.elements):
+    for h in all_functions(dom_a, dom_a):
         run_iso = optic.map_optic(h)
         run_lens = lens.map_optic(h)
         assert all(run_iso(s) == run_lens(s) for s in dom_s)
@@ -138,10 +138,10 @@ def test_converted_lens_agrees_with_concrete_map():
 def test_normal_form():
     # any iso optic equals the injection of its arrows around the pure zoom
     shape = pair_shape(("r0", "r1"))
-    optic = gen_iso_optic(10, shape, is_product(), DOM3, DOM3, DOM3, DOM3)
+    optic = gen_iso_optic(10, shape, IS_PRODUCT, DOM3, DOM3, DOM3, DOM3)
     rebuilt = iso_compose(
-        iso_inj(optic.forward, optic.backward, is_product()),
-        enhance_iso(shape, is_product()),
+        iso_inj(optic.forward, optic.backward, IS_PRODUCT),
+        enhance_iso(shape, IS_PRODUCT),
     )
     assert observational_eq(optic, rebuilt, DOM3, DOM3, DOM3)
 
@@ -151,8 +151,8 @@ def test_retraction_forward_direction():
     shape = pair_shape(("r0", "r1"))
     payloads = shape.payloads(list(DOM3))
     for seed in range(12):
-        optic = gen_iso_optic(seed, shape, is_product(), DOM3, DOM3, payloads, payloads)
-        if observational_eq(optic, enhance_iso(shape, is_product()), DOM3, DOM3, payloads):
+        optic = gen_iso_optic(seed, shape, IS_PRODUCT, DOM3, DOM3, payloads, payloads)
+        if observational_eq(optic, enhance_iso(shape, IS_PRODUCT), DOM3, DOM3, payloads):
             assert all(optic.backward(optic.forward(p)) == p for p in payloads)
 
 
@@ -162,19 +162,19 @@ def test_retraction_natural_witness():
     shape = pair_shape(("r0", "r1"))
     swap = {"r0": "r1", "r1": "r0"}
     optic = IsoOptic(
-        is_product(),
+        IS_PRODUCT,
         shape,
         forward=lambda p: (swap[p[0]], p[1]),
         backward=lambda p: (swap[p[0]], p[1]),
     )
     payloads = shape.payloads(list(DOM3))
     assert all(optic.backward(optic.forward(p)) == p for p in payloads)
-    assert observational_eq(optic, enhance_iso(shape, is_product()), DOM3, DOM3, payloads)
+    assert observational_eq(optic, enhance_iso(shape, IS_PRODUCT), DOM3, DOM3, payloads)
 
 
 def test_observational_eq_reflexive():
     shape = pair_shape(("r0",))
-    optic = gen_iso_optic(20, shape, is_product(), DOM3, DOM3, DOM3, DOM3)
+    optic = gen_iso_optic(20, shape, IS_PRODUCT, DOM3, DOM3, DOM3, DOM3)
     assert observational_eq(optic, optic, DOM3, DOM3, DOM3)
 
 
@@ -185,13 +185,13 @@ def test_observational_eq_up_to_natural_transformation():
     phi = lambda p: Id(p[1])  # drop the residual: natural pair -> id
     bwd_table = {Id(a): a for a in DOM3}
     lhs = IsoOptic(
-        is_product(),
-        id_shape(),
+        IS_PRODUCT,
+        ID_SHAPE,
         forward=lambda s: phi(fwd[s]),
         backward=lambda p: bwd_table[p],
     )
     rhs = IsoOptic(
-        is_product(),
+        IS_PRODUCT,
         pair,
         forward=lambda s: fwd[s],
         backward=lambda p: bwd_table[phi(p)],
@@ -205,8 +205,8 @@ def test_observational_eq_distinguishes_distinct_lenses():
     l1 = gen_lawful_lens(1, labels("r", 2), dom_a, dom_s)
     l2 = gen_lawful_lens(2, labels("r", 2), dom_a, dom_s)
     i1, i2 = concrete_to_iso(l1), concrete_to_iso(l2)
-    assert not observational_eq(i1, i2, dom_a.elements, dom_a.elements, dom_s)
-    witness = distinguishing_probe(i1, i2, dom_a.elements, dom_a.elements, dom_s)
+    assert not observational_eq(i1, i2, dom_a, dom_a, dom_s)
+    witness = distinguishing_probe(i1, i2, dom_a, dom_a, dom_s)
     assert witness is not None
     assert witness["lhs"] != witness["rhs"]
 
@@ -214,7 +214,7 @@ def test_observational_eq_distinguishes_distinct_lenses():
 def test_enhance_to_arrow_on_inj_is_inj():
     f = dict(zip(DOM3, ("a1", "a2", "a0")))
     g = dict(zip(DOM3, ("a2", "a2", "a1")))
-    optic = iso_inj(lambda s: f[s], lambda b: g[b], is_product())
+    optic = iso_inj(lambda s: f[s], lambda b: g[b], IS_PRODUCT)
     lens = enhance_to_arrow(optic, functorize(FamilyTag.LENS).enhance_op)
     oracle = Lens.inj(lambda s: f[s], lambda b: g[b])
     from opticat.probes import maps_agree
@@ -227,14 +227,14 @@ def test_enhance_to_arrow_on_pure_zoom_is_enhance_op():
 
     shape = pair_shape(("r0", "r1"))
     fz = functorize(FamilyTag.LENS)
-    lens = enhance_to_arrow(enhance_iso(shape, is_product()), fz.enhance_op)
+    lens = enhance_to_arrow(enhance_iso(shape, IS_PRODUCT), fz.enhance_op)
     payloads = shape.payloads(list(DOM3))
     assert maps_agree(lens, fz.enhance_op(shape), DOM3, DOM3, payloads)
 
 
 def test_enhance_to_arrow_preserves_map():
     shape = pair_shape(("r0", "r1"))
-    optic = gen_iso_optic(30, shape, is_product(), DOM3, DOM3, DOM3, DOM3)
+    optic = gen_iso_optic(30, shape, IS_PRODUCT, DOM3, DOM3, DOM3, DOM3)
     lens = enhance_to_arrow(optic, functorize(FamilyTag.LENS).enhance_op)
     for h in all_functions(DOM3, DOM3):
         run_lens = lens.map_optic(h)
@@ -246,10 +246,9 @@ def test_enhance_iso_is_a_lawful_zoom():
     # the pure zoom satisfies the one-layer optic laws for its own family:
     # its map action is the shape's map, and the wedge holds on registered
     # natural transformations
-    from opticat.functors import any_functor
     from opticat.laws import naturals_within, standard_naturals, standard_shapes
 
-    family = any_functor()
+    family = ANY_FUNCTOR
     shapes = standard_shapes()
     for shape in (shapes["pair"], shapes["sum"], shapes["maybe_pair"]):
         zoom = enhance_iso(shape, family)
@@ -274,8 +273,7 @@ def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
     from opticat.laws import shape_pools
     from opticat.probes import maps_agree, probe_functions
 
-    dom_a, dom_s = labels("a", 2), labels("s", 3)
-    As, ss = dom_a.elements, dom_s.elements
+    As, ss = labels("a", 2), labels("s", 3)
     n_probes = len(probe_functions(As, As, ss)[0])
     pools = shape_pools()
 
@@ -284,9 +282,9 @@ def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
             for sh1 in pools[name]:
                 for sh2 in pools[name]:
                     for seed in range(2):
-                        o1 = gen_iso_optic(seed, sh1, family, dom_a, dom_a, dom_s, dom_s)
+                        o1 = gen_iso_optic(seed, sh1, family, As, As, ss, ss)
                         for k in (seed, seed + 1):
-                            yield o1, gen_iso_optic(k, sh2, family, dom_a, dom_a, dom_s, dom_s)
+                            yield o1, gen_iso_optic(k, sh2, family, As, As, ss, ss)
                         yield o1, iso_inj(o1.forward, o1.backward, family).compose(
                             enhance_iso(sh1, family)
                         )
@@ -316,8 +314,8 @@ def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
 
 def test_residual_form_raises_where_maps_agree_raises():
     shape = pair_shape(("r0", "r1"))
-    optic = enhance_iso(shape, is_product())
-    partial = IsoOptic(is_product(), shape, identity, {}.__getitem__)
+    optic = enhance_iso(shape, IS_PRODUCT)
+    partial = IsoOptic(IS_PRODUCT, shape, identity, {}.__getitem__)
     payloads = shape.payloads(list(DOM3))
     with pytest.raises(KeyError):
         observational_eq(optic, partial, DOM3, DOM3, payloads)
@@ -350,14 +348,13 @@ def _probing_eq(monkeypatch):
 
 def test_backward_differing_on_one_payload_gets_maps_agree_verdict(monkeypatch):
     eq = _probing_eq(monkeypatch)
-    dom_a, dom_s = labels("a", 2), labels("s", 3)
-    As, ss = dom_a.elements, dom_s.elements
-    family = any_functor()
+    As, ss = labels("a", 2), labels("s", 3)
+    family = ANY_FUNCTOR
     pair = pair_shape(("r0", "r1"))
     verdicts = []
     for shape in (pair, sum_shape(("r0", "r1")), compose_shapes(pair, maybe_shape())):
         for seed in range(3):
-            o1 = gen_iso_optic(seed, shape, family, dom_a, dom_a, dom_s, dom_s)
+            o1 = gen_iso_optic(seed, shape, family, As, As, ss, ss)
             for q in shape.payloads(list(As)):
                 table = {p: o1.backward(p) for p in shape.payloads(list(As))}
                 table[q] = next(t for t in ss if t != table[q])
@@ -371,9 +368,8 @@ def test_backward_differing_on_one_payload_gets_maps_agree_verdict(monkeypatch):
 
 def test_separately_composed_shapes_over_the_same_parts_are_one_shape(monkeypatch):
     eq = _probing_eq(monkeypatch)
-    dom_a, dom_s = labels("a", 2), labels("s", 3)
-    As, ss = dom_a.elements, dom_s.elements
-    family = any_functor()
+    As, ss = labels("a", 2), labels("s", 3)
+    family = ANY_FUNCTOR
     pair, maybe, q = pair_shape(("r0", "r1")), maybe_shape(), pair_shape(("q0",), name="Q")
 
     def nested():
@@ -383,7 +379,7 @@ def test_separately_composed_shapes_over_the_same_parts_are_one_shape(monkeypatc
         fg1, fg2 = build(), build()
         assert fg1 is not fg2
         for seed in range(4):
-            o1 = gen_iso_optic(seed, fg1, family, dom_a, dom_a, dom_s, dom_s)
+            o1 = gen_iso_optic(seed, fg1, family, As, As, ss, ss)
             same = IsoOptic(family, fg2, o1.forward, o1.backward)
             assert maps_agree(o1, same, As, As, ss)
             assert eq(o1, same, As, As, ss) == (True, False)
@@ -399,8 +395,8 @@ def test_separately_composed_shapes_over_the_same_parts_are_one_shape(monkeypatc
     lookalike = compose_shapes(pair_shape(("r0", "r1")), maybe)
     verdicts = []
     for seed in range(4):
-        o1 = gen_iso_optic(seed, fg, family, dom_a, dom_a, dom_s, dom_s)
-        o2 = gen_iso_optic(seed + 1, compose_shapes(pair, maybe), family, dom_a, dom_a, dom_s, dom_s)
+        o1 = gen_iso_optic(seed, fg, family, As, As, ss, ss)
+        o2 = gen_iso_optic(seed + 1, compose_shapes(pair, maybe), family, As, As, ss, ss)
         twin = IsoOptic(family, lookalike, o1.forward, o1.backward)
         for other in (o2, twin):
             verdict, probed = eq(o1, other, As, As, ss)
@@ -414,7 +410,7 @@ def test_forward_outside_the_enumerated_payloads_falls_back_to_probes(monkeypatc
     # on payloads(dom_b) says nothing about where the probes land.
     eq = _probing_eq(monkeypatch)
     shape = pair_shape(("r0", "r1"))
-    family = any_functor()
+    family = ANY_FUNCTOR
     forward = lambda s: ("r9", "a0")
     o1 = IsoOptic(family, shape, forward, lambda p: p[1])
     o2 = IsoOptic(family, shape, forward, lambda p: "s0" if p[0] == "r9" else p[1])

@@ -6,9 +6,9 @@ from opticat.base import Just, Left, Nothing, Right, identity
 from opticat.encode import concrete_to_iso, prof_encoding
 from opticat.families import FamilyTag, Optional, each
 from opticat.functors import (
+    IS_PRODUCT,
+    IS_SUM,
     compose_shapes,
-    is_product,
-    is_sum,
     maybe_shape,
     pair_shape,
     sum_shape,
@@ -38,7 +38,7 @@ DOM = ("a0", "a1")
 # run and operators ---------------------------------------------------------------
 
 def test_identity_leaves_value_unchanged():
-    ident = prof_inj(identity, identity, is_product())
+    ident = prof_inj(identity, identity, IS_PRODUCT)
     h = lambda x: x + 1
     assert ident.run(FUNCTION_ARROW, h)(41) == 42
     assert ident.run(GETTING, identity)("s") == "s"
@@ -59,7 +59,7 @@ def test_get_operator_prof_first():
 
 
 def test_get_operator_identity():
-    assert get_operator(prof_inj(identity, identity, is_product()))("s0") == "s0"
+    assert get_operator(prof_inj(identity, identity, IS_PRODUCT))("s0") == "s0"
 
 
 def test_get_operator_agrees_with_concrete_lens():
@@ -78,7 +78,7 @@ def test_match_operator_prof_just():
 
 
 def test_match_operator_identity_orientation():
-    m = match_operator(prof_inj(identity, identity, is_sum()))
+    m = match_operator(prof_inj(identity, identity, IS_SUM))
     assert m("s") == Right("s")
 
 
@@ -152,21 +152,21 @@ def test_iso_to_prof_of_inj_is_dimap():
     g = dict(zip(DOM, ("a0", "a0")))
     from opticat.iso import iso_inj
 
-    lhs = iso_to_prof(iso_inj(lambda s: f[s], lambda b: g[b], is_product()))
-    rhs = prof_inj(lambda s: f[s], lambda b: g[b], is_product())
+    lhs = iso_to_prof(iso_inj(lambda s: f[s], lambda b: g[b], IS_PRODUCT))
+    rhs = prof_inj(lambda s: f[s], lambda b: g[b], IS_PRODUCT)
     assert maps_agree(lhs, rhs, DOM, DOM, DOM)
 
 
 def test_round_trip_prof_to_iso_of_iso_to_prof():
     shape = pair_shape(("r0", "r1"))
-    optic = gen_iso_optic(40, shape, is_product(), DOM, DOM, DOM, DOM)
+    optic = gen_iso_optic(40, shape, IS_PRODUCT, DOM, DOM, DOM, DOM)
     back = prof_to_iso(iso_to_prof(optic))
     assert observational_eq(optic, back, DOM, DOM, DOM)
 
 
 def test_round_trip_iso_to_prof_of_prof_to_iso():
     shape = sum_shape(("r0",))
-    optic = iso_to_prof(gen_iso_optic(41, shape, is_sum(), DOM, DOM, DOM, DOM))
+    optic = iso_to_prof(gen_iso_optic(41, shape, IS_SUM, DOM, DOM, DOM, DOM))
     again = iso_to_prof(prof_to_iso(optic))
     assert maps_agree(optic, again, DOM, DOM, DOM)
 
@@ -175,10 +175,10 @@ def test_prof_to_iso_of_pure_zoom_is_pure_zoom():
     from opticat.iso import enhance_iso
 
     shape = pair_shape(("r0", "r1"))
-    optic = iso_to_prof(enhance_iso(shape, is_product()))
+    optic = iso_to_prof(enhance_iso(shape, IS_PRODUCT))
     back = prof_to_iso(optic)
     payloads = shape.payloads(list(DOM))
-    assert observational_eq(back, enhance_iso(shape, is_product()), DOM, DOM, payloads)
+    assert observational_eq(back, enhance_iso(shape, IS_PRODUCT), DOM, DOM, payloads)
 
 
 def test_prof_to_iso_of_encoded_lens_is_lens_to_iso():
@@ -188,7 +188,7 @@ def test_prof_to_iso_of_encoded_lens_is_lens_to_iso():
     encoded = prof_encoding(FamilyTag.LENS).encode(lens)
     back = prof_to_iso(encoded)
     assert observational_eq(
-        back, concrete_to_iso(lens), dom_a.elements, dom_a.elements, dom_s
+        back, concrete_to_iso(lens), dom_a, dom_a, dom_s
     )
 
 

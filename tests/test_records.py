@@ -6,11 +6,13 @@ import itertools
 
 import pytest
 
-from opticat.base import Just, Left, Nothing, Record, Right
+from opticat.base import Box, Just, Left, Nothing, Record, Right
 from opticat.cli import PathExpr, Step
 from opticat.encode import Functorization, ProfEncoding
 from opticat.families import AchLens, Adapter, FamilyTag, Lens, Optional, Prism, Setter
 from opticat.functors import (
+    ANY_FUNCTOR,
+    ID_SHAPE,
     Comp,
     ContainerShape,
     FunctorFamily,
@@ -19,15 +21,12 @@ from opticat.functors import (
     PointCap,
     ProductCap,
     SumCap,
-    any_functor,
-    id_shape,
 )
 from opticat.iso import IsoOptic
 from opticat.laws import (
     PASS,
     CapabilityFixture,
     FamilyFixture,
-    FiniteDomain,
     LawReport,
     MorphismSpec,
     Natural,
@@ -57,7 +56,7 @@ EXAMPLES = {
     AchLens: (("get", "put", "create"), "AchLens(get='get', put='put', create='create')"),
     Optional: (("match", "put"), "Optional(match='match', put='put')"),
     IsoOptic: (
-        (any_functor(), id_shape(), "forward", "backward"),
+        (ANY_FUNCTOR, ID_SHAPE, "forward", "backward"),
         "IsoOptic(family=FunctorFamily(Functor), shape=ContainerShape(Id), "
         "forward='forward', backward='backward')",
     ),
@@ -65,17 +64,16 @@ EXAMPLES = {
         ("P", "dimap", "enhance"),
         "ProfunctorCapability(name='P', dimap='dimap', enhance='enhance')",
     ),
-    ProfOptic: ((any_functor(), "run"), "ProfOptic(family=FunctorFamily(Functor), run='run')"),
+    ProfOptic: ((ANY_FUNCTOR, "run"), "ProfOptic(family=FunctorFamily(Functor), run='run')"),
     Functorization: (
-        (FamilyTag.LENS, any_functor(), "enhance_op", "residual"),
+        (FamilyTag.LENS, ANY_FUNCTOR, "enhance_op", "residual"),
         "Functorization(family_tag=<FamilyTag.LENS: 'LENS'>, "
         "functor_family=FunctorFamily(Functor), enhance_op='enhance_op', "
         "residual='residual')",
     ),
     ProfEncoding: (("encode", "decode"), "ProfEncoding(encode='encode', decode='decode')"),
-    FiniteDomain: (("d", ("x", Just(1))), "FiniteDomain(name='d', elements=('x', Just(value=1)))"),
     Natural: (
-        ("n", id_shape(), id_shape(), "fn"),
+        ("n", ID_SHAPE, ID_SHAPE, "fn"),
         "Natural(name='n', source=ContainerShape(Id), target=ContainerShape(Id), fn='fn')",
     ),
     FamilyFixture: (
@@ -101,18 +99,29 @@ EXAMPLES = {
 
 
 def _record_classes():
+    """Every record class of the package but the field-less ``Box`` base."""
     found, todo = set(), [Record]
     while todo:
         for sub in todo.pop().__subclasses__():
             if sub.__module__.startswith("opticat.") and sub not in found:
                 found.add(sub)
                 todo.append(sub)
-    return found
+    return found - {Box}
 
 
 def test_examples_cover_every_record_class():
     # the imports above load every module of the package
     assert _record_classes() == set(EXAMPLES)
+
+
+def test_every_one_value_record_is_a_box():
+    # a one-field payload box states its constructor, equality and hash
+    # once, in Box, and not again in its own class
+    boxes = {cls for cls in _record_classes() if cls.__slots__ == ("value",)}
+    assert boxes == {Left, Right, Just, Id, Comp}
+    for cls in boxes:
+        assert issubclass(cls, Box), cls
+        assert not {"__init__", "__eq__", "__hash__"} & set(vars(cls)), cls
 
 
 @pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
@@ -187,14 +196,6 @@ def test_functor_family_equality_ignores_member():
     assert FunctorFamily("F", len) == FunctorFamily("F", abs)
     assert hash(FunctorFamily("F", len)) == hash(FunctorFamily("F", abs))
     assert FunctorFamily("F", len) != FunctorFamily("G", len)
-
-
-def test_finite_domain_checks_its_elements():
-    assert FiniteDomain("d", ["x", "y"]).elements == ("x", "y")
-    with pytest.raises(ValueError, match="empty"):
-        FiniteDomain("d", [])
-    with pytest.raises(ValueError, match="duplicate"):
-        FiniteDomain("d", ["x", Just(1), Just(1)])
 
 
 def test_law_report_compares_by_field_and_stays_mutable():
