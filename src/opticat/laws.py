@@ -95,65 +95,64 @@ class _LawRun:
     """Collects cases for one law; keeps the first counterexample only.
 
     This is the one place the enumeration policy lives: :meth:`run` stops at
-    the first counterexample or when the budget runs out, and :meth:`agrees`
-    never lets a comparison on a sampled probe set pass.
+    the first counterexample or when the budget runs out, and
+    :meth:`compared` never lets a comparison on a sampled probe set pass.
+    A case is ``(inputs, expected, actual)``; a comparison that fails adds
+    a fourth item, its probe, so each case carries all it reports.
     """
 
     def __init__(self, law, budget=DEFAULT_MAX_EVALS):
         self.report = LawReport(law=law)
         self.budget = budget
-        # the arguments of the comparison agrees last refuted, until the
-        # case built from it is recorded
-        self._refuted = None
 
-    def case(self, inputs, expected, actual):
-        """Record one comparison; returns False when enumeration should stop.
-
-        A failing case whose own :meth:`agrees` comparison came out False
-        names the probe that separates its two sides.
-        """
-        refuted, self._refuted = self._refuted, None
+    def case(self, inputs, expected, actual, probe=None):
+        """Record one case; returns False when enumeration should stop.  A
+        failing case with a ``probe`` names ``probe()``: the probe on which
+        the two sides of its comparison differ."""
         if self.report.cases >= self.budget:
             self.report.status = INCONCLUSIVE
             return False
         self.report.cases += 1
         if expected != actual:
             failure = {"inputs": inputs, "expected": expected, "actual": actual}
-            if refuted is not None:
-                failure["probe"] = probes.distinguishing_probe(*refuted, self.budget)
+            if probe is not None:
+                failure["probe"] = probe()
             self.report.failures.append(failure)
             self.report.status = FAIL
             return False
         return True
 
     def run(self, cases):
-        """Consume lazy ``(inputs, expected, actual)`` triples; returns the
-        report."""
-        for inputs, expected, actual in cases:
-            if not self.case(inputs, expected, actual):
+        """Consume lazy cases; returns the report."""
+        for case in cases:
+            if not self.case(*case):
                 break
         return self.report
 
-    def agrees(self, lhs, rhs, dom_a, dom_b, dom_s):
-        """:func:`observational_eq` under this law's budget.  A sampled probe
-        set can refute equality but not show it, so it leaves the law
-        INCONCLUSIVE at best.  The probe set is built once: the comparison
-        gets the same one back from :func:`probes.probe_functions`."""
+    def compared(self, inputs, lhs, rhs, dom_a, dom_b, dom_s):
+        """The case that ``lhs`` and ``rhs`` are :func:`observational_eq`
+        under this law's budget.  A sampled probe set can refute equality
+        but not show it, so it leaves the law INCONCLUSIVE at best.  The
+        probe set is built once: the comparison gets the same one back from
+        :func:`probes.probe_functions`.  A failing case's probe is searched
+        for only when the case is recorded as a FAIL."""
         _, exhaustive = probes.probe_functions(dom_a, dom_b, dom_s, self.budget)
         if not exhaustive and self.report.status == PASS:
             self.report.status = INCONCLUSIVE
-        agree = observational_eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget)
-        if not agree:
-            self._refuted = lhs, rhs, dom_a, dom_b, dom_s
-        return agree
+        if observational_eq(lhs, rhs, dom_a, dom_b, dom_s, max_evals=self.budget):
+            return inputs, True, True
+        probe = partial(probes.distinguishing_probe, lhs, rhs, dom_a, dom_b, dom_s, self.budget)
+        return inputs, True, False, probe
+
+    def agrees(self, lhs, rhs, dom_a, dom_b, dom_s):
+        """Whether :meth:`compared` holds, for a law that expects some
+        comparisons to fail."""
+        return self.compared(None, lhs, rhs, dom_a, dom_b, dom_s)[2]
 
     def agreements(self, cases):
         """:meth:`run` over lazy ``(inputs, lhs, rhs, dom_a, dom_b, dom_s)``
-        cases, each passing when :meth:`agrees` holds."""
-        return self.run(
-            (inputs, True, self.agrees(lhs, rhs, *doms))
-            for inputs, lhs, rhs, *doms in cases
-        )
+        cases, each :meth:`compared`."""
+        return self.run(self.compared(*case) for case in cases)
 
 
 def merge_reports(reports):
@@ -205,7 +204,7 @@ def _seeded_bijection(seed, cells, dom_s, size):
     """A seeded bijection from the wholes (``s0``, ``s1``, ... by default)
     onto ``cells``.  Returns the RNG, for further seeded choices, the table
     and its inverse."""
-    ss = tuple(dom_s) if dom_s is not None else tuple(f"s{i}" for i in range(len(cells)))
+    ss = dom_s if dom_s is not None else labels("s", len(cells))
     if len(ss) != len(cells):
         raise ValueError(f"|S|={len(ss)} but {size}={len(cells)}")
     rng = random.Random(seed)
@@ -240,7 +239,7 @@ def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
     point used by ``create``."""
     pairs = list(itertools.product(dom_r, dom_a))
     rng, to_pair, from_pair = _seeded_bijection(seed, pairs, dom_s, "|R|*|A|")
-    point = rng.choice(tuple(dom_r))
+    point = rng.choice(dom_r)
     return AchLens(
         get=lambda s: to_pair[s][1],
         put=lambda b, s: from_pair[(to_pair[s][0], b)],
@@ -249,7 +248,7 @@ def gen_lawful_achlens(seed, dom_r, dom_a, dom_s=None) -> AchLens:
 
 
 def gen_lawful_adapter(seed, dom_a, dom_s=None) -> Adapter:
-    _, fwd, bwd = _seeded_bijection(seed, list(dom_a), dom_s, "|A|")
+    _, fwd, bwd = _seeded_bijection(seed, dom_a, dom_s, "|A|")
     return Adapter(fwd=lambda s: fwd[s], bwd=lambda a: bwd[a])
 
 
@@ -275,15 +274,14 @@ def gen_lawful_optional(seed, dom_miss, dom_keep, dom_a, dom_s=None) -> Optional
 
 def gen_unlawful_lens(dom_a, dom_s) -> Lens:
     """Deliberately broken: put ignores the new focus, so GetPut fails."""
-    As, ss = tuple(dom_a), tuple(dom_s)
-    return Lens(get=lambda s: As[ss.index(s) % len(As)], put=lambda b, s: s)
+    return Lens(get=lambda s: dom_a[dom_s.index(s) % len(dom_a)], put=lambda b, s: s)
 
 
 # Random (not necessarily lawful) records for structural-law fixtures --------
 
 def _rand_table(rng, dom_in, dom_out):
     """A seeded total function from ``dom_in`` to ``dom_out``: a table lookup."""
-    return {x: rng.choice(list(dom_out)) for x in dom_in}.__getitem__
+    return {x: rng.choice(dom_out) for x in dom_in}.__getitem__
 
 
 def _draw_put(rng, As, ss):
@@ -314,9 +312,8 @@ def gen_random_optic(tag: FamilyTag, seed, dom_a, dom_s):
     ``__slots__`` order.  The shared-operation laws hold for any record,
     lawful or not, so these make strong fixtures."""
     rng = random.Random(f"{tag}:{seed}")
-    As, ss = tuple(dom_a), tuple(dom_s)
     cls = CONCRETE_FAMILIES[tag]
-    return cls(*(_FIELD_DRAWS[name](rng, As, ss) for name in cls.__slots__))
+    return cls(*(_FIELD_DRAWS[name](rng, dom_a, dom_s) for name in cls.__slots__))
 
 
 def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
@@ -325,51 +322,41 @@ def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
     if shape.payloads is None:
         raise ValueError(f"shape {shape.name} has no payload enumeration")
     rng = random.Random(f"{shape.name}:{seed}")
-    pa = shape.payloads(list(dom_a))
-    pb = shape.payloads(list(dom_b))
-    fwd = {s: rng.choice(pa) for s in dom_s}
-    bwd = {p: rng.choice(list(dom_t)) for p in pb}
-    return IsoOptic(
-        family=family,
-        shape=shape,
-        forward=fwd.__getitem__,
-        backward=bwd.__getitem__,
-    )
+    forward = _rand_table(rng, dom_s, shape.payloads(dom_a))
+    return IsoOptic(family, shape, forward, _rand_table(rng, shape.payloads(dom_b), dom_t))
 
 
 # Concrete-family law groups --------------------------------------------------
 
 def check_lens_laws(lens, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    As, ss = tuple(dom_a), tuple(dom_s)
     return [
         _LawRun("lens.get_put", budget).run(
             ({"b": b, "s": s}, b, lens.get(lens.put(b, s)))
-            for b, s in itertools.product(As, ss)
+            for b, s in itertools.product(dom_a, dom_s)
         ),
         _LawRun("lens.put_get", budget).run(
-            ({"s": s}, s, lens.put(lens.get(s), s)) for s in ss
+            ({"s": s}, s, lens.put(lens.get(s), s)) for s in dom_s
         ),
         _LawRun("lens.put_put", budget).run(
             ({"b": b, "b2": b2, "s": s}, lens.put(b, s), lens.put(b, lens.put(b2, s)))
-            for b, b2, s in itertools.product(As, As, ss)
+            for b, b2, s in itertools.product(dom_a, dom_a, dom_s)
         ),
     ]
 
 
 def check_prism_laws(prism, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    As, ss = tuple(dom_a), tuple(dom_s)
     return [
         _LawRun("prism.match_build", budget).run(
-            ({"b": b}, Right(b), prism.match(prism.build(b))) for b in As
+            ({"b": b}, Right(b), prism.match(prism.build(b))) for b in dom_a
         ),
         _LawRun("prism.build_match", budget).run(
             ({"s": s}, s, prism.build(e.value))
-            for s, e in zip(ss, map(prism.match, ss))
+            for s, e in zip(dom_s, map(prism.match, dom_s))
             if isinstance(e, Right)
         ),
         _LawRun("prism.no_match_identity", budget).run(
             ({"s": s}, s, e.value)
-            for s, e in zip(ss, map(prism.match, ss))
+            for s, e in zip(dom_s, map(prism.match, dom_s))
             if isinstance(e, Left)
         ),
     ]
@@ -387,9 +374,8 @@ def check_adapter_laws(adapter, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
 
 
 def check_setter_laws(setter, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
-    As = tuple(dom_a)
     run_id = setter.over(identity)
-    fns = all_functions(As, As)
+    fns = all_functions(dom_a, dom_a)
 
     def over_composition():
         for f, g in itertools.product(fns, fns):
@@ -419,21 +405,20 @@ def check_achlens_laws(al, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
 
 
 def check_optional_laws(opt, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    As, ss = tuple(dom_a), tuple(dom_s)
     return [
         _LawRun("optional.hit_put_identity", budget).run(
             ({"s": s}, s, opt.put(e.value, s))
-            for s, e in zip(ss, map(opt.match, ss))
+            for s, e in zip(dom_s, map(opt.match, dom_s))
             if isinstance(e, Right)
         ),
         _LawRun("optional.put_then_match", budget).run(
             ({"b": b, "s": s}, Right(b), opt.match(opt.put(b, s)))
-            for b, s in itertools.product(As, ss)
+            for b, s in itertools.product(dom_a, dom_s)
             if isinstance(opt.match(s), Right)
         ),
         _LawRun("optional.miss_put_residual", budget).run(
             ({"b": b, "s": s}, e.value, opt.put(b, s))
-            for b, (s, e) in itertools.product(As, zip(ss, map(opt.match, ss)))
+            for b, (s, e) in itertools.product(dom_a, zip(dom_s, map(opt.match, dom_s)))
             if isinstance(e, Left)
         ),
     ]
@@ -474,9 +459,8 @@ def _lookup(index, value):
 
 
 def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
-    As, Bs = tuple(dom_a), labels("b", 2)
-    payloads = shape.payloads(list(As))
-    fns = all_functions(As, As)
+    payloads = shape.payloads(dom_a)
+    fns = all_functions(dom_a, dom_a)
 
     def map_composition():
         # One table, mapped[h][j] = map(h, payloads[j]).  fns holds every
@@ -485,12 +469,12 @@ def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
         # map(g, p) sits in the payloads (functor.payloads_closed), and is
         # mapped afresh when it is not there or cannot be hashed.
         mapped = [[shape.map(h, p) for p in payloads] for h in fns]
-        row_of = {tuple(map(h, As)): row for h, row in zip(fns, mapped)}
+        row_of = {tuple(map(h, dom_a)): row for h, row in zip(fns, mapped)}
         index = _index(payloads)
         at = [[_lookup(index, gp) for gp in row] for row in mapped]
         for f, f_mapped in zip(fns, mapped):
             for g, g_mapped, g_at in zip(fns, mapped, at):
-                fg_mapped = row_of[tuple(f(g(a)) for a in As)]
+                fg_mapped = row_of[tuple(f(g(a)) for a in dom_a)]
                 for p, fgp, gp, j in zip(payloads, fg_mapped, g_mapped, g_at):
                     yield (
                         {"shape": shape.name, "f": f, "g": g, "p": p},
@@ -499,8 +483,9 @@ def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
                     )
 
     def payloads_closed():
-        over_b = shape.payloads(list(Bs))
-        for h in all_functions(As, Bs):
+        dom_b = labels("b", 2)
+        over_b = shape.payloads(dom_b)
+        for h in all_functions(dom_a, dom_b):
             for p in payloads:
                 yield {"shape": shape.name, "h": h, "p": p}, True, shape.map(h, p) in over_b
 
@@ -548,8 +533,7 @@ def _agree_on(inputs, actual, expected, wholes):
 
 
 def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
-    ds, d1 = tuple(fix.doms["s"]), tuple(fix.doms["a1"])
-    d2, d3 = tuple(fix.doms["a2"]), tuple(fix.doms["a3"])
+    ds, d1, d2, d3 = (fix.doms[k] for k in ("s", "a1", "a2", "a3"))
     triples = list(enumerate(fix.triples))
     tables = list(enumerate(fix.inj_tables))
 
@@ -712,18 +696,8 @@ def standard_naturals(sh) -> list:
         ),
         Natural("id_hit", sh["id"], sh["sum"], lambda p: Right(p.value)),
         Natural("id_just", sh["id"], sh["maybe"], lambda p: Just(p.value)),
-        Natural(
-            "maybe_unit_sum",
-            sh["maybe"],
-            sh["sum_unit"],
-            lambda m: Right(m.value) if isinstance(m, Just) else Left(()),
-        ),
-        Natural(
-            "sum_squash",
-            sh["sum"],
-            sh["maybe"],
-            lambda e: Just(e.value) if isinstance(e, Right) else Nothing(),
-        ),
+        Natural("maybe_unit_sum", sh["maybe"], sh["sum_unit"], sh["maybe"].sum.to_sum),
+        Natural("sum_squash", sh["sum"], sh["maybe"], sh["maybe"].sum.from_sum),
         Natural(
             "sum_rotate",
             sh["sum"],
@@ -770,69 +744,55 @@ def naturals_within(family, naturals):
 class CapabilityFixture(Record):
     """A capability record plus the machinery to enumerate and compare its
     profunctor values extensionally.  ``eq`` gets the law's :class:`_LawRun`,
-    so a comparison that probes goes through its budget."""
+    so a comparison that probes goes through its budget, and returns the
+    case that two values are equal."""
 
     # values: (dom_in, dom_out) -> list of P values
-    # eq: (run, p1, p2, dom_in) -> bool
-    __slots__ = ("name", "cap", "values", "eq")
+    # eq: (run, inputs, p1, p2, dom_in) -> case
+    __slots__ = ("cap", "values", "eq")
 
 
-def _pointwise_eq(run, p1, p2, din):
+def _pointwise_eq(run, inputs, p1, p2, din):
     """Equality of function-valued profunctor values (arrows and readers):
     they agree on every input."""
-    return all(p1(x) == p2(x) for x in din)
+    return inputs, True, all(p1(x) == p2(x) for x in din)
+
+
+def _reader_fixture(cap, codomain):
+    """The fixture whose values are every function from ``din`` to
+    ``codomain(dout)``, compared pointwise."""
+    return CapabilityFixture(
+        cap, lambda din, dout: all_functions(din, codomain(dout)), _pointwise_eq
+    )
 
 
 def function_arrow_fixture():
-    return CapabilityFixture(
-        name="FunctionArrow",
-        cap=FUNCTION_ARROW,
-        values=lambda din, dout: all_functions(din, dout),
-        eq=_pointwise_eq,
-    )
+    return _reader_fixture(FUNCTION_ARROW, identity)
 
 
 def getting_fixture(focus_dom):
-    focus = tuple(focus_dom)
-    return CapabilityFixture(
-        name="Getting",
-        cap=GETTING,
-        values=lambda din, dout: all_functions(din, focus),
-        eq=_pointwise_eq,
-    )
+    return _reader_fixture(GETTING, lambda dout: focus_dom)
 
 
 def matching_fixture(focus_dom):
-    focus = tuple(focus_dom)
-
-    def values(din, dout):
-        cells = [Left(y) for y in dout] + [Right(a) for a in focus]
-        return all_functions(din, cells)
-
-    return CapabilityFixture(
-        name="Matching",
-        cap=MATCHING,
-        values=values,
-        eq=_pointwise_eq,
+    return _reader_fixture(
+        MATCHING, lambda dout: [Left(y) for y in dout] + [Right(a) for a in focus_dom]
     )
 
 
 def iso_capability_fixture(family, shape_pool, focus_a, focus_b):
-    fa, fb = tuple(focus_a), tuple(focus_b)
-
     def values(din, dout):
         rng = random.Random(f"{family.name}:0:{tuple(din)}:{tuple(dout)}")
         out = []
         for i in range(4):
             shape = rng.choice(shape_pool)
-            out.append(gen_iso_optic(i, shape, family, fa, fb, din, dout))
+            out.append(gen_iso_optic(i, shape, family, focus_a, focus_b, din, dout))
         return out
 
     return CapabilityFixture(
-        name="IsoOptic",
         cap=iso_capability(family),
         values=values,
-        eq=lambda run, p1, p2, din: run.agrees(p1, p2, fa, fb, din),
+        eq=lambda run, inputs, p1, p2, din: run.compared(inputs, p1, p2, focus_a, focus_b, din),
     )
 
 
@@ -848,23 +808,19 @@ def check_enhancing_laws(
     """The capability laws: dimap is functorial, enhance respects the
     identity shape, shape composition, registered naturals (wedge), and
     commutes with dimap through the shape's map."""
-    As, Bs = tuple(dom_a), tuple(dom_b)
     cap = fix.cap
-    values = fix.values(As, Bs)
-    fns_a = all_functions(As, As)
-    fns_b = all_functions(Bs, Bs)
-    id_payloads = ID_SHAPE.payloads(list(As))
+    values = fix.values(dom_a, dom_b)
+    fns_a = all_functions(dom_a, dom_a)
+    fns_b = all_functions(dom_b, dom_b)
 
     def law(name, cases):
         """Run lazy ``(inputs, lhs, rhs, dom_in)`` cases through ``fix.eq``."""
         run = _LawRun(name, budget)
-        return run.run(
-            (inputs, True, fix.eq(run, lhs, rhs, din)) for inputs, lhs, rhs, din in cases
-        )
+        return run.run(fix.eq(run, *case) for case in cases)
 
     def dimap_identity():
         for i, p in enumerate(values):
-            yield {"cap": fix.name, "value": i}, cap.dimap(identity, identity, p), p, As
+            yield {"cap": cap.name, "value": i}, cap.dimap(identity, identity, p), p, dom_a
 
     def dimap_composition():
         for f, f2 in itertools.product(fns_a[:6], fns_a[:6]):
@@ -872,38 +828,39 @@ def check_enhancing_laws(
                 for i, p in enumerate(values[:4]):
                     fused = cap.dimap(lambda x: f2(f(x)), lambda y: g(g2(y)), p)
                     staged = cap.dimap(f, g, cap.dimap(f2, g2, p))
-                    yield {"cap": fix.name, "value": i}, fused, staged, As
+                    yield {"cap": cap.name, "value": i}, fused, staged, dom_a
 
     def identity_shape():
+        id_payloads = ID_SHAPE.payloads(dom_a)
         for i, p in enumerate(values):
             lhs = cap.enhance(ID_SHAPE, p)
             rhs = cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
-            yield {"cap": fix.name, "value": i}, lhs, rhs, id_payloads
+            yield {"cap": cap.name, "value": i}, lhs, rhs, id_payloads
 
     def compose_shape():
         for f_shape, g_shape in compose_pairs:
             fg = compose_shapes(f_shape, g_shape)
-            fg_payloads = fg.payloads(list(As))
+            fg_payloads = fg.payloads(dom_a)
             for i, p in enumerate(values[:4]):
                 lhs = cap.enhance(fg, p)
                 rhs = cap.dimap(
                     lambda cp: cp.value, Comp, cap.enhance(f_shape, cap.enhance(g_shape, p))
                 )
-                inputs = {"cap": fix.name, "shapes": (f_shape.name, g_shape.name), "value": i}
+                inputs = {"cap": cap.name, "shapes": (f_shape.name, g_shape.name), "value": i}
                 yield inputs, lhs, rhs, fg_payloads
 
     def wedge():
         for nat in naturals:
-            src_payloads = nat.source.payloads(list(As))
+            src_payloads = nat.source.payloads(dom_a)
             for i, p in enumerate(values[:4]):
                 lhs = cap.dimap(identity, nat.fn, cap.enhance(nat.source, p))
                 rhs = cap.dimap(nat.fn, identity, cap.enhance(nat.target, p))
-                inputs = {"cap": fix.name, "natural": nat.name, "value": i}
+                inputs = {"cap": cap.name, "natural": nat.name, "value": i}
                 yield inputs, lhs, rhs, src_payloads
 
     def map_commute():
         for shape in shapes:
-            payloads = shape.payloads(list(As))
+            payloads = shape.payloads(dom_a)
             for u, v in itertools.product(fns_a[:4], fns_b[:4]):
                 for i, p in enumerate(values[:3]):
                     lhs = cap.enhance(shape, cap.dimap(u, v, p))
@@ -912,7 +869,7 @@ def check_enhancing_laws(
                         lambda pb: shape.map(v, pb),
                         cap.enhance(shape, p),
                     )
-                    inputs = {"cap": fix.name, "shape": shape.name, "value": i}
+                    inputs = {"cap": cap.name, "shape": shape.name, "value": i}
                     yield inputs, lhs, rhs, payloads
 
     return [
@@ -930,16 +887,15 @@ def check_enhancing_laws(
 def check_functorization_laws(
     fz, shapes, naturals, dom_a, dom_b, compose_pairs, budget=DEFAULT_MAX_EVALS
 ):
-    As, Bs = tuple(dom_a), tuple(dom_b)
     tag = fz.family_tag.value
-    cls = type(fz.enhance_op(ID_SHAPE))
-    probe = all_functions(As, Bs)
-    fns_a, fns_b = all_functions(As, As)[:4], all_functions(Bs, Bs)[:4]
+    cls = CONCRETE_FAMILIES[fz.family_tag]
+    probe = all_functions(dom_a, dom_b)
+    fns_a, fns_b = all_functions(dom_a, dom_a)[:4], all_functions(dom_b, dom_b)[:4]
 
     def map_is_shape_map():
         for shape in shapes:
             optic = fz.enhance_op(shape)
-            payloads = shape.payloads(list(As))
+            payloads = shape.payloads(dom_a)
             for h in probe:
                 run = optic.map_optic(h)
                 for p in payloads:
@@ -952,29 +908,29 @@ def check_functorization_laws(
                 fz.enhance_op(f_shape)
             ).compose(fz.enhance_op(g_shape))
             inputs = {"tag": tag, "shapes": (f_shape.name, g_shape.name)}
-            yield inputs, fz.enhance_op(fg), rhs, As, Bs, fg.payloads(list(As))
+            yield inputs, fz.enhance_op(fg), rhs, dom_a, dom_b, fg.payloads(dom_a)
 
     def wedge():
         for nat in naturals:
             lhs = cls.inj(identity, nat.fn).compose(fz.enhance_op(nat.source))
             rhs = cls.inj(nat.fn, identity).compose(fz.enhance_op(nat.target))
-            yield {"tag": tag, "natural": nat.name}, lhs, rhs, As, Bs, nat.source.payloads(list(As))
+            yield {"tag": tag, "natural": nat.name}, lhs, rhs, dom_a, dom_b, nat.source.payloads(dom_a)
 
     def inj_commute():
         for shape in shapes:
-            payloads = shape.payloads(list(As))
+            payloads = shape.payloads(dom_a)
             for u, v in itertools.product(fns_a, fns_b):
                 lhs = fz.enhance_op(shape).compose(cls.inj(u, v))
                 rhs = cls.inj(
                     lambda p: shape.map(u, p), lambda p: shape.map(v, p)
                 ).compose(fz.enhance_op(shape))
-                yield {"tag": tag, "shape": shape.name}, lhs, rhs, As, Bs, payloads
+                yield {"tag": tag, "shape": shape.name}, lhs, rhs, dom_a, dom_b, payloads
 
     identity_case = (
         {"tag": tag},
         fz.enhance_op(ID_SHAPE),
         cls.inj(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap),
-        As, Bs, ID_SHAPE.payloads(list(As)),
+        dom_a, dom_b, ID_SHAPE.payloads(dom_a),
     )
     return [
         _LawRun("functorization.map_is_shape_map", budget).run(map_is_shape_map()),
@@ -1014,7 +970,7 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
         # equality with the pure zoom forces backward . forward = id; the
         # converse needs natural components (checked below), not raw tables
         for i, shape in enumerate(shape_pool):
-            payloads = shape.payloads(list(As))
+            payloads = shape.payloads(As)
             same = gen_iso_optic(100 + i, shape, family, As, As, payloads, payloads)
             section = all(same.backward(same.forward(p)) == p for p in payloads)
             zoom = enhance_iso(shape, family)
@@ -1024,33 +980,30 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
             if not (family.member(nat.source) and family.member(nat.target)):
                 continue
             twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
-            payloads = nat.source.payloads(list(As))
+            payloads = nat.source.payloads(As)
             section = all(twisted.backward(twisted.forward(p)) == p for p in payloads)
-            zoom = enhance_iso(nat.source, family)
-            ok = section and retract.agrees(twisted, zoom, As, As, payloads)
-            yield {"family": family.name, "natural": nat.name, "direction": "natural"}, True, ok
+            inputs = {"family": family.name, "natural": nat.name, "direction": "natural"}
+            if section:
+                zoom = enhance_iso(nat.source, family)
+                yield retract.compared(inputs, twisted, zoom, As, As, payloads)
+            else:
+                yield inputs, True, False
 
     def enhance_composition():
         for f_shape, g_shape in itertools.combinations(shape_pool, 2):
             lhs = enhance_iso(f_shape, family).compose(enhance_iso(g_shape, family))
             fg = compose_shapes(f_shape, g_shape)
             rhs = iso_inj(Comp, lambda p: p.value, family).compose(enhance_iso(fg, family))
-            dom_in = f_shape.payloads(g_shape.payloads(list(As)))
+            dom_in = f_shape.payloads(g_shape.payloads(As))
             yield {"family": family.name, "shapes": (f_shape.name, g_shape.name)}, lhs, rhs, As, As, dom_in
 
     def equality_up_to_natural():
         for nat in naturals:
             rng = random.Random(f"{nat.name}:0")
-            pa_src = nat.source.payloads(list(As))
-            pb_tgt = nat.target.payloads(list(As))
-            fwd = {s: rng.choice(pa_src) for s in ss}
-            bwd = {p: rng.choice(ss) for p in pb_tgt}
-            with_fwd = IsoOptic(
-                family, nat.target, forward=lambda s: nat.fn(fwd[s]), backward=bwd.__getitem__
-            )
-            with_bwd = IsoOptic(
-                family, nat.source, forward=fwd.__getitem__, backward=lambda p: bwd[nat.fn(p)]
-            )
+            fwd = _rand_table(rng, ss, nat.source.payloads(As))
+            bwd = _rand_table(rng, nat.target.payloads(As), ss)
+            with_fwd = IsoOptic(family, nat.target, lambda s: nat.fn(fwd(s)), bwd)
+            with_bwd = IsoOptic(family, nat.source, fwd, lambda p: bwd(nat.fn(p)))
             yield {"family": family.name, "natural": nat.name}, with_fwd, with_bwd, As, As, ss
 
     return [
@@ -1075,7 +1028,7 @@ class MorphismSpec(Record):
 
 
 def check_morphism(spec: MorphismSpec, budget=DEFAULT_MAX_EVALS):
-    ds, d1, d2 = (tuple(spec.doms[k]) for k in ("s", "a1", "a2"))
+    ds, d1, d2 = (spec.doms[k] for k in ("s", "a1", "a2"))
     rng = random.Random(spec.name)
     tables = [(_rand_table(rng, ds, d1), _rand_table(rng, d1, ds)) for _ in range(3)]
 
@@ -1187,12 +1140,7 @@ def standard_morphism_specs(n_pairs):
         pool = pools[family.name]
         enc = prof_encoding(tag)
         concrete = CONCRETE_FAMILIES[tag].inj
-
-        def iso(f, g):
-            return iso_inj(f, g, family)
-
-        def prof(f, g):
-            return prof_inj(f, g, family)
+        iso, prof = partial(iso_inj, family=family), partial(prof_inj, family=family)
 
         def concrete_pairs(k):
             return [
@@ -1255,7 +1203,7 @@ def _canonical_setter():
     """The canonical setter of the pair shape takes no seed, so one check
     covers it."""
     pair = pair_shape(_LAWFUL_R, name="Pair")
-    return [functorize(FamilyTag.SETTER).enhance_op(pair)], pair.payloads(list(_LAWFUL_A))
+    return [functorize(FamilyTag.SETTER).enhance_op(pair)], pair.payloads(_LAWFUL_A)
 
 
 _FAMILY_LAWS = {
@@ -1353,14 +1301,26 @@ def main(argv=None):
     """Emit the full law report as JSON lines.  Exit 1 when a law does not
     pass, or when the laws reported differ from :data:`REQUIRED_LAWS`.  The
     entry point takes no arguments: any argument exits 2 with one line on
-    stderr and nothing on stdout."""
+    stderr and nothing on stdout.  Exit 4 with one line on stderr, as
+    ``opticat`` does, when stdout cannot take the report: a reader that
+    closed the pipe, a full disk, a closed stdout.  ``sys.stdout`` is then
+    set to None, so that the interpreter's own flush at exit does not fail
+    on the same stream again."""
     args = sys.argv[1:] if argv is None else argv
     if args:
         print(f"python -m opticat.laws: takes no arguments, got {args[0]!r}", file=sys.stderr)
         return 2
     reports = run_all_law_checks()
-    for line in report_lines(reports):
-        sys.stdout.write(line + "\n")
+    try:
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise OSError("stdout is closed")
+        for line in report_lines(reports):
+            sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stdout = None
+        print(f"python -m opticat.laws: cannot write output: {exc}", file=sys.stderr)
+        return 4
     covered = {rep.law for rep in reports} == set(REQUIRED_LAWS)
     return 0 if covered and all(rep.passed for rep in reports) else 1
 

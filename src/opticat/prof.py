@@ -7,13 +7,14 @@ becomes a plain argument: the capability record carries ``dimap`` plus a
 per-shape ``enhance``.
 """
 
-from .base import Just, Left, Nothing, Record, Right, identity
+from .base import Left, Record, Right, identity
 from .functors import (
     IS_PRODUCT,
     IS_SUM,
     FunctorFamily,
     affine_match,
     affine_supported,
+    maybe_shape,
     pair_shape,
     sum_shape,
 )
@@ -147,19 +148,14 @@ def _swap(p):
     return (p[1], p[0])
 
 
-def _maybe_to_sum(m):
-    return Right(m.value) if isinstance(m, Just) else Left(())
-
-
-def _sum_to_maybe(e):
-    return Just(e.value) if isinstance(e, Right) else Nothing()
-
-
 _PAIR = pair_shape()
 _SUM = sum_shape()
 
 
-# Each is the profunctor optic of a residual form (see :func:`iso_to_prof`).
+# Each is the profunctor optic of a residual form (see :func:`iso_to_prof`):
+# the zoom through one container layer (Pair, Sum or the option container),
+# or, for prof_first, Pair with its two slots swapped.  The option container
+# matches through its own sum capability, the one option-to-sum conversion.
 
 def prof_second() -> ProfOptic:
     return iso_to_prof(enhance_iso(_PAIR, IS_PRODUCT))
@@ -174,7 +170,7 @@ def prof_right() -> ProfOptic:
 
 
 def prof_just() -> ProfOptic:
-    return iso_to_prof(IsoOptic(IS_SUM, _SUM, _maybe_to_sum, _sum_to_maybe))
+    return iso_to_prof(enhance_iso(maybe_shape(), IS_SUM))
 
 
 # Conversions to and from iso optics -----------------------------------------

@@ -329,7 +329,6 @@ def test_criterion_7_negative_controls():
         return lambda p: shape.map(h, p)
 
     broken = CapabilityFixture(
-        name="BrokenArrow",
         cap=ProfunctorCapability(
             name="BrokenArrow",
             dimap=lambda f, g, h: (lambda x: g(h(f(x)))),

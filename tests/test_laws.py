@@ -2,12 +2,16 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from opticat.encode import Functorization, functorize
 from opticat.families import FamilyTag, Lens
-from opticat.functors import ContainerShape, pair_shape
+from opticat.functors import ID_SHAPE, IS_PRODUCT, ContainerShape, pair_shape
 from opticat.prof import FUNCTION_ARROW, ProfunctorCapability
 from opticat.laws import (
     FAIL,
@@ -194,8 +198,8 @@ def test_unlawful_lens_fails_get_put_with_counterexample():
 def _function_arrow_with(dimap=FUNCTION_ARROW.dimap, enhance=FUNCTION_ARROW.enhance):
     """The function-arrow capability fixture with a planted dimap or enhance."""
     arrow = function_arrow_fixture()
-    cap = ProfunctorCapability(arrow.name, dimap, enhance)
-    return CapabilityFixture(arrow.name, cap, arrow.values, arrow.eq)
+    cap = ProfunctorCapability(arrow.cap.name, dimap, enhance)
+    return CapabilityFixture(cap, arrow.values, arrow.eq)
 
 
 def _enhancing_reports(fix, compose_pairs=()):
@@ -404,11 +408,11 @@ def test_budgeted_suite_never_passes_a_law_compared_on_sampled_probes(monkeypatc
         pending.append(exhaustive)
         return fns, exhaustive
 
-    def recording_case(self, inputs, expected, actual):
+    def recording_case(self, inputs, expected, actual, probe=None):
         if not all(pending):
             sampled_laws.add(self.report.law)
         pending.clear()
-        return case(self, inputs, expected, actual)
+        return case(self, inputs, expected, actual, probe)
 
     monkeypatch.setattr(probes, "probe_functions", recording_probe_functions)
     monkeypatch.setattr(_LawRun, "case", recording_case)
@@ -542,6 +546,34 @@ def test_a_comparison_fail_names_a_probe_that_replays():
     assert set(line["counterexample"]["probe"]) == {"h", "s", "lhs", "rhs"}
 
 
+def test_an_iso_capability_fail_names_a_probe_that_replays():
+    # The IsoOptic fixture's eq returns its comparison's case, so a FAIL
+    # there names its probe as the optic-family laws do.
+    from opticat.iso import iso_dimap
+    from opticat.laws import iso_capability_fixture, shape_pools
+
+    dom = labels("a", 2)
+    iso = iso_capability_fixture(IS_PRODUCT, shape_pools()["IsProduct"], dom, dom)
+    # dimap applies its second function twice
+    cap = ProfunctorCapability(
+        iso.cap.name, lambda f, g, o: iso_dimap(f, lambda t: g(g(t)), o), iso.cap.enhance
+    )
+    broken = CapabilityFixture(cap, iso.values, iso.eq)
+    rep = _enhancing_reports(broken)["enhancing.identity_shape"]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    assert failure["inputs"]["cap"] == "IsoOptic"
+    p = broken.values(dom, dom)[failure["inputs"]["value"]]
+    lhs = cap.enhance(ID_SHAPE, p)
+    rhs = cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
+    probe = failure["probe"]
+    h, s = probe["h"], probe["s"]
+    assert probe["lhs"] == lhs.map_optic(h)(s)
+    assert probe["rhs"] == rhs.map_optic(h)(s)
+    assert probe["lhs"] != probe["rhs"]
+    assert _enhancing_reports(iso)["enhancing.identity_shape"].passed
+
+
 def test_a_probe_names_only_the_case_whose_own_comparison_failed():
     # iso.retraction expects some comparisons to come out False; a later
     # failure that made no comparison names no probe.
@@ -578,6 +610,45 @@ def test_law_report_entry_point(default_reports, monkeypatch, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= len(REQUIRED_LAWS)
     assert all(json.loads(line)["status"] == PASS for line in lines)
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize(
+    "stdout,redirect,unbuffered,message",
+    [(_closed_pipe, "", "", "[Errno 32] Broken pipe"),
+     (_closed_pipe, "", "1", "[Errno 32] Broken pipe"),
+     (None, ">&-", "", "stdout is closed"),
+     (None, ">/dev/full", "", "[Errno 28] No space left on device")],
+    ids=["closed-pipe", "closed-pipe-unbuffered", "closed-stdout", "full-disk"],
+)
+def test_an_unwritable_stdout_exits_4_with_one_line(stdout, redirect, unbuffered, message):
+    # Exit 1 means a law failed, so a reader that stops early must not read
+    # as one.  Buffered, the report meets the stream in main's flush, and
+    # the interpreter flushes once more at exit; unbuffered, every line is
+    # its own write.
+    import opticat.laws as laws
+
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(laws.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "opticat.laws"]
+    fd = None if stdout is None else stdout()
+    try:
+        proc = subprocess.run(argv, stdout=fd, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert proc.returncode == 4
+    assert proc.stderr.decode() == f"python -m opticat.laws: cannot write output: {message}\n"
 
 
 def test_report_lines_are_json_records():

@@ -4,7 +4,7 @@ import pytest
 
 from opticat.base import Just, Left, Nothing, Right, identity
 from opticat.encode import concrete_to_iso, prof_encoding
-from opticat.families import FamilyTag, Optional, each
+from opticat.families import FamilyTag, Optional, each, first, just, second
 from opticat.functors import (
     IS_PRODUCT,
     IS_SUM,
@@ -30,7 +30,7 @@ from opticat.prof import (
     prof_to_iso,
 )
 from opticat.laws import gen_iso_optic, gen_lawful_lens, labels
-from opticat.probes import maps_agree
+from opticat.probes import all_functions, maps_agree
 
 DOM = ("a0", "a1")
 
@@ -208,6 +208,23 @@ def test_prebuilt_optics_round_trip():
     for name, optic in prebuilt.items():
         again = iso_to_prof(prof_to_iso(optic))
         assert maps_agree(optic, again, DOM, DOM, wholes[name]), name
+
+
+def test_the_two_spellings_of_the_canonical_optics_agree():
+    # prof_first/second/just are residual forms, families.first/second/just
+    # hand-written records; over small domains they agree on every probe
+    # and whole, and under each one's reader.
+    pairs = [(x, y) for x in DOM for y in DOM]
+    options = [Nothing()] + [Just(a) for a in DOM]
+    for prof, concrete, wholes, read, concrete_read in [
+        (prof_first(), first(), pairs, get_operator, lambda o: o.get),
+        (prof_second(), second(), pairs, get_operator, lambda o: o.get),
+        (prof_just(), just(), options, match_operator, lambda o: o.match),
+    ]:
+        for h in all_functions(DOM, DOM):
+            run, concrete_run = prof.map_optic(h), concrete.map_optic(h)
+            assert [run(s) for s in wholes] == [concrete_run(s) for s in wholes], h
+        assert [read(prof)(s) for s in wholes] == [concrete_read(concrete)(s) for s in wholes]
 
 
 # Capability plumbing --------------------------------------------------------------

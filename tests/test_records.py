@@ -82,8 +82,8 @@ EXAMPLES = {
         "inj_tables='inj_tables')",
     ),
     CapabilityFixture: (
-        ("c", "cap", "values", "eq"),
-        "CapabilityFixture(name='c', cap='cap', values='values', eq='eq')",
+        ("cap", "values", "eq"),
+        "CapabilityFixture(cap='cap', values='values', eq='eq')",
     ),
     MorphismSpec: (
         ("m", "theta", "inj_src", "inj_dst", "pairs", "doms"),
