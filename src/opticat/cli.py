@@ -391,6 +391,8 @@ def run(command, path_text, value_text=None, doc=None, strict=False, trees=None)
             f"{tag.value} path",
         )
 
+    if command in ("get", "match") and value_text is not None:
+        return EXIT_UNSUPPORTED, f"opticat: command {command!r} takes no value"
     value = None
     if command in ("set", "build"):
         if value_text is None:

@@ -34,7 +34,6 @@ from .families import (
 )
 from .encode import concrete_to_iso, embed, functorize, prof_encoding, unfunctorize
 from .functors import (
-    FAMILY_REGISTRY,
     ID_SHAPE,
     Comp,
     Id,
@@ -591,64 +590,56 @@ def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
     ]
 
 
-def _inj_tables(rng, doms):
-    """Two seeded (f, g, f2, g2) tables: f: s->a1, g: a1->s, f2: a1->a3,
-    g2: a3->a1."""
-    signature = (("s", "a1"), ("a1", "s"), ("a1", "a3"), ("a3", "a1"))
+def _chains(draw, doms, starts, length):
+    """Composable simple optics, outermost first: for each seed ``k`` of
+    ``starts``, the ``length`` optics ``draw(k + i, foci, wholes)`` down the
+    domain chain ``s``, ``a1``, ``a2``, ``a3``, each focusing on the next
+    domain of the chain."""
+    chain = [doms[key] for key in ("s", "a1", "a2", "a3")[: length + 1]]
     return [
+        tuple(map(draw, range(k, k + length), chain[1:], chain[:-1]))
+        for k in starts
+    ]
+
+
+def _draw_iso(rng, pool, family, seed, dom_a, dom_s):
+    """A simple iso optic of ``family`` on a shape that ``rng`` draws from
+    ``pool``; :func:`gen_iso_optic` seeds its own tables, so each draw takes
+    one choice from ``rng``."""
+    return gen_iso_optic(seed, rng.choice(pool), family, dom_a, dom_a, dom_s, dom_s)
+
+
+def _drawn_family(name, inj, draw, rng, n_s, n_m):
+    """The fixture whose triples ``draw`` draws at seeds 0, 10 and 20 over
+    ``n_s`` wholes and ``n_m`` middle foci, and whose two inj tables
+    ``rng`` draws after them."""
+    doms = {
+        "s": labels("s", n_s),
+        "a1": labels("a", 3),
+        "a2": labels("m", n_m),
+        "a3": labels("x", 2),
+    }
+    triples = _chains(draw, doms, range(0, 30, 10), 3)
+    signature = (("s", "a1"), ("a1", "s"), ("a1", "a3"), ("a3", "a1"))
+    tables = [
         tuple(_rand_table(rng, doms[x], doms[y]) for x, y in signature)
         for _ in range(2)
     ]
+    return FamilyFixture(name, inj, triples, doms, tables)
 
 
 def concrete_family_fixture(tag: FamilyTag) -> FamilyFixture:
-    doms = {
-        "s": labels("s", 4),
-        "a1": labels("a", 3),
-        "a2": labels("m", 3),
-        "a3": labels("x", 2),
-    }
-    triples = [
-        (
-            gen_random_optic(tag, 10 * k, doms["a1"], doms["s"]),
-            gen_random_optic(tag, 10 * k + 1, doms["a2"], doms["a1"]),
-            gen_random_optic(tag, 10 * k + 2, doms["a3"], doms["a2"]),
-        )
-        for k in range(3)
-    ]
-    return FamilyFixture(
-        name=f"concrete.{tag.value}",
-        inj=CONCRETE_FAMILIES[tag].inj,
-        triples=triples,
-        doms=doms,
-        inj_tables=_inj_tables(random.Random(f"inj:{tag}:0"), doms),
+    return _drawn_family(
+        f"concrete.{tag.value}", CONCRETE_FAMILIES[tag].inj, partial(gen_random_optic, tag),
+        random.Random(f"inj:{tag}:0"), n_s=4, n_m=3,
     )
 
 
 def iso_family_fixture(family, shape_pool) -> FamilyFixture:
-    doms = {
-        "s": labels("s", 3),
-        "a1": labels("a", 3),
-        "a2": labels("m", 2),
-        "a3": labels("x", 2),
-    }
     rng = random.Random(f"{family.name}:0")
-    triples = []
-    for k in range(3):
-        sh1, sh2, sh3 = (rng.choice(shape_pool) for _ in range(3))
-        triples.append(
-            (
-                gen_iso_optic(10 * k, sh1, family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
-                gen_iso_optic(10 * k + 1, sh2, family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
-                gen_iso_optic(10 * k + 2, sh3, family, doms["a3"], doms["a3"], doms["a2"], doms["a2"]),
-            )
-        )
-    return FamilyFixture(
-        name=f"iso.{family.name}",
-        inj=lambda f, g: iso_inj(f, g, family),
-        triples=triples,
-        doms=doms,
-        inj_tables=_inj_tables(rng, doms),
+    return _drawn_family(
+        f"iso.{family.name}", partial(iso_inj, family=family),
+        partial(_draw_iso, rng, shape_pool, family), rng, n_s=3, n_m=2,
     )
 
 
@@ -714,21 +705,15 @@ def standard_naturals(sh) -> list:
     ]
 
 
-def _natural_retraction_pairs(naturals):
-    """(forward, retraction) pairs among the registered naturals: the two
-    residual rotations are involutions, tagging a residual is undone by the
-    defaulting projection, and the identity retracts itself."""
-    by_name = {nat.name: nat for nat in naturals}
-    pairs = []
-    for fwd_name, bwd_name in (
-        ("pair_rotate", "pair_rotate"),
-        ("sum_rotate", "sum_rotate"),
-        ("id_nat", "id_nat"),
-        ("pair_tag", "maybe_pair_default"),
-    ):
-        if fwd_name in by_name and bwd_name in by_name:
-            pairs.append((by_name[fwd_name], by_name[bwd_name]))
-    return pairs
+# (forward, retraction) pairs of registered naturals: the two residual
+# rotations are involutions, tagging a residual is undone by the defaulting
+# projection, and the identity retracts itself.
+_RETRACTIONS = (
+    ("pair_rotate", "pair_rotate"),
+    ("sum_rotate", "sum_rotate"),
+    ("id_nat", "id_nat"),
+    ("pair_tag", "maybe_pair_default"),
+)
 
 
 def naturals_within(family, naturals):
@@ -944,6 +929,8 @@ def check_functorization_laws(
 # Iso-specific law group ------------------------------------------------------
 
 def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
+    """The laws of ``family``'s residual forms, on its member shapes
+    ``shape_pool`` and the registered ``naturals`` that lie within it."""
     As, ss = labels("a", 2), labels("s", 3)
     optics = [
         (shape, gen_iso_optic(i, shape, family, As, As, ss, ss))
@@ -976,9 +963,11 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
             zoom = enhance_iso(shape, family)
             ok = section or not retract.agrees(same, zoom, As, As, payloads)
             yield {"family": family.name, "shape": shape.name, "direction": "arbitrary"}, True, ok
-        for nat, nat_inv in _natural_retraction_pairs(naturals):
-            if not (family.member(nat.source) and family.member(nat.target)):
+        by_name = {nat.name: nat for nat in naturals}
+        for fwd_name, bwd_name in _RETRACTIONS:
+            if fwd_name not in by_name or bwd_name not in by_name:
                 continue
+            nat, nat_inv = by_name[fwd_name], by_name[bwd_name]
             twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
             payloads = nat.source.payloads(As)
             section = all(twisted.backward(twisted.forward(p)) == p for p in payloads)
@@ -1142,24 +1131,15 @@ def standard_morphism_specs(n_pairs):
         concrete = CONCRETE_FAMILIES[tag].inj
         iso, prof = partial(iso_inj, family=family), partial(prof_inj, family=family)
 
-        def concrete_pairs(k):
-            return [
-                (
-                    gen_random_optic(tag, k + 2 * j, doms["a1"], doms["s"]),
-                    gen_random_optic(tag, k + 2 * j + 1, doms["a2"], doms["a1"]),
-                )
-                for j in range(n_pairs)
-            ]
+        def drawn_pairs(draw, k):
+            """``n_pairs`` composable pairs, at seeds k + 2j and k + 2j + 1."""
+            return _chains(draw, doms, range(k, k + 2 * n_pairs, 2), 2)
 
         def iso_pairs(k):
             rng = random.Random(f"{family.name}:pairs:{k}")
-            return [
-                (
-                    gen_iso_optic(k + 2 * j, rng.choice(pool), family, doms["a1"], doms["a1"], doms["s"], doms["s"]),
-                    gen_iso_optic(k + 2 * j + 1, rng.choice(pool), family, doms["a2"], doms["a2"], doms["a1"], doms["a1"]),
-                )
-                for j in range(n_pairs)
-            ]
+            return drawn_pairs(partial(_draw_iso, rng, pool, family), k)
+
+        concrete_pairs = partial(drawn_pairs, partial(gen_random_optic, tag))
 
         def lifted(theta, pairs):
             return [(theta(o1), theta(o2)) for o1, o2 in pairs]
@@ -1229,20 +1209,29 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
     dom_b = dom_a
     reports = []
 
-    # per family: its laws on its lawful optics, the shared optic-family laws
-    # on its random records, and the laws of its functorization
+    # per family, with its functor family's member shapes, naturals and
+    # compose pairs: its laws on its lawful optics, the shared optic-family
+    # laws on its random records and on its iso optics, the laws of its
+    # functorization and of its iso capability, and the iso-specific laws
     for tag, (lawful, check) in _FAMILY_LAWS.items():
+        fz = functorize(tag)
+        family = fz.functor_family
+        pool = pools[family.name]
+        fam_nats = naturals_within(family, naturals)
+        pairs = [(f, g) for f in pool for g in pool][:3]
         optics, wholes = lawful()
         for optic in optics:
             reports += check(optic, _LAWFUL_A, wholes, budget)
         reports += check_optic_family_laws(concrete_family_fixture(tag), budget)
-        fz = functorize(tag)
-        pool = pools[fz.functor_family.name]
-        fam_nats = naturals_within(fz.functor_family, naturals)
-        pairs = [(f, g) for f in pool for g in pool][:3]
+        reports += check_optic_family_laws(iso_family_fixture(family, pool), budget)
         reports += check_functorization_laws(
             fz, pool, fam_nats, dom_a, dom_b, compose_pairs=pairs, budget=budget
         )
+        reports += check_enhancing_laws(
+            iso_capability_fixture(family, pool, dom_a, dom_b),
+            pool, fam_nats, dom_a, dom_b, compose_pairs=pairs, budget=budget,
+        )
+        reports += check_iso_laws(family, pool, fam_nats, budget)
 
     # shape laws
     for shape in shapes.values():
@@ -1271,24 +1260,6 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
         matching_fixture(dom_a), arrow_shapes, naturals, dom_a, dom_b,
         compose_pairs=compose_all, budget=budget,
     )
-
-    # per registry family: the shared optic-family laws of its iso optics, the
-    # laws of its iso capability, and the iso-specific laws
-    for fam_name, family in FAMILY_REGISTRY.items():
-        fam_nats = naturals_within(family, naturals)
-        pool = pools[fam_name]
-        reports += check_optic_family_laws(iso_family_fixture(family, pool), budget)
-        pairs = [(f, g) for f in pool for g in pool if f.payloads and g.payloads][:3]
-        reports += check_enhancing_laws(
-            iso_capability_fixture(family, pool, dom_a, dom_b),
-            pool,
-            fam_nats,
-            dom_a,
-            dom_b,
-            compose_pairs=pairs,
-            budget=budget,
-        )
-        reports += check_iso_laws(family, pool, fam_nats, budget)
 
     # conversions are morphisms
     for spec in standard_morphism_specs(n_pairs=2):

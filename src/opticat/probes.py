@@ -41,17 +41,15 @@ class FiniteFn(dict):
 
 def all_functions(dom_a, dom_b):
     """Every total function from dom_a to dom_b, as FiniteFn tables."""
-    dom_a = list(dom_a)
     return [
         FiniteFn(zip(dom_a, image))
-        for image in itertools.product(list(dom_b), repeat=len(dom_a))
+        for image in itertools.product(dom_b, repeat=len(dom_a))
     ]
 
 
 def sample_functions(dom_a, dom_b):
     """A seeded sample of SAMPLE_SIZE function tables from dom_a to dom_b."""
     rng = random.Random(0)
-    dom_a, dom_b = list(dom_a), list(dom_b)
     return [
         FiniteFn((a, rng.choice(dom_b)) for a in dom_a)
         for _ in range(SAMPLE_SIZE)

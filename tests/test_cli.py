@@ -579,6 +579,19 @@ def test_main_usage_error(capsys):
     assert main(["get"]) == EXIT_UNSUPPORTED
 
 
+@pytest.mark.parametrize(
+    "command, path, doc", [("get", "fst", "[1,2]"), ("match", "key(a)", '{"a":1}')]
+)
+def test_a_value_given_to_get_or_match_exits_2(command, path, doc, capsys, monkeypatch):
+    # A mistyped flag such as --stirct is a third positional argument; it
+    # must not be dropped silently.
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert main([command, path, "--stirct"]) == EXIT_UNSUPPORTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"opticat: command {command!r} takes no value\n"
+
+
 def test_main_bad_document(capsys, monkeypatch):
     import io
 

@@ -147,7 +147,7 @@ def test_every_family_has_a_full_row_in_both_tables():
     from opticat import encode, laws
     from opticat.encode import concrete_to_iso
     from opticat.families import CONCRETE_FAMILIES
-    from opticat.functors import ID_SHAPE
+    from opticat.functors import FAMILY_REGISTRY, ID_SHAPE
 
     assert set(encode._FUNCTORIZATIONS) == set(FamilyTag) == set(laws._FAMILY_LAWS)
     for tag in FamilyTag:
@@ -164,6 +164,11 @@ def test_every_family_has_a_full_row_in_both_tables():
         assert all(rep.passed for o in optics for rep in check(o, laws._LAWFUL_A, wholes))
     with pytest.raises(TypeError):
         concrete_to_iso(object())
+    # run_all_law_checks walks the families once, each row with its functor
+    # family, so the rows' functor families are the registry's, one row each
+    row_families = [functorize(tag).functor_family for tag in laws._FAMILY_LAWS]
+    assert len(row_families) == len(FAMILY_REGISTRY)
+    assert {id(f) for f in row_families} == {id(f) for f in FAMILY_REGISTRY.values()}
 
 
 def test_cardinality_mismatch_rejected():
@@ -737,3 +742,52 @@ def test_law_reports_match_golden(golden, budget, request):
     else:
         reports = run_all_law_checks(budget=budget)
     assert list(report_lines(reports)) == expected
+
+
+# The digest of every fixture's draws.  A fixture that draws other optics can
+# leave every law report unchanged, so only this digest shows it; a change
+# that means to redraw the fixtures regenerates the golden reports with it.
+_FIXTURE_DIGEST = "ab75c06b9f3945158afbbfc90bd0a6991855eef880b424d8d057a0cf7f3f1bf2"
+
+
+def test_fixture_draws_match_their_digest():
+    import hashlib
+
+    from opticat.functors import FAMILY_REGISTRY
+    from opticat.laws import (
+        concrete_family_fixture,
+        iso_family_fixture,
+        shape_pools,
+        standard_morphism_specs,
+    )
+    from opticat.probes import all_functions
+
+    def optic(o, foci, wholes):
+        # an optic is its map action: map_optic(h)(s) for every probe h
+        return repr([[o.map_optic(h)(s) for s in wholes] for h in all_functions(foci, foci)])
+
+    chain = (("a1", "s"), ("a2", "a1"), ("a3", "a2"))
+    signature = ("s", "a1", "a1", "a3")  # the domain of each inj table
+    pools = shape_pools()
+    fixtures = [concrete_family_fixture(tag) for tag in FamilyTag] + [
+        iso_family_fixture(family, pools[name]) for name, family in FAMILY_REGISTRY.items()
+    ]
+    entries = []
+    for fix in fixtures:
+        d = fix.doms
+        entries += [
+            fix.name + "".join(optic(o, d[a], d[s]) for o, (a, s) in zip(triple, chain))
+            for triple in fix.triples
+        ]
+        entries += [
+            fix.name + repr([[t(x) for x in d[k]] for t, k in zip(tables, signature)])
+            for tables in fix.inj_tables
+        ]
+    for spec in standard_morphism_specs(2):
+        d = spec.doms
+        entries += [
+            spec.name + optic(o1, d["a1"], d["s"]) + optic(o2, d["a2"], d["a1"])
+            for o1, o2 in spec.pairs
+        ]
+    assert len(entries) == 154
+    assert hashlib.sha256("\n".join(entries).encode()).hexdigest() == _FIXTURE_DIGEST
