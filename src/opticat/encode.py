@@ -1,16 +1,20 @@
 """Per-family functorizations and the concrete <-> iso <-> prof conversions.
 
 Each concrete family has one row, its :class:`Functorization`: the largest
-shape family it can zoom through, its one-layer optic, and the map from its
-optics to their residual forms.  A row's one-layer optic refuses any shape
-outside its family.  A row yields an executable profunctor encoding whose
-encode and decode are mutually inverse up to observational equality.  For
-lenses and achromatic lenses the round trip holds only for lawful inputs.
+shape family it can zoom through (its ``functors.FUNCTOR_FAMILY`` entry),
+its one-layer optic, and the map from its optics to their residual forms.
+A row's one-layer optic refuses any shape outside its family.  A row yields
+an executable profunctor encoding whose encode and decode are mutually
+inverse up to observational equality.  For lenses and achromatic lenses the
+round trip holds only for lawful inputs.
 
-The embeddings of the family order come from the rows too: :func:`embed`
-reads an optic's residual form again in the larger family's functor family
-and collapses it there.
+The family order (``families._UPSETS``) is read in one place:
+:func:`unfunctorize` collapses a residual form of any family at or below
+its target, so :func:`embed` and every ``decode`` follow the order with no
+check of their own.
 """
+
+from functools import partial
 
 from .base import Just, Left, Nothing, Record, Right, identity
 from .families import (
@@ -25,12 +29,8 @@ from .families import (
     family_le,
 )
 from .functors import (
-    ANY_FUNCTOR,
-    ID_ONLY,
-    IS_AFFINE,
-    IS_POINTED_PRODUCT,
-    IS_PRODUCT,
-    IS_SUM,
+    FAMILY_TAG,
+    FUNCTOR_FAMILY,
     Comp,
     ContainerShape,
     UnsupportedShapeError,
@@ -62,8 +62,8 @@ def _adapter_enhance(shape: ContainerShape) -> Adapter:
     return Adapter(fwd=shape.ident.unwrap, bwd=shape.ident.wrap)
 
 
-def _adapter_residual(optic) -> IsoOptic:
-    return iso_inj(optic.fwd, optic.bwd, ID_ONLY)
+def _adapter_residual(family, optic) -> IsoOptic:
+    return iso_inj(optic.fwd, optic.bwd, family)
 
 
 def _lens_enhance(shape: ContainerShape) -> Lens:
@@ -73,9 +73,9 @@ def _lens_enhance(shape: ContainerShape) -> Lens:
     )
 
 
-def _lens_residual(optic) -> IsoOptic:
+def _lens_residual(family, optic) -> IsoOptic:
     return IsoOptic(
-        family=IS_PRODUCT,
+        family=family,
         shape=pair_shape(name="Pair[whole]"),
         forward=lambda s: (s, optic.get(s)),
         backward=lambda p: optic.put(p[1], p[0]),
@@ -89,9 +89,9 @@ def _prism_enhance(shape: ContainerShape) -> Prism:
     )
 
 
-def _prism_residual(optic) -> IsoOptic:
+def _prism_residual(family, optic) -> IsoOptic:
     return IsoOptic(
-        family=IS_SUM,
+        family=family,
         shape=sum_shape(name="Sum[whole]"),
         forward=optic.match,
         backward=lambda e: e.value if isinstance(e, Left) else optic.build(e.value),
@@ -102,9 +102,9 @@ def _setter_enhance(shape: ContainerShape) -> Setter:
     return Setter(over=lambda h: (lambda p: shape.map(h, p)))
 
 
-def _setter_residual(optic) -> IsoOptic:
+def _setter_residual(family, optic) -> IsoOptic:
     return IsoOptic(
-        family=ANY_FUNCTOR,
+        family=family,
         shape=cps_shape(),
         forward=lambda s: (lambda fn: optic.over(fn)(s)),
         backward=lambda k: k(identity),
@@ -120,7 +120,7 @@ def _achlens_enhance(shape: ContainerShape) -> AchLens:
     )
 
 
-def _achlens_residual(optic) -> IsoOptic:
+def _achlens_residual(family, optic) -> IsoOptic:
     def backward(p):
         mc, b = p
         if isinstance(mc, Nothing):
@@ -128,7 +128,7 @@ def _achlens_residual(optic) -> IsoOptic:
         return optic.put(b, mc.value)
 
     return IsoOptic(
-        family=IS_POINTED_PRODUCT,
+        family=family,
         shape=maybe_pair_shape(name="MaybePair[whole]"),
         forward=lambda s: (Just(s), optic.get(s)),
         backward=backward,
@@ -142,7 +142,7 @@ def _optional_enhance(shape: ContainerShape) -> Optional:
     )
 
 
-def _optional_residual(optic) -> IsoOptic:
+def _optional_residual(family, optic) -> IsoOptic:
     def forward(s):
         e = optic.match(s)
         if isinstance(e, Left):
@@ -156,33 +156,35 @@ def _optional_residual(optic) -> IsoOptic:
         return optic.put(m.value, x)
 
     return IsoOptic(
-        family=IS_AFFINE,
+        family=family,
         shape=compose_shapes(pair_shape(name="Pair[whole]"), maybe_shape()),
         forward=forward,
         backward=backward,
     )
 
 
-def _row(tag, family, enhance, residual) -> Functorization:
-    """A family's row; its one-layer optic refuses shapes outside ``family``."""
+def _row(tag, enhance, residual) -> Functorization:
+    """A family's row over its functor family; its one-layer optic refuses
+    shapes outside that family, and its residual forms are over it."""
+    family = FUNCTOR_FAMILY[tag]
 
     def enhance_op(shape):
         if not family.member(shape):
             raise UnsupportedShapeError(f"shape {shape.name} is not a member of {family.name}")
         return enhance(shape)
 
-    return Functorization(tag, family, enhance_op, residual)
+    return Functorization(tag, family, enhance_op, partial(residual, family))
 
 
 _FUNCTORIZATIONS = {
     row.family_tag: row
     for row in (
-        _row(FamilyTag.ADAPTER, ID_ONLY, _adapter_enhance, _adapter_residual),
-        _row(FamilyTag.LENS, IS_PRODUCT, _lens_enhance, _lens_residual),
-        _row(FamilyTag.PRISM, IS_SUM, _prism_enhance, _prism_residual),
-        _row(FamilyTag.SETTER, ANY_FUNCTOR, _setter_enhance, _setter_residual),
-        _row(FamilyTag.ACHLENS, IS_POINTED_PRODUCT, _achlens_enhance, _achlens_residual),
-        _row(FamilyTag.OPTIONAL, IS_AFFINE, _optional_enhance, _optional_residual),
+        _row(FamilyTag.ADAPTER, _adapter_enhance, _adapter_residual),
+        _row(FamilyTag.LENS, _lens_enhance, _lens_residual),
+        _row(FamilyTag.PRISM, _prism_enhance, _prism_residual),
+        _row(FamilyTag.SETTER, _setter_enhance, _setter_residual),
+        _row(FamilyTag.ACHLENS, _achlens_enhance, _achlens_residual),
+        _row(FamilyTag.OPTIONAL, _optional_enhance, _optional_residual),
     )
 }
 
@@ -214,12 +216,19 @@ def concrete_to_iso(optic) -> IsoOptic:
 # Iso -> concrete ------------------------------------------------------------
 
 def unfunctorize(optic: IsoOptic, tag: FamilyTag):
-    """Collapse a residual form back into a concrete family."""
+    """Collapse a residual form into the concrete family ``tag``.
+
+    The form may be over the functor family of any family at or below
+    ``tag``: its shape is then a member of ``tag``'s functor family too, and
+    ``tag``'s one-layer optic zooms through it.  Raises
+    ``FamilyMismatchError`` off the order.
+    """
     fz = functorize(tag)
-    if optic.family.name != fz.functor_family.name:
+    source = FAMILY_TAG.get(optic.family)
+    if source is None or not family_le(source, tag):
         raise FamilyMismatchError(
             f"iso optic over {optic.family.name} cannot unfunctorize "
-            f"into {tag.value} (expects {fz.functor_family.name})"
+            f"into {tag.value} (expects {fz.functor_family.name} or below)"
         )
     return enhance_to_arrow(optic, fz.enhance_op)
 
@@ -227,21 +236,14 @@ def unfunctorize(optic: IsoOptic, tag: FamilyTag):
 # Embeddings -----------------------------------------------------------------
 
 def embed(optic, tag: FamilyTag):
-    """The record of family ``tag`` with the same action as ``optic``: the
-    one statement of every embedding ``family_le`` allows.
+    """The record of family ``tag`` with the same action as ``optic``: its
+    residual form, collapsed into ``tag``.
 
-    The optic's residual form, read again in the larger functor family of
-    ``tag``'s row, collapses into ``tag``.  Only the record's ``tag`` and
-    fields are read, so a forwarding proxy of a record embeds like the
-    record itself.  Raises ``FamilyMismatchError`` off the order.
+    Only the record's ``tag`` and fields are read, so a forwarding proxy of
+    a record embeds like the record itself.  Raises ``FamilyMismatchError``
+    off the order.
     """
-    if optic.tag == tag:
-        return optic
-    if not family_le(optic.tag, tag):
-        raise FamilyMismatchError(f"{optic.tag.value} does not embed into {tag.value}")
-    res = concrete_to_iso(optic)
-    family = functorize(tag).functor_family
-    return unfunctorize(IsoOptic(family, res.shape, res.forward, res.backward), tag)
+    return optic if optic.tag == tag else unfunctorize(concrete_to_iso(optic), tag)
 
 
 # Profunctor encodings -------------------------------------------------------

@@ -8,7 +8,7 @@ records.  Composing two records of different families raises.
 Heterogeneous composition goes either through the tag lattice, where
 :func:`opticat.encode.embed` takes each record into the join of the
 families through its residual form, or through the profunctor encoding
-(see :mod:`opticat.prof`).
+(see :mod:`opticat.prof`), whose composite lands at the same join.
 """
 
 from enum import Enum
@@ -29,8 +29,9 @@ class FamilyTag(Enum):
     SETTER = "SETTER"
 
 
-# Upward-closed sets of the capability order.  ADAPTER sits at the bottom
-# (most structure), SETTER at the top (only a map action survives).
+# Upward-closed sets of the family order: ``a <= b`` when ``b``'s functor
+# family (``functors.FUNCTOR_FAMILY``) holds ``a``'s residual shape.  A literal
+# table keeps ``functors`` out of the CLI's imports; a test ties it to the rows.
 _UPSETS = {
     FamilyTag.ADAPTER: frozenset(FamilyTag),
     FamilyTag.LENS: frozenset({FamilyTag.LENS, FamilyTag.OPTIONAL, FamilyTag.SETTER}),
@@ -49,10 +50,7 @@ def family_le(a: FamilyTag, b: FamilyTag) -> bool:
 def family_join(a: FamilyTag, b: FamilyTag) -> FamilyTag:
     """Least family both ``a`` and ``b`` embed into."""
     shared = _UPSETS[a] & _UPSETS[b]
-    for c in shared:
-        if all(d in _UPSETS[c] for d in shared):
-            return c
-    raise ValueError(f"no join for {a} and {b}")  # unreachable: SETTER is top
+    return next(c for c in shared if shared <= _UPSETS[c])
 
 
 class Lens(Record):

@@ -9,6 +9,7 @@ over optional residuals plus a point, so the pair's code is stated once.
 """
 
 from .base import UNIT, Box, Just, Left, Nothing, Record, Right
+from .families import FamilyTag
 
 
 class UnsupportedShapeError(TypeError):
@@ -326,7 +327,16 @@ IS_POINTED_PRODUCT = FunctorFamily(
 ID_ONLY = FunctorFamily("IdOnly", lambda s: s.ident is not None)
 IS_AFFINE = FunctorFamily("IsAffine", affine_supported)
 
-FAMILY_REGISTRY = {
-    fam.name: fam
-    for fam in (ANY_FUNCTOR, IS_PRODUCT, IS_SUM, IS_POINTED_PRODUCT, ID_ONLY, IS_AFFINE)
+# The one pairing of concrete families with the functor families they zoom
+# through, and back; the family order (``families._UPSETS``) is inclusion.
+FUNCTOR_FAMILY = {
+    FamilyTag.SETTER: ANY_FUNCTOR,
+    FamilyTag.LENS: IS_PRODUCT,
+    FamilyTag.PRISM: IS_SUM,
+    FamilyTag.ACHLENS: IS_POINTED_PRODUCT,
+    FamilyTag.ADAPTER: ID_ONLY,
+    FamilyTag.OPTIONAL: IS_AFFINE,
 }
+FAMILY_TAG = {fam: tag for tag, fam in FUNCTOR_FAMILY.items()}
+
+FAMILY_REGISTRY = {fam.name: fam for fam in FUNCTOR_FAMILY.values()}

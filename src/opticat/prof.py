@@ -4,11 +4,14 @@ A :class:`ProfOptic` is a transformation that, handed any lawful
 :class:`ProfunctorCapability` for its functor family, turns a profunctor
 value on the focus pair into one on the whole pair.  Rank-2 quantification
 becomes a plain argument: the capability record carries ``dimap`` plus a
-per-shape ``enhance``.
+per-shape ``enhance``.  Optics of two families compose at their join.
 """
 
 from .base import Left, Record, Right, identity
+from .families import family_join
 from .functors import (
+    FAMILY_TAG,
+    FUNCTOR_FAMILY,
     IS_PRODUCT,
     IS_SUM,
     FunctorFamily,
@@ -37,7 +40,10 @@ class ProfOptic(Record):
     __slots__ = ("family", "run")
 
     def compose(self, inner):
-        family = _merge_families(self.family, inner.family)
+        # the join of a family with itself is that family
+        family = self.family
+        if family is not inner.family:
+            family = FUNCTOR_FAMILY[family_join(FAMILY_TAG[family], FAMILY_TAG[inner.family])]
         return ProfOptic(
             family=family,
             run=lambda cap, p: self.run(cap, inner.run(cap, p)),
@@ -49,22 +55,6 @@ class ProfOptic(Record):
 
 def prof_inj(fwd, bwd, family) -> ProfOptic:
     return ProfOptic(family=family, run=lambda cap, p: cap.dimap(fwd, bwd, p))
-
-
-def _merge_families(f1: FunctorFamily, f2: FunctorFamily) -> FunctorFamily:
-    if f1.name == f2.name:
-        return f1
-
-    # Composing across families demands capabilities from both sides; the
-    # merged family is generated by the union of the two shape pools.
-    def member(shape):
-        if f1.member(shape) or f2.member(shape):
-            return True
-        if shape.parts:
-            return all(member(part) for part in shape.parts)
-        return False
-
-    return FunctorFamily(f"{f1.name}+{f2.name}", member)
 
 
 # Operator profunctors -------------------------------------------------------
