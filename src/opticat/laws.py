@@ -969,14 +969,9 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
                 continue
             nat, nat_inv = by_name[fwd_name], by_name[bwd_name]
             twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
-            payloads = nat.source.payloads(As)
-            section = all(twisted.backward(twisted.forward(p)) == p for p in payloads)
             inputs = {"family": family.name, "natural": nat.name, "direction": "natural"}
-            if section:
-                zoom = enhance_iso(nat.source, family)
-                yield retract.compared(inputs, twisted, zoom, As, As, payloads)
-            else:
-                yield inputs, True, False
+            zoom = enhance_iso(nat.source, family)
+            yield retract.compared(inputs, twisted, zoom, As, As, nat.source.payloads(As))
 
     def enhance_composition():
         for f_shape, g_shape in itertools.combinations(shape_pool, 2):

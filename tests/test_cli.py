@@ -812,6 +812,19 @@ def test_main_exits_with_a_documented_code_and_no_traceback(
         assert out == "" and _one_line_error(err), err
 
 
+@pytest.mark.parametrize(
+    "path,message",
+    [("key(a", "expected ')' at offset 5 (expected: ))"),
+     ("idx(3", "expected ')' at offset 5 (expected: ))"),
+     ("key(1)", "expected an identifier or string at offset 4 (expected: IDENT, STRING)"),
+     ('key("ab', 'unterminated string at offset 4 (expected: ")')],
+)
+def test_each_unfinished_step_argument_exits_4_with_its_message(path, message):
+    assert _main_with_stdin(["get", path], b'{"a":1}') == (
+        EXIT_PARSE, "", f"opticat: path error: {message}\n"
+    )
+
+
 def test_main_rejects_a_lone_surrogate_it_cannot_print(monkeypatch):
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()

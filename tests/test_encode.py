@@ -5,6 +5,7 @@ import pytest
 from opticat.base import Just, Left, Nothing, Right, identity
 from opticat.encode import (
     concrete_to_iso,
+    embed,
     functorize,
     prof_encoding,
     unfunctorize,
@@ -345,6 +346,17 @@ def test_encoding_takes_an_optic_into_its_family_first():
     assert all(back.match(s) == Right(lens.get(s)) for s in dom_s)
     with pytest.raises(FamilyMismatchError):
         prof_encoding(FamilyTag.LENS).encode(just())
+
+
+def test_decoding_takes_an_optic_up_the_order():
+    # A lens's profunctor optic decodes at SETTER as the lens's embedding
+    # does; a prism's does not decode at LENS.
+    dom_a, wholes = ("a0", "a1"), [(a, c) for a in ("a0", "a1") for c in ("c0", "c1")]
+    decoded = prof_encoding(FamilyTag.SETTER).decode(prof_encoding(FamilyTag.LENS).encode(first()))
+    assert type(decoded) is Setter
+    assert maps_agree(decoded, embed(first(), FamilyTag.SETTER), dom_a, dom_a, wholes)
+    with pytest.raises(FamilyMismatchError):
+        prof_encoding(FamilyTag.LENS).decode(prof_encoding(FamilyTag.PRISM).encode(just()))
 
 
 def test_prof_encoding_unregistered_tag():

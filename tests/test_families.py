@@ -220,6 +220,20 @@ def test_composition_preserves_achlens_lawfulness():
     assert all(r.passed for r in check_achlens_laws(composite, dom_a2, outer_s))
 
 
+def test_composition_preserves_optional_lawfulness():
+    # Outer misses reach the composite's put, which must return the whole.
+    from opticat.laws import check_optional_laws, gen_lawful_optional
+
+    dom_a2 = labels("x", 2)
+    dom_a1 = labels("a", 3)
+    inner = gen_lawful_optional(17, labels("n", 1), labels("j", 1), dom_a2, dom_a1)
+    outer_s = labels("s", 5)
+    outer = gen_lawful_optional(18, labels("m", 2), labels("k", 1), dom_a1, outer_s)
+    assert any(isinstance(outer.match(s), Left) for s in outer_s)
+    reports = check_optional_laws(outer.compose(inner), dom_a2, outer_s)
+    assert all(r.passed and r.cases for r in reports)
+
+
 def test_compose_associativity_observational():
     dom = ("a0", "a1")
     mid = ("m0", "m1", "m2")

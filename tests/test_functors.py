@@ -13,6 +13,7 @@ from opticat.functors import (
     IS_PRODUCT,
     IS_SUM,
     Comp,
+    ContainerShape,
     Id,
     UnsupportedShapeError,
     affine_match,
@@ -206,6 +207,13 @@ def test_affine_match_compose_pair_maybe():
     shape = compose_shapes(pair_shape(("r0",)), maybe_shape())
     assert affine_match(shape, Comp(("r0", Just("a0")))) == Right("a0")
     assert affine_match(shape, Comp(("r0", Nothing()))) == Left(Comp(("r0", Nothing())))
+
+
+def test_affine_match_identity_only_shape():
+    # A shape built with only an identity capability holds exactly one focus.
+    shape = ContainerShape("IdOnlyShape", map=ID_SHAPE.map, ident=ID_SHAPE.ident)
+    assert affine_supported(shape)
+    assert affine_match(shape, Id("a1")) == Right("a1")
 
 
 def test_affine_unsupported_on_cps():

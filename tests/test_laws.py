@@ -579,6 +579,31 @@ def test_an_iso_capability_fail_names_a_probe_that_replays():
     assert _enhancing_reports(iso)["enhancing.identity_shape"].passed
 
 
+def test_a_natural_pair_that_is_no_section_fails_iso_retraction(monkeypatch):
+    # Tagging a residual and then forgetting it for "r0" is natural but no
+    # section, so the twisted optic is not the pure zoom on a residual "r1".
+    from opticat import laws
+    from opticat.laws import Natural, check_iso_laws, naturals_within, shape_pools
+
+    sh = standard_shapes()
+    forget = Natural("maybe_pair_forget", sh["maybe_pair"], sh["pair"], lambda p: ("r0", p[1]))
+    naturals = naturals_within(IS_PRODUCT, laws.standard_naturals(sh) + [forget])
+    pool = shape_pools(sh)["IsProduct"]
+
+    def retraction(pairs):
+        monkeypatch.setattr(laws, "_RETRACTIONS", pairs)
+        return {rep.law: rep for rep in check_iso_laws(IS_PRODUCT, pool, naturals)}["iso.retraction"]
+
+    assert retraction((("pair_tag", "maybe_pair_default"),)).passed
+    rep = retraction((("pair_tag", "maybe_pair_forget"),))
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    assert failure["inputs"]["natural"] == "pair_tag"
+    probe = failure["probe"]
+    assert probe["s"] == ("r1", "a0")
+    assert probe["lhs"] != probe["rhs"]
+
+
 def test_a_probe_names_only_the_case_whose_own_comparison_failed():
     # iso.retraction expects some comparisons to come out False; a later
     # failure that made no comparison names no probe.

@@ -1,11 +1,14 @@
 """Profunctor optics: operators, prebuilt optics, representation round trips."""
 
+import itertools
+
 import pytest
 
 from opticat.base import Just, Left, Nothing, Right, identity
-from opticat.encode import concrete_to_iso, prof_encoding
-from opticat.families import FamilyTag, Optional, each, first, just, second
+from opticat.encode import concrete_to_iso, embed, prof_encoding
+from opticat.families import FamilyTag, Optional, each, family_join, first, just, second
 from opticat.functors import (
+    FUNCTOR_FAMILY,
     IS_PRODUCT,
     IS_SUM,
     compose_shapes,
@@ -29,7 +32,7 @@ from opticat.prof import (
     prof_second,
     prof_to_iso,
 )
-from opticat.laws import gen_iso_optic, gen_lawful_lens, labels
+from opticat.laws import gen_iso_optic, gen_lawful_lens, gen_random_optic, labels
 from opticat.probes import all_functions, maps_agree
 
 DOM = ("a0", "a1")
@@ -126,6 +129,23 @@ def test_cross_family_optional_matches_oracle():
     run = composite.run(FUNCTION_ARROW, lambda a: a.upper())
     for s in wholes:
         assert run(s) == oracle.map_optic(lambda a: a.upper())(s)
+
+
+def test_composition_across_families_lands_at_the_join():
+    # For every ordered pair of families, the profunctor composite is over
+    # the join's functor family and decodes there as the tag-lattice route.
+    dom_s, dom_a1, dom_a2 = labels("s", 3), labels("a", 2), labels("x", 2)
+    pairs = list(itertools.product(FamilyTag, FamilyTag))
+    assert len(pairs) == 36
+    for a, b in pairs:
+        j = family_join(a, b)
+        o1 = gen_random_optic(a, 0, dom_a1, dom_s)
+        o2 = gen_random_optic(b, 1, dom_a2, dom_a1)
+        composite = prof_encoding(a).encode(o1).compose(prof_encoding(b).encode(o2))
+        assert composite.family is FUNCTOR_FAMILY[j], (a, b)
+        decoded = prof_encoding(j).decode(composite)
+        oracle = embed(o1, j).compose(embed(o2, j))
+        assert maps_agree(decoded, oracle, dom_a2, dom_a2, dom_s), (a, b)
 
 
 def test_get_operator_unsupported_on_sum_family():
