@@ -36,7 +36,9 @@ _UPSETS = {
     FamilyTag.ADAPTER: frozenset(FamilyTag),
     FamilyTag.LENS: frozenset({FamilyTag.LENS, FamilyTag.OPTIONAL, FamilyTag.SETTER}),
     FamilyTag.PRISM: frozenset({FamilyTag.PRISM, FamilyTag.OPTIONAL, FamilyTag.SETTER}),
-    FamilyTag.ACHLENS: frozenset({FamilyTag.ACHLENS, FamilyTag.SETTER}),
+    FamilyTag.ACHLENS: frozenset(
+        {FamilyTag.ACHLENS, FamilyTag.LENS, FamilyTag.OPTIONAL, FamilyTag.SETTER}
+    ),
     FamilyTag.OPTIONAL: frozenset({FamilyTag.OPTIONAL, FamilyTag.SETTER}),
     FamilyTag.SETTER: frozenset({FamilyTag.SETTER}),
 }

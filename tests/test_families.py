@@ -24,6 +24,7 @@ from opticat.families import (
     second,
 )
 from opticat.encode import concrete_to_iso, embed, functorize
+from opticat.functors import FUNCTOR_FAMILY
 from opticat.laws import (
     check_lens_laws,
     gen_lawful_lens,
@@ -375,7 +376,7 @@ def test_embed_same_family_is_identity():
     "src,dst",
     [
         (FamilyTag.SETTER, FamilyTag.LENS),
-        (FamilyTag.ACHLENS, FamilyTag.LENS),
+        (FamilyTag.OPTIONAL, FamilyTag.LENS),
         (FamilyTag.PRISM, FamilyTag.LENS),
     ],
 )
@@ -396,7 +397,7 @@ class _FieldProxy:
 def test_embed_reads_only_tag_and_fields():
     dom_a, dom_s = labels("a", 2), labels("s", 3)
     pairs = [(a, b) for a in TAGS for b in TAGS if a != b and family_le(a, b)]
-    assert len(pairs) == 11
+    assert len(pairs) == 13
     for a, b in pairs:
         record = gen_random_optic(a, 0, dom_a, dom_s)
         embedded = embed(_FieldProxy(record), b)
@@ -413,13 +414,21 @@ def test_residual_shapes_belong_to_every_larger_family():
             assert functorize(b).functor_family.member(shape), (a, b)
 
 
+def test_the_order_is_inclusion_of_the_rows_functor_families():
+    # a <= b exactly when row b's functor family holds row a's residual shape
+    dom_a, dom_s = labels("a", 2), labels("s", 3)
+    for a, b in itertools.product(TAGS, TAGS):
+        shape = concrete_to_iso(gen_random_optic(a, 0, dom_a, dom_s)).shape
+        assert family_le(a, b) == FUNCTOR_FAMILY[b].member(shape), (a, b)
+
+
 def test_embeddings_compose_along_the_order():
     dom_a, dom_s = labels("a", 2), labels("s", 3)
     chains = [
         (a, b, c) for a, b, c in itertools.product(TAGS, TAGS, TAGS)
         if family_le(a, b) and family_le(b, c)
     ]
-    assert len(chains) == 36
+    assert len(chains) == 45
     for a, b, c in chains:
         optic = gen_random_optic(a, 0, dom_a, dom_s)
         assert maps_agree(embed(embed(optic, b), c), embed(optic, c), dom_a, dom_a, dom_s)

@@ -808,11 +808,17 @@ def test_fixture_draws_match_their_digest():
             fix.name + repr([[t(x) for x in d[k]] for t, k in zip(tables, signature)])
             for tables in fix.inj_tables
         ]
+    # embed.ACHLENS.LENS and embed.ACHLENS.OPTIONAL came after the digest;
+    # they draw the same pairs as embed.ACHLENS.SETTER.
+    later = {"embed.ACHLENS.LENS", "embed.ACHLENS.OPTIONAL"}
+    draws = {}
     for spec in standard_morphism_specs(2):
         d = spec.doms
-        entries += [
-            spec.name + optic(o1, d["a1"], d["s"]) + optic(o2, d["a2"], d["a1"])
-            for o1, o2 in spec.pairs
+        draws[spec.name] = [
+            optic(o1, d["a1"], d["s"]) + optic(o2, d["a2"], d["a1"]) for o1, o2 in spec.pairs
         ]
+        if spec.name not in later:
+            entries += [spec.name + draw for draw in draws[spec.name]]
+    assert all(draws[name] == draws["embed.ACHLENS.SETTER"] for name in later)
     assert len(entries) == 154
     assert hashlib.sha256("\n".join(entries).encode()).hexdigest() == _FIXTURE_DIGEST
