@@ -13,6 +13,7 @@ from opticat.families import (
     FamilyMismatchError,
     FamilyTag,
     Lens,
+    Optional,
     Prism,
     dimap_optic,
     each,
@@ -222,7 +223,7 @@ def test_composition_preserves_achlens_lawfulness():
 
 
 def test_composition_preserves_optional_lawfulness():
-    # Outer misses reach the composite's put, which must return the whole.
+    # Outer misses reach the composite's put, which returns the outer residual.
     from opticat.laws import check_optional_laws, gen_lawful_optional
 
     dom_a2 = labels("x", 2)
@@ -233,6 +234,9 @@ def test_composition_preserves_optional_lawfulness():
     assert any(isinstance(outer.match(s), Left) for s in outer_s)
     reports = check_optional_laws(outer.compose(inner), dom_a2, outer_s)
     assert all(r.passed and r.cases for r in reports)
+    # a lawful miss residual is the whole itself, so name one that is not
+    missing = Optional(match=lambda s: Left(("rest", s)), put=lambda b, s: ("put", b, s))
+    assert missing.compose(inner).put("x0", "s0") == ("rest", "s0")
 
 
 def test_compose_associativity_observational():
