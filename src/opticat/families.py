@@ -5,10 +5,11 @@ carries the same operations: the class method ``inj`` injects a plain
 function pair (the identity optic is ``inj(identity, identity)``), and the
 methods ``compose`` and ``map_optic`` (an action on functions) run on
 records.  Composing two records of different families raises.
-Heterogeneous composition goes either through the tag lattice, where
+Heterogeneous composition goes through the tag lattice, where
 :func:`opticat.encode.embed` takes each record into the join of the
-families through its residual form, or through the profunctor encoding
-(see :mod:`opticat.prof`), whose composite lands at the same join.
+families through its residual form, or through residual forms or the
+profunctor encoding (see :mod:`opticat.iso` and :mod:`opticat.prof`),
+whose composites land at the same join.
 """
 
 from enum import Enum

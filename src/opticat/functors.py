@@ -9,7 +9,7 @@ over optional residuals plus a point, so the pair's code is stated once.
 """
 
 from .base import UNIT, Box, Just, Left, Nothing, Record, Right
-from .families import FamilyTag
+from .families import FamilyMismatchError, FamilyTag, family_join
 
 
 class UnsupportedShapeError(TypeError):
@@ -61,7 +61,8 @@ class ContainerShape(Record):
     # domains must be hashable and callers must not expect a fresh list.  The
     # memo belongs to the shape; a payloads function passed in here runs as
     # given.  parts is (f, g) on a compose_shapes result and None otherwise;
-    # two results over the same parts act alike.
+    # two results over the same parts act alike.  point needs product and
+    # ident needs product, sum and point, so the family order is inclusion.
     __slots__ = (
         "name", "map", "product", "sum", "point", "ident", "payloads", "parts",
     )
@@ -73,6 +74,8 @@ class ContainerShape(Record):
         super().__init__(name, map, product, sum, point, ident, payloads, parts)
         if self.point is not None and self.product is None:
             raise ValueError(f"shape {self.name}: point requires product")
+        if self.ident is not None and not (self.product and self.sum and self.point):
+            raise ValueError(f"shape {self.name}: ident requires product, sum and point")
 
     def __repr__(self):
         return f"ContainerShape({self.name})"
@@ -285,7 +288,7 @@ def compose_shapes(f: ContainerShape, g: ContainerShape) -> ContainerShape:
 # a payload of any focus type), or it holds exactly one focus value.
 
 def affine_supported(shape: ContainerShape) -> bool:
-    if shape.sum or shape.product or shape.ident:
+    if shape.sum or shape.product:
         return True
     if shape.parts:
         return all(affine_supported(part) for part in shape.parts)
@@ -311,8 +314,6 @@ def affine_match(shape: ContainerShape, payload):
             gt = m2.value
             return Left(Comp(f.map(lambda _: gt, payload.value)))
         return m2
-    if shape.ident:
-        return Right(shape.ident.unwrap(payload))
     raise UnsupportedShapeError(f"shape {shape.name} has no affine decomposition")
 
 
@@ -340,3 +341,13 @@ FUNCTOR_FAMILY = {
 FAMILY_TAG = {fam: tag for tag, fam in FUNCTOR_FAMILY.items()}
 
 FAMILY_REGISTRY = {fam.name: fam for fam in FUNCTOR_FAMILY.values()}
+
+
+def joined(f: FunctorFamily, g: FunctorFamily) -> FunctorFamily:
+    """The functor family of a composite over ``f`` and ``g``: that of their
+    families' join.  Different families, one off the registry, raise."""
+    if f == g:
+        return f
+    if f not in FAMILY_TAG or g not in FAMILY_TAG:
+        raise FamilyMismatchError(f"cannot compose optics over {f.name} and {g.name}")
+    return FUNCTOR_FAMILY[family_join(FAMILY_TAG[f], FAMILY_TAG[g])]

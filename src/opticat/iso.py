@@ -1,27 +1,26 @@
 """Isomorphism optics: an existential (shape, forward, backward) triple.
 
 An :class:`IsoOptic` packs a container shape from a functor family together
-with arrows into and out of the container.  Equality of two such optics is
-decided observationally (see :func:`observational_eq`); the positive
-direction of the underlying "equal up to a natural transformation" rule is
-exercised in the law suite through registered natural transformations.
+with arrows into and out of the container.  Two such optics compose by
+nesting their shapes; over two families they land at the join, as
+profunctor optics do (see :func:`functors.joined`).  Equality is decided
+observationally (see :func:`observational_eq`); the positive direction of
+the underlying "equal up to a natural transformation" rule is exercised in
+the law suite through registered natural transformations.
 """
 
 from .base import Record, identity
-from .families import FamilyMismatchError
 from .functors import (
     ANY_FUNCTOR,
     ID_SHAPE,
     Comp,
     ContainerShape,
+    UnsupportedShapeError,
     compose_shapes,
+    joined,
 )
 from . import probes
 from .probes import DEFAULT_MAX_EVALS, maps_agree
-
-
-class FamilyMembershipError(TypeError):
-    """Raised when a shape does not belong to the optic's functor family."""
 
 
 class IsoOptic(Record):
@@ -31,9 +30,7 @@ class IsoOptic(Record):
 
     def __init__(self, family, shape, forward, backward):
         if not family.member(shape):
-            raise FamilyMembershipError(
-                f"shape {shape.name} is not a member of {family.name}"
-            )
+            raise UnsupportedShapeError(f"shape {shape.name} is not a member of {family.name}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "forward", forward)
@@ -58,15 +55,12 @@ def iso_inj(fwd, bwd, family=None):
 
 
 def iso_compose(outer: IsoOptic, inner: IsoOptic) -> IsoOptic:
-    if outer.family.name != inner.family.name:
-        raise FamilyMismatchError(
-            f"cannot compose iso optics over {outer.family.name} "
-            f"and {inner.family.name}"
-        )
-    shape = compose_shapes(outer.shape, inner.shape)
+    family = outer.family
+    if family is not inner.family:
+        family = joined(family, inner.family)
     return IsoOptic(
-        family=outer.family,
-        shape=shape,
+        family=family,
+        shape=compose_shapes(outer.shape, inner.shape),
         forward=lambda s: Comp(outer.shape.map(inner.forward, outer.forward(s))),
         backward=lambda p: outer.backward(outer.shape.map(inner.backward, p.value)),
     )

@@ -737,17 +737,14 @@ class CapabilityFixture(Record):
     __slots__ = ("cap", "values", "eq")
 
 
-def _pointwise_eq(run, inputs, p1, p2, din):
-    """Equality of function-valued profunctor values (arrows and readers):
-    they agree on every input."""
-    return inputs, True, all(p1(x) == p2(x) for x in din)
-
-
 def _reader_fixture(cap, codomain):
     """The fixture whose values are every function from ``din`` to
-    ``codomain(dout)``, compared pointwise."""
+    ``codomain(dout)``, compared pointwise: a FAIL names the first input
+    ``s`` on which they differ."""
     return CapabilityFixture(
-        cap, lambda din, dout: all_functions(din, codomain(dout)), _pointwise_eq
+        cap,
+        lambda din, dout: all_functions(din, codomain(dout)),
+        lambda run, inputs, p1, p2, din: _agree_on(inputs, p1, p2, din),
     )
 
 

@@ -8,15 +8,13 @@ per-shape ``enhance``.  Optics of two families compose at their join.
 """
 
 from .base import Left, Record, Right, identity
-from .families import family_join
 from .functors import (
-    FAMILY_TAG,
-    FUNCTOR_FAMILY,
     IS_PRODUCT,
     IS_SUM,
     FunctorFamily,
     affine_match,
     affine_supported,
+    joined,
     maybe_shape,
     pair_shape,
     sum_shape,
@@ -40,10 +38,9 @@ class ProfOptic(Record):
     __slots__ = ("family", "run")
 
     def compose(self, inner):
-        # the join of a family with itself is that family
         family = self.family
         if family is not inner.family:
-            family = FUNCTOR_FAMILY[family_join(FAMILY_TAG[family], FAMILY_TAG[inner.family])]
+            family = joined(family, inner.family)
         return ProfOptic(
             family=family,
             run=lambda cap, p: self.run(cap, inner.run(cap, p)),

@@ -25,7 +25,16 @@ from opticat.families import (
     second,
 )
 from opticat.encode import concrete_to_iso, embed, functorize
-from opticat.functors import FUNCTOR_FAMILY
+from opticat.functors import (
+    FUNCTOR_FAMILY,
+    ID_SHAPE,
+    compose_shapes,
+    cps_shape,
+    maybe_pair_shape,
+    maybe_shape,
+    pair_shape,
+    sum_shape,
+)
 from opticat.laws import (
     check_lens_laws,
     gen_lawful_lens,
@@ -419,11 +428,20 @@ def test_residual_shapes_belong_to_every_larger_family():
 
 
 def test_the_order_is_inclusion_of_the_rows_functor_families():
-    # a <= b exactly when row b's functor family holds row a's residual shape
+    # a <= b exactly when row b's functor family holds row a's residual
+    # shape, and exactly when it holds every witness shape in row a's
     dom_a, dom_s = labels("a", 2), labels("s", 3)
+    pair, maybe = pair_shape(), maybe_shape()
+    witnesses = [
+        ID_SHAPE, pair, maybe_pair_shape(), sum_shape(), maybe, cps_shape(),
+        compose_shapes(pair, maybe), compose_shapes(ID_SHAPE, ID_SHAPE),
+    ]
     for a, b in itertools.product(TAGS, TAGS):
         shape = concrete_to_iso(gen_random_optic(a, 0, dom_a, dom_s)).shape
         assert family_le(a, b) == FUNCTOR_FAMILY[b].member(shape), (a, b)
+        fa, fb = FUNCTOR_FAMILY[a], FUNCTOR_FAMILY[b]
+        included = all(fb.member(w) for w in witnesses if fa.member(w))
+        assert family_le(a, b) == included, (a, b)
 
 
 def test_embeddings_compose_along_the_order():

@@ -209,11 +209,13 @@ def test_affine_match_compose_pair_maybe():
     assert affine_match(shape, Comp(("r0", Nothing()))) == Left(Comp(("r0", Nothing())))
 
 
-def test_affine_match_identity_only_shape():
-    # A shape built with only an identity capability holds exactly one focus.
-    shape = ContainerShape("IdOnlyShape", map=ID_SHAPE.map, ident=ID_SHAPE.ident)
-    assert affine_supported(shape)
-    assert affine_match(shape, Id("a1")) == Right("a1")
+def test_ident_requires_product_sum_and_point():
+    # Every IdOnly shape is then in every other registry family, so the
+    # family order is inclusion for every shape.
+    sh = ID_SHAPE
+    for caps in ({}, {"product": sh.product, "point": sh.point}, {"product": sh.product, "sum": sh.sum}):
+        with pytest.raises(ValueError, match="ident requires product, sum and point"):
+            ContainerShape("IdOnlyShape", map=sh.map, ident=sh.ident, **caps)
 
 
 def test_affine_unsupported_on_cps():

@@ -8,16 +8,19 @@ from opticat.families import FamilyMismatchError, FamilyTag, Lens, first
 from opticat.functors import (
     ANY_FUNCTOR,
     ID_SHAPE,
+    IS_AFFINE,
     IS_PRODUCT,
+    IS_SUM,
     Comp,
+    FunctorFamily,
     Id,
+    UnsupportedShapeError,
     compose_shapes,
     maybe_shape,
     pair_shape,
     sum_shape,
 )
 from opticat.iso import (
-    FamilyMembershipError,
     IsoOptic,
     enhance_iso,
     enhance_to_arrow,
@@ -32,7 +35,7 @@ DOM3 = ("a0", "a1", "a2")
 
 
 def test_membership_is_checked():
-    with pytest.raises(FamilyMembershipError):
+    with pytest.raises(UnsupportedShapeError):
         IsoOptic(IS_PRODUCT, sum_shape(("r0",)), identity, identity)
 
 
@@ -64,13 +67,22 @@ def test_iso_inj_functoriality():
     assert observational_eq(fused, staged, DOM3, DOM3, DOM3)
 
 
-def test_compose_requires_same_family():
-    from opticat.functors import IS_SUM
-
+def test_compose_across_families_lands_at_the_join():
     lhs = iso_inj(identity, identity, IS_PRODUCT)
     rhs = iso_inj(identity, identity, IS_SUM)
+    composite = iso_compose(lhs, rhs)
+    assert composite.family is IS_AFFINE
+    assert observational_eq(composite, iso_inj(identity, identity), DOM3, DOM3, DOM3)
+
+
+def test_compose_off_the_registry_requires_same_family():
+    off = FunctorFamily("OffRegistry", lambda s: True)
+    lhs = iso_inj(identity, identity, off)
     with pytest.raises(FamilyMismatchError):
-        iso_compose(lhs, rhs)
+        iso_compose(lhs, iso_inj(identity, identity, IS_PRODUCT))
+    with pytest.raises(FamilyMismatchError):
+        iso_compose(iso_inj(identity, identity, IS_SUM), lhs)
+    assert iso_compose(lhs, lhs).family is off
 
 
 def test_enhance_iso_composition_normal_form():

@@ -247,6 +247,23 @@ def test_an_enhance_that_maps_twice_fails_map_commute():
     assert _enhancing_reports(function_arrow_fixture())["enhancing.map_commute"].passed
 
 
+def test_a_function_arrow_fail_names_an_input_that_replays():
+    # The reader fixtures compare probe by probe, so a FAIL names the first
+    # input s on which the two sides differ, with each side's value there.
+    twice = _function_arrow_with(enhance=lambda shape, h: lambda p: shape.map(h, shape.map(h, p)))
+    rep = _enhancing_reports(twice)["enhancing.identity_shape"]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    dom = labels("a", 2)
+    p = twice.values(dom, dom)[failure["inputs"]["value"]]
+    lhs = twice.cap.enhance(ID_SHAPE, p)
+    rhs = twice.cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
+    s = failure["inputs"]["s"]
+    assert s in ID_SHAPE.payloads(dom)
+    assert (failure["actual"], failure["expected"]) == (lhs(s), rhs(s))
+    assert lhs(s) != rhs(s)
+
+
 def test_budget_marks_inconclusive_never_passed():
     dom_a = labels("a", 3)
     dom_s = tuple(f"s{i}" for i in range(6))

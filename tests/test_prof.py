@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from opticat.base import Just, Left, Nothing, Right, identity
-from opticat.encode import concrete_to_iso, embed, prof_encoding
+from opticat.encode import concrete_to_iso, embed, prof_encoding, unfunctorize
 from opticat.families import FamilyTag, Optional, each, family_join, first, just, second
 from opticat.functors import (
     FUNCTOR_FAMILY,
@@ -132,8 +132,9 @@ def test_cross_family_optional_matches_oracle():
 
 
 def test_composition_across_families_lands_at_the_join():
-    # For every ordered pair of families, the profunctor composite is over
-    # the join's functor family and decodes there as the tag-lattice route.
+    # For every ordered pair of families, the profunctor composite and the
+    # residual-form composite are over the join's functor family, agree, and
+    # decode there as the tag-lattice route.
     dom_s, dom_a1, dom_a2 = labels("s", 3), labels("a", 2), labels("x", 2)
     pairs = list(itertools.product(FamilyTag, FamilyTag))
     assert len(pairs) == 36
@@ -141,11 +142,15 @@ def test_composition_across_families_lands_at_the_join():
         j = family_join(a, b)
         o1 = gen_random_optic(a, 0, dom_a1, dom_s)
         o2 = gen_random_optic(b, 1, dom_a2, dom_a1)
+        oracle = embed(o1, j).compose(embed(o2, j))
         composite = prof_encoding(a).encode(o1).compose(prof_encoding(b).encode(o2))
         assert composite.family is FUNCTOR_FAMILY[j], (a, b)
         decoded = prof_encoding(j).decode(composite)
-        oracle = embed(o1, j).compose(embed(o2, j))
         assert maps_agree(decoded, oracle, dom_a2, dom_a2, dom_s), (a, b)
+        residual = concrete_to_iso(o1).compose(concrete_to_iso(o2))
+        assert residual.family is FUNCTOR_FAMILY[j], (a, b)
+        assert maps_agree(unfunctorize(residual, j), oracle, dom_a2, dom_a2, dom_s), (a, b)
+        assert observational_eq(residual, prof_to_iso(composite), dom_a2, dom_a2, dom_s), (a, b)
 
 
 def test_get_operator_unsupported_on_sum_family():
