@@ -3,10 +3,11 @@
 Each concrete family has one row, its :class:`Functorization`: the largest
 shape family it can zoom through (its ``functors.FUNCTOR_FAMILY`` entry),
 its one-layer optic, and the map from its optics to their residual forms.
-A row's one-layer optic refuses any shape outside its family.  A row yields
-an executable profunctor encoding whose encode and decode are mutually
-inverse up to observational equality.  For lenses and achromatic lenses the
-round trip holds only for lawful inputs.
+Every one-layer optic is the family's record with each field read off the
+shape by one table, ``_LAYER_FIELDS``; it refuses any shape outside the
+family.  A row yields an executable profunctor encoding whose encode and
+decode are mutually inverse up to observational equality.  For lenses and
+achromatic lenses the round trip holds only for lawful inputs.
 
 The family order (``families._UPSETS``) is read in one place:
 :func:`unfunctorize` collapses a residual form of any family at or below
@@ -17,22 +18,11 @@ check of their own.
 from functools import partial
 
 from .base import Just, Left, Nothing, Record, Right, identity
-from .families import (
-    AchLens,
-    Adapter,
-    FamilyMismatchError,
-    FamilyTag,
-    Lens,
-    Optional,
-    Prism,
-    Setter,
-    family_le,
-)
+from .families import CONCRETE_FAMILIES, FamilyMismatchError, FamilyTag, family_le
 from .functors import (
     FAMILY_TAG,
     FUNCTOR_FAMILY,
     Comp,
-    ContainerShape,
     UnsupportedShapeError,
     affine_match,
     compose_shapes,
@@ -58,19 +48,25 @@ class ProfEncoding(Record):
     __slots__ = ("encode", "decode")
 
 
-def _adapter_enhance(shape: ContainerShape) -> Adapter:
-    return Adapter(fwd=shape.ident.unwrap, bwd=shape.ident.wrap)
+# One read of a shape per record field name, as ``laws._FIELD_DRAWS`` has
+# one draw: a family's one-layer optic is its record with every field read
+# off the shape.  An adapter reads like an achromatic lens whose put ignores
+# the whole.
+_LAYER_FIELDS = {
+    **dict.fromkeys(("get", "fwd"), lambda shape: lambda p: shape.product.to_product(p)[1]),
+    **dict.fromkeys(
+        ("create", "bwd"),
+        lambda shape: lambda b: shape.product.from_product((shape.point.unit, b)),
+    ),
+    "put": lambda shape: lambda b, p: shape.map(lambda _: b, p),
+    "over": lambda shape: lambda h: (lambda p: shape.map(h, p)),
+    "match": lambda shape: partial(affine_match, shape),
+    "build": lambda shape: lambda b: shape.sum.from_sum(Right(b)),
+}
 
 
 def _adapter_residual(family, optic) -> IsoOptic:
     return iso_inj(optic.fwd, optic.bwd, family)
-
-
-def _lens_enhance(shape: ContainerShape) -> Lens:
-    return Lens(
-        get=lambda p: shape.product.to_product(p)[1],
-        put=lambda b, p: shape.map(lambda _: b, p),
-    )
 
 
 def _lens_residual(family, optic) -> IsoOptic:
@@ -79,13 +75,6 @@ def _lens_residual(family, optic) -> IsoOptic:
         shape=pair_shape(name="Pair[whole]"),
         forward=lambda s: (s, optic.get(s)),
         backward=lambda p: optic.put(p[1], p[0]),
-    )
-
-
-def _prism_enhance(shape: ContainerShape) -> Prism:
-    return Prism(
-        match=lambda p: affine_match(shape, p),
-        build=lambda b: shape.sum.from_sum(Right(b)),
     )
 
 
@@ -98,25 +87,12 @@ def _prism_residual(family, optic) -> IsoOptic:
     )
 
 
-def _setter_enhance(shape: ContainerShape) -> Setter:
-    return Setter(over=lambda h: (lambda p: shape.map(h, p)))
-
-
 def _setter_residual(family, optic) -> IsoOptic:
     return IsoOptic(
         family=family,
         shape=cps_shape(),
         forward=lambda s: (lambda fn: optic.over(fn)(s)),
         backward=lambda k: k(identity),
-    )
-
-
-def _achlens_enhance(shape: ContainerShape) -> AchLens:
-    lens = _lens_enhance(shape)  # a shape with a point has a product
-    return AchLens(
-        get=lens.get,
-        put=lens.put,
-        create=lambda b: shape.product.from_product((shape.point.unit, b)),
     )
 
 
@@ -132,13 +108,6 @@ def _achlens_residual(family, optic) -> IsoOptic:
         shape=maybe_pair_shape(name="MaybePair[whole]"),
         forward=lambda s: (Just(s), optic.get(s)),
         backward=backward,
-    )
-
-
-def _optional_enhance(shape: ContainerShape) -> Optional:
-    return Optional(
-        match=lambda p: affine_match(shape, p),
-        put=lambda b, p: shape.map(lambda _: b, p),
     )
 
 
@@ -163,15 +132,16 @@ def _optional_residual(family, optic) -> IsoOptic:
     )
 
 
-def _row(tag, enhance, residual) -> Functorization:
+def _row(tag, residual) -> Functorization:
     """A family's row over its functor family; its one-layer optic refuses
     shapes outside that family, and its residual forms are over it."""
     family = FUNCTOR_FAMILY[tag]
+    cls = CONCRETE_FAMILIES[tag]
 
     def enhance_op(shape):
         if not family.member(shape):
             raise UnsupportedShapeError(f"shape {shape.name} is not a member of {family.name}")
-        return enhance(shape)
+        return cls(*(_LAYER_FIELDS[name](shape) for name in cls.__slots__))
 
     return Functorization(tag, family, enhance_op, partial(residual, family))
 
@@ -179,12 +149,12 @@ def _row(tag, enhance, residual) -> Functorization:
 _FUNCTORIZATIONS = {
     row.family_tag: row
     for row in (
-        _row(FamilyTag.ADAPTER, _adapter_enhance, _adapter_residual),
-        _row(FamilyTag.LENS, _lens_enhance, _lens_residual),
-        _row(FamilyTag.PRISM, _prism_enhance, _prism_residual),
-        _row(FamilyTag.SETTER, _setter_enhance, _setter_residual),
-        _row(FamilyTag.ACHLENS, _achlens_enhance, _achlens_residual),
-        _row(FamilyTag.OPTIONAL, _optional_enhance, _optional_residual),
+        _row(FamilyTag.ADAPTER, _adapter_residual),
+        _row(FamilyTag.LENS, _lens_residual),
+        _row(FamilyTag.PRISM, _prism_residual),
+        _row(FamilyTag.SETTER, _setter_residual),
+        _row(FamilyTag.ACHLENS, _achlens_residual),
+        _row(FamilyTag.OPTIONAL, _optional_residual),
     )
 }
 

@@ -1,8 +1,8 @@
 """Container shapes: runtime witnesses for one-parameter containers.
 
 A shape packages a ``map`` action over tagged payloads together with the
-capability records (product, sum, point, ident) that decide which shape
-families it belongs to.  Higher-kinded quantification is defunctionalized:
+capability records (product, sum, point) that decide which shape families
+it belongs to.  Higher-kinded quantification is defunctionalized:
 "a container F" is a :class:`ContainerShape` value, and "an F a" is a payload
 the shape's operations know how to interpret.  The pointed pair is the pair
 over optional residuals plus a point, so the pair's code is stated once.
@@ -45,11 +45,6 @@ class PointCap(Record):
     __slots__ = ("unit",)  # the distinguished unit payload
 
 
-class IdentCap(Record):
-    # wrap: focus -> payload; unwrap: payload -> focus
-    __slots__ = ("wrap", "unwrap")
-
-
 class ContainerShape(Record):
     # map: (h, payload) -> payload.  payloads enumerates all payloads over a
     # finite focus domain; None when the payload space is not enumerable
@@ -61,21 +56,16 @@ class ContainerShape(Record):
     # domains must be hashable and callers must not expect a fresh list.  The
     # memo belongs to the shape; a payloads function passed in here runs as
     # given.  parts is (f, g) on a compose_shapes result and None otherwise;
-    # two results over the same parts act alike.  point needs product and
-    # ident needs product, sum and point, so the family order is inclusion.
-    __slots__ = (
-        "name", "map", "product", "sum", "point", "ident", "payloads", "parts",
-    )
+    # two results over the same parts act alike.  point needs product, so
+    # the family order is inclusion.
+    __slots__ = ("name", "map", "product", "sum", "point", "payloads", "parts")
 
     def __init__(
-        self, name, map, product=None, sum=None, point=None, ident=None,
-        payloads=None, parts=None,
+        self, name, map, product=None, sum=None, point=None, payloads=None, parts=None,
     ):
-        super().__init__(name, map, product, sum, point, ident, payloads, parts)
+        super().__init__(name, map, product, sum, point, payloads, parts)
         if self.point is not None and self.product is None:
             raise ValueError(f"shape {self.name}: point requires product")
-        if self.ident is not None and not (self.product and self.sum and self.point):
-            raise ValueError(f"shape {self.name}: ident requires product, sum and point")
 
     def __repr__(self):
         return f"ContainerShape({self.name})"
@@ -134,7 +124,6 @@ def _mk_id_shape():
         ),
         sum=SumCap(to_sum=lambda p: Right(p.value), from_sum=from_sum),
         point=PointCap(unit=Id(UNIT)),
-        ident=IdentCap(wrap=Id, unwrap=lambda p: p.value),
         payloads=_enumerated(lambda dom: [Id(a) for a in dom]),
     )
 
@@ -258,13 +247,6 @@ def compose_shapes(f: ContainerShape, g: ContainerShape) -> ContainerShape:
             unit=Comp(f.product.from_product((f.point.unit, g.point.unit)))
         )
 
-    ident = None
-    if f.ident and g.ident:
-        ident = IdentCap(
-            wrap=lambda a: Comp(f.ident.wrap(g.ident.wrap(a))),
-            unwrap=lambda p: g.ident.unwrap(f.ident.unwrap(p.value)),
-        )
-
     enum = None
     if f.payloads and g.payloads:
         enum = _enumerated(lambda dom: [Comp(fp) for fp in f.payloads(g.payloads(dom))])
@@ -275,7 +257,6 @@ def compose_shapes(f: ContainerShape, g: ContainerShape) -> ContainerShape:
         product=product,
         sum=sumcap,
         point=point,
-        ident=ident,
         payloads=enum,
         parts=(f, g),
     )
@@ -325,7 +306,12 @@ IS_SUM = FunctorFamily("IsSum", lambda s: s.sum is not None)
 IS_POINTED_PRODUCT = FunctorFamily(
     "IsPointedProduct", lambda s: s.product is not None and s.point is not None
 )
-ID_ONLY = FunctorFamily("IdOnly", lambda s: s.ident is not None)
+# A natural C x a ~ D + a forces C ~ 1 and D ~ 0, so a shape that is both a
+# product and a sum is the identity; requiring the point as well keeps
+# IdOnly inside IsPointedProduct.
+ID_ONLY = FunctorFamily(
+    "IdOnly", lambda s: s.product is not None and s.sum is not None and s.point is not None
+)
 IS_AFFINE = FunctorFamily("IsAffine", affine_supported)
 
 # The one pairing of concrete families with the functor families they zoom

@@ -15,6 +15,7 @@ from .functors import (
     ID_SHAPE,
     Comp,
     ContainerShape,
+    Id,
     UnsupportedShapeError,
     compose_shapes,
     joined,
@@ -45,12 +46,11 @@ class IsoOptic(Record):
 
 def iso_inj(fwd, bwd, family=None):
     """Embed a plain function pair: identity shape, wrap on the way in."""
-    shape = ID_SHAPE
     return IsoOptic(
         family=family or ANY_FUNCTOR,
-        shape=shape,
-        forward=lambda s: shape.ident.wrap(fwd(s)),
-        backward=lambda p: bwd(shape.ident.unwrap(p)),
+        shape=ID_SHAPE,
+        forward=lambda s: Id(fwd(s)),
+        backward=lambda p: bwd(p.value),
     )
 
 

@@ -816,7 +816,7 @@ def check_enhancing_laws(
         id_payloads = ID_SHAPE.payloads(dom_a)
         for i, p in enumerate(values):
             lhs = cap.enhance(ID_SHAPE, p)
-            rhs = cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
+            rhs = cap.dimap(lambda p: p.value, Id, p)
             yield {"cap": cap.name, "value": i}, lhs, rhs, id_payloads
 
     def compose_shape():
@@ -911,7 +911,7 @@ def check_functorization_laws(
     identity_case = (
         {"tag": tag},
         fz.enhance_op(ID_SHAPE),
-        cls.inj(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap),
+        cls.inj(lambda p: p.value, Id),
         dom_a, dom_b, ID_SHAPE.payloads(dom_a),
     )
     return [
@@ -943,9 +943,9 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
 
     def endo_identity():
         # chasing an optic through inj/compose round trips must be identity
-        ident = iso_inj(identity, identity, family)
+        id_iso = iso_inj(identity, identity, family)
         for shape, optic in optics:
-            chained = ident.compose(optic).compose(ident)
+            chained = id_iso.compose(optic).compose(id_iso)
             yield {"family": family.name, "shape": shape.name}, optic, chained, As, As, ss
 
     retract = _LawRun("iso.retraction", budget)

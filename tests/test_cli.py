@@ -825,6 +825,17 @@ def test_each_unfinished_step_argument_exits_4_with_its_message(path, message):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [(["get", 'key("a\\x")'], EXIT_PARSE,
+      'opticat: path error: bad escape at offset 6 (expected: \\", \\\\)'),
+     (["get", "fst", "--input"], EXIT_UNSUPPORTED, "opticat: --input needs a file")],
+    ids=["bad-escape", "trailing-input"],
+)
+def test_a_bad_escape_and_a_trailing_input_flag_exit_with_one_line(argv, code, message):
+    assert _main_with_stdin(argv, b'{"a":1}') == (code, "", message + "\n")
+
+
 def test_main_rejects_a_lone_surrogate_it_cannot_print(monkeypatch):
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()

@@ -70,6 +70,11 @@ def test_just_match_miss():
     assert just().match(Nothing()) == Left(Nothing())
 
 
+def test_just_match_refuses_a_non_option():
+    with pytest.raises(TypeError, match="expected Just or Nothing, got 3"):
+        just().match(3)
+
+
 def test_just_just_matches():
     jj = just().compose(just())
     assert jj.match(Just(Nothing())) == Left(Just(Nothing()))

@@ -209,13 +209,23 @@ def test_affine_match_compose_pair_maybe():
     assert affine_match(shape, Comp(("r0", Nothing()))) == Left(Comp(("r0", Nothing())))
 
 
-def test_ident_requires_product_sum_and_point():
-    # Every IdOnly shape is then in every other registry family, so the
-    # family order is inclusion for every shape.
+def test_id_only_is_a_pointed_product_that_is_also_a_sum():
+    # A shape that is both a product and a sum is the identity; IdOnly also
+    # asks for the point, so every IdOnly shape is in every other registry
+    # family and the family order is inclusion for every shape.
+    from opticat.encode import functorize
+    from opticat.families import FamilyTag
+
     sh = ID_SHAPE
-    for caps in ({}, {"product": sh.product, "point": sh.point}, {"product": sh.product, "sum": sh.sum}):
-        with pytest.raises(ValueError, match="ident requires product, sum and point"):
-            ContainerShape("IdOnlyShape", map=sh.map, ident=sh.ident, **caps)
+    composed = compose_shapes(sh, sh)
+    assert ID_ONLY.member(sh) and ID_ONLY.member(composed)
+    unpointed = ContainerShape("ProductSum", map=sh.map, product=sh.product, sum=sh.sum)
+    assert not ID_ONLY.member(unpointed)
+    assert IS_PRODUCT.member(unpointed) and IS_SUM.member(unpointed)
+    adapter = functorize(FamilyTag.ADAPTER).enhance_op(composed)
+    assert [adapter.bwd(a) for a in DOM] == [Comp(Id(Id(a))) for a in DOM]
+    assert [adapter.fwd(adapter.bwd(a)) for a in DOM] == list(DOM)
+    assert all(adapter.bwd(adapter.fwd(p)) == p for p in composed.payloads(DOM))
 
 
 def test_affine_unsupported_on_cps():

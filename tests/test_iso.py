@@ -126,7 +126,7 @@ def test_enhance_iso_map_id_is_identity():
 def test_enhance_iso_on_id_shape_equals_wrapping_inj():
     shape = ID_SHAPE
     lhs = enhance_iso(shape)
-    rhs = iso_inj(shape.ident.unwrap, shape.ident.wrap)
+    rhs = iso_inj(lambda p: p.value, Id)
     payloads = shape.payloads(list(DOM3))
     assert observational_eq(lhs, rhs, DOM3, DOM3, payloads)
 

@@ -11,7 +11,7 @@ import pytest
 
 from opticat.encode import Functorization, functorize
 from opticat.families import FamilyTag, Lens
-from opticat.functors import ID_SHAPE, IS_PRODUCT, ContainerShape, pair_shape
+from opticat.functors import ID_SHAPE, IS_PRODUCT, ContainerShape, Id, pair_shape
 from opticat.prof import FUNCTION_ARROW, ProfunctorCapability
 from opticat.laws import (
     FAIL,
@@ -143,7 +143,8 @@ def test_every_family_has_a_full_row_in_both_tables():
     # A family is stated once in encode (its functorization and residual
     # form) and once in laws (its random record, lawful optics and
     # checker); a family missing from a table would skip its derivation or
-    # its laws.
+    # its laws.  Every record field is read off a shape by encode and drawn
+    # at random by laws, so a new field cannot miss either field table.
     from opticat import encode, laws
     from opticat.encode import concrete_to_iso
     from opticat.families import CONCRETE_FAMILIES
@@ -157,6 +158,8 @@ def test_every_family_has_a_full_row_in_both_tables():
         assert row.enhance_op(ID_SHAPE).tag is tag
         optic = laws.gen_random_optic(tag, 0, labels("a", 2), labels("s", 3))
         assert type(optic) is CONCRETE_FAMILIES[tag]
+        fields = set(CONCRETE_FAMILIES[tag].__slots__)
+        assert fields <= set(encode._LAYER_FIELDS) and fields <= set(laws._FIELD_DRAWS)
         assert concrete_to_iso(optic).family is row.functor_family
         lawful, check = laws._FAMILY_LAWS[tag]
         optics, wholes = lawful()
@@ -257,7 +260,7 @@ def test_a_function_arrow_fail_names_an_input_that_replays():
     dom = labels("a", 2)
     p = twice.values(dom, dom)[failure["inputs"]["value"]]
     lhs = twice.cap.enhance(ID_SHAPE, p)
-    rhs = twice.cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
+    rhs = twice.cap.dimap(lambda p: p.value, Id, p)
     s = failure["inputs"]["s"]
     assert s in ID_SHAPE.payloads(dom)
     assert (failure["actual"], failure["expected"]) == (lhs(s), rhs(s))
@@ -297,6 +300,21 @@ def test_shape_whose_payloads_leave_one_out_fails_payloads_closed():
     assert image not in lossy.payloads(list(labels("b", 2)))
     assert image in pair.payloads(list(labels("b", 2)))
     assert reports["functor.map_composition"].passed
+
+
+def test_index_skips_unhashable_payloads():
+    from opticat.laws import _index
+
+    assert _index([["r0"], ("r0", "a0"), ["r0"], ("r0", "a0")]) == {("r0", "a0"): 1}
+
+
+def test_gen_iso_optic_needs_a_payload_enumeration():
+    from opticat.functors import ANY_FUNCTOR, cps_shape
+    from opticat.laws import gen_iso_optic
+
+    dom = labels("a", 2)
+    with pytest.raises(ValueError, match="shape Cps has no payload enumeration"):
+        gen_iso_optic(0, cps_shape(), ANY_FUNCTOR, dom, dom, dom, dom)
 
 
 def _list_pair():
@@ -587,7 +605,7 @@ def test_an_iso_capability_fail_names_a_probe_that_replays():
     assert failure["inputs"]["cap"] == "IsoOptic"
     p = broken.values(dom, dom)[failure["inputs"]["value"]]
     lhs = cap.enhance(ID_SHAPE, p)
-    rhs = cap.dimap(ID_SHAPE.ident.unwrap, ID_SHAPE.ident.wrap, p)
+    rhs = cap.dimap(lambda p: p.value, Id, p)
     probe = failure["probe"]
     h, s = probe["h"], probe["s"]
     assert probe["lhs"] == lhs.map_optic(h)(s)

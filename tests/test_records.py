@@ -17,7 +17,6 @@ from opticat.functors import (
     ContainerShape,
     FunctorFamily,
     Id,
-    IdentCap,
     PointCap,
     ProductCap,
     SumCap,
@@ -46,8 +45,7 @@ EXAMPLES = {
     ProductCap: (("to", "from"), "ProductCap(to_product='to', from_product='from')"),
     SumCap: (("to", "from"), "SumCap(to_sum='to', from_sum='from')"),
     PointCap: ((Id(()),), "PointCap(unit=Id(value=()))"),
-    IdentCap: (("wrap", "unwrap"), "IdentCap(wrap='wrap', unwrap='unwrap')"),
-    ContainerShape: (("S", "map", None, None, None, None, None, ()), "ContainerShape(S)"),
+    ContainerShape: (("S", "map", None, None, None, None, ()), "ContainerShape(S)"),
     FunctorFamily: (("F", "member"), "FunctorFamily(F)"),
     Lens: (("get", "put"), "Lens(get='get', put='put')"),
     Prism: (("match", "build"), "Prism(match='match', build='build')"),
@@ -164,7 +162,7 @@ def test_record_semantics(cls):
     "group",
     [
         (Left, Right, Just, Nothing, Id, Comp, Setter, PointCap, PathExpr),
-        (Lens, Prism, Adapter, Optional, ProductCap, SumCap, IdentCap, ProfEncoding),
+        (Lens, Prism, Adapter, Optional, ProductCap, SumCap, ProfEncoding),
     ],
     ids=["one_field", "two_fields"],
 )
@@ -186,7 +184,7 @@ def test_step_arg_defaults_to_none():
 
 def test_container_shape_defaults_and_point_check():
     shape = ContainerShape("S", "map")
-    assert (shape.product, shape.sum, shape.point, shape.ident) == (None,) * 4
+    assert (shape.product, shape.sum, shape.point) == (None,) * 3
     assert (shape.payloads, shape.parts) == (None, None)
     with pytest.raises(ValueError, match="point requires product"):
         ContainerShape("S", "map", point=PointCap(Id(())))
@@ -196,12 +194,14 @@ def test_functor_family_equality_ignores_member():
     assert FunctorFamily("F", len) == FunctorFamily("F", abs)
     assert hash(FunctorFamily("F", len)) == hash(FunctorFamily("F", abs))
     assert FunctorFamily("F", len) != FunctorFamily("G", len)
+    assert FunctorFamily("F", len).__eq__("F") is NotImplemented
 
 
 def test_law_report_compares_by_field_and_stays_mutable():
     report = LawReport("a.law")
     assert report == LawReport("a.law", 0, [], PASS)
     assert report != LawReport("a.law", 1, [], PASS)
+    assert report.__eq__("a.law") is NotImplemented
     assert LawReport("a.law").failures is not LawReport("a.law").failures
     report.cases += 1
     assert report.cases == 1
