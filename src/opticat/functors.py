@@ -76,18 +76,9 @@ class FunctorFamily(Record):
 
     Registry families are closed under :data:`ID_SHAPE` and
     :func:`compose_shapes` by construction of the capability propagation.
-    Two families are equal when their names are.
     """
 
     __slots__ = ("name", "member")
-
-    def __eq__(self, other):
-        if type(other) is FunctorFamily:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
 
     def __repr__(self):
         return f"FunctorFamily({self.name})"
@@ -326,13 +317,13 @@ FUNCTOR_FAMILY = {
 }
 FAMILY_TAG = {fam: tag for tag, fam in FUNCTOR_FAMILY.items()}
 
-FAMILY_REGISTRY = {fam.name: fam for fam in FUNCTOR_FAMILY.values()}
-
 
 def joined(f: FunctorFamily, g: FunctorFamily) -> FunctorFamily:
-    """The functor family of a composite over ``f`` and ``g``: that of their
-    families' join.  Different families, one off the registry, raise."""
-    if f == g:
+    """The functor family of a composite over ``f`` and ``g``, and the one
+    rule for it: ``f`` itself when ``g`` is ``f``, else the functor family
+    of their concrete families' join.  Different families, one off the
+    registry, raise."""
+    if f is g:
         return f
     if f not in FAMILY_TAG or g not in FAMILY_TAG:
         raise FamilyMismatchError(f"cannot compose optics over {f.name} and {g.name}")

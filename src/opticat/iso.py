@@ -55,11 +55,8 @@ def iso_inj(fwd, bwd, family=None):
 
 
 def iso_compose(outer: IsoOptic, inner: IsoOptic) -> IsoOptic:
-    family = outer.family
-    if family is not inner.family:
-        family = joined(family, inner.family)
     return IsoOptic(
-        family=family,
+        family=joined(outer.family, inner.family),
         shape=compose_shapes(outer.shape, inner.shape),
         forward=lambda s: Comp(outer.shape.map(inner.forward, outer.forward(s))),
         backward=lambda p: outer.backward(outer.shape.map(inner.backward, p.value)),

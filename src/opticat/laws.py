@@ -35,6 +35,7 @@ from .families import (
 from .encode import concrete_to_iso, embed, functorize, prof_encoding, unfunctorize
 from .functors import (
     ID_SHAPE,
+    IS_PRODUCT,
     Comp,
     Id,
     compose_shapes,
@@ -1098,15 +1099,16 @@ REQUIRED_LAWS = (
 # Standard fixtures and the full suite ----------------------------------------
 
 def shape_pools(shapes=None):
-    """Member shape pools per registered functor family."""
+    """Member shapes of each concrete family's functor family, keyed by the
+    family's tag."""
     sh = shapes or standard_shapes()
     return {
-        "Functor": [sh["pair"], sh["sum"], sh["maybe_pair"], sh["maybe"], sh["compose_pm"]],
-        "IsProduct": [sh["id"], sh["pair"], sh["maybe_pair"], sh["compose_pp"]],
-        "IsSum": [sh["id"], sh["sum"], sh["maybe"], sh["compose_sm"]],
-        "IsPointedProduct": [sh["id"], sh["maybe_pair"]],
-        "IdOnly": [sh["id"], sh["compose_ii"]],
-        "IsAffine": [sh["id"], sh["pair"], sh["sum"], sh["maybe"], sh["compose_pm"]],
+        FamilyTag.SETTER: [sh["pair"], sh["sum"], sh["maybe_pair"], sh["maybe"], sh["compose_pm"]],
+        FamilyTag.LENS: [sh["id"], sh["pair"], sh["maybe_pair"], sh["compose_pp"]],
+        FamilyTag.PRISM: [sh["id"], sh["sum"], sh["maybe"], sh["compose_sm"]],
+        FamilyTag.ACHLENS: [sh["id"], sh["maybe_pair"]],
+        FamilyTag.ADAPTER: [sh["id"], sh["compose_ii"]],
+        FamilyTag.OPTIONAL: [sh["id"], sh["pair"], sh["sum"], sh["maybe"], sh["compose_pm"]],
     }
 
 
@@ -1118,7 +1120,7 @@ def standard_morphism_specs(n_pairs):
 
     def conversions(tag):
         family = functorize(tag).functor_family
-        pool = pools[family.name]
+        pool = pools[tag]
         enc = prof_encoding(tag)
         concrete = CONCRETE_FAMILIES[tag].inj
         iso, prof = partial(iso_inj, family=family), partial(prof_inj, family=family)
@@ -1208,7 +1210,7 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
     for tag, (lawful, check) in _FAMILY_LAWS.items():
         fz = functorize(tag)
         family = fz.functor_family
-        pool = pools[family.name]
+        pool = pools[tag]
         fam_nats = naturals_within(family, naturals)
         pairs = [(f, g) for f in pool for g in pool][:3]
         optics, wholes = lawful()
@@ -1240,12 +1242,9 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
         function_arrow_fixture(), arrow_shapes, naturals, dom_a, dom_b,
         compose_pairs=compose_all, budget=budget,
     )
-    product_shapes = [shapes[k] for k in ("id", "pair", "maybe_pair", "compose_pp")]
-    product_nats = [
-        n for n in naturals if n.source.product and n.target.product
-    ]
     reports += check_enhancing_laws(
-        getting_fixture(dom_a), product_shapes, product_nats, dom_a, dom_b,
+        getting_fixture(dom_a), pools[FamilyTag.LENS], naturals_within(IS_PRODUCT, naturals),
+        dom_a, dom_b,
         compose_pairs=[(shapes["pair"], shapes["pair2"])], budget=budget,
     )
     reports += check_enhancing_laws(

@@ -38,11 +38,8 @@ class ProfOptic(Record):
     __slots__ = ("family", "run")
 
     def compose(self, inner):
-        family = self.family
-        if family is not inner.family:
-            family = joined(family, inner.family)
         return ProfOptic(
-            family=family,
+            family=joined(self.family, inner.family),
             run=lambda cap, p: self.run(cap, inner.run(cap, p)),
         )
 

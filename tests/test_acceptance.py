@@ -9,7 +9,7 @@ import time
 from opticat.base import Just, Left, Nothing, Right
 from opticat.encode import concrete_to_iso, functorize, prof_encoding, unfunctorize
 from opticat.families import FamilyTag, Setter, first, just
-from opticat.functors import FAMILY_REGISTRY
+from opticat.functors import FUNCTOR_FAMILY
 from opticat.iso import observational_eq
 from opticat.laws import (
     FAIL,
@@ -106,11 +106,11 @@ def test_criterion_2_optic_family_law_suite():
             if not rep.passed:
                 failures.append((f"concrete.{tag.value}", rep.law, rep.failures[:1]))
     pools = shape_pools()
-    for name, family in FAMILY_REGISTRY.items():
-        fix = iso_family_fixture(family, pools[name])
+    for tag, family in FUNCTOR_FAMILY.items():
+        fix = iso_family_fixture(family, pools[tag])
         for rep in check_optic_family_laws(fix):
             if not rep.passed:
-                failures.append((f"iso.{name}", rep.law, rep.failures[:1]))
+                failures.append((f"iso.{family.name}", rep.law, rep.failures[:1]))
     assert failures == []
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s"
@@ -142,12 +142,12 @@ def test_criterion_3_enhancing_law_suite():
         ),
         ("Matching", matching_fixture(dom), arrow_shapes, naturals, compose_all),
     ]
-    for name, family in FAMILY_REGISTRY.items():
-        pool = pools[name]
+    for tag, family in FUNCTOR_FAMILY.items():
+        pool = pools[tag]
         pairs = [(f, g) for f in pool for g in pool if f.payloads and g.payloads][:3]
         suites.append(
             (
-                f"IsoOptic[{name}]",
+                f"IsoOptic[{family.name}]",
                 iso_capability_fixture(family, pool, dom, dom),
                 pool,
                 naturals_within(family, naturals),
@@ -176,16 +176,16 @@ def test_criterion_4_representation_theorem():
     dom_s = ("s0", "s1", "s2")
     rng = random.Random("representation")
     checked = 0
-    for name, family in FAMILY_REGISTRY.items():
-        pool = pools[name]
+    for tag, family in FUNCTOR_FAMILY.items():
+        pool = pools[tag]
         for k in range(100):
             shape = rng.choice(pool)
             optic = gen_iso_optic(1000 + k, shape, family, dom_a, dom_a, dom_s, dom_s)
             encoded = iso_to_prof(optic)
             back = prof_to_iso(encoded)
-            assert observational_eq(optic, back, dom_a, dom_a, dom_s), (name, k)
+            assert observational_eq(optic, back, dom_a, dom_a, dom_s), (family.name, k)
             again = iso_to_prof(back)
-            assert maps_agree(encoded, again, dom_a, dom_a, dom_s), (name, k)
+            assert maps_agree(encoded, again, dom_a, dom_a, dom_s), (family.name, k)
             checked += 1
     assert checked >= 500
     # every prebuilt profunctor optic round-trips too
@@ -259,7 +259,7 @@ def test_criterion_5_derivation_theorem():
                 iso, iso_back, dom_a, dom_a, wholes
             ), (tag, seed)
         # converse on generated residual forms off the image
-        pool = pools[family.name]
+        pool = pools[tag]
         rng = random.Random(f"derivation:{tag}")
         for k in range(40):
             shape = rng.choice(pool)

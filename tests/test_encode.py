@@ -25,6 +25,7 @@ from opticat.families import (
 from opticat.functors import (
     ID_SHAPE,
     IS_SUM,
+    FunctorFamily,
     UnsupportedShapeError,
     compose_shapes,
     cps_shape,
@@ -33,7 +34,7 @@ from opticat.functors import (
     pair_shape,
     sum_shape,
 )
-from opticat.iso import iso_inj, observational_eq
+from opticat.iso import enhance_iso, iso_inj, observational_eq
 from opticat.laws import (
     gen_iso_optic,
     gen_lawful_achlens,
@@ -121,11 +122,17 @@ def test_functorize_families():
 
 
 def test_registry_holds_the_functor_family_of_every_concrete_family():
-    # The law suite runs its iso-level laws over FAMILY_REGISTRY, so a
+    # The law suite runs its iso-level laws over FUNCTOR_FAMILY, so a
     # family missing from it skips them.
-    from opticat.functors import FAMILY_REGISTRY
+    from opticat.functors import FUNCTOR_FAMILY
 
-    assert {functorize(tag).functor_family.name for tag in FamilyTag} == set(FAMILY_REGISTRY)
+    assert {tag: functorize(tag).functor_family for tag in FamilyTag} == FUNCTOR_FAMILY
+
+
+def test_unfunctorize_refuses_a_family_that_only_shares_a_registry_name():
+    impostor = FunctorFamily("IsProduct", lambda s: True)
+    with pytest.raises(FamilyMismatchError):
+        unfunctorize(enhance_iso(sum_shape(("r0",)), impostor), FamilyTag.LENS)
 
 
 # Residual forms ------------------------------------------------------------------

@@ -5,8 +5,11 @@ import itertools
 import pytest
 
 from opticat.base import UNIT, Just, Left, Nothing, Right
+from opticat.families import FamilyMismatchError
 from opticat.functors import (
     ANY_FUNCTOR,
+    FAMILY_TAG,
+    FUNCTOR_FAMILY,
     ID_ONLY,
     ID_SHAPE,
     IS_POINTED_PRODUCT,
@@ -14,12 +17,14 @@ from opticat.functors import (
     IS_SUM,
     Comp,
     ContainerShape,
+    FunctorFamily,
     Id,
     UnsupportedShapeError,
     affine_match,
     affine_supported,
     compose_shapes,
     cps_shape,
+    joined,
     maybe_pair_shape,
     maybe_shape,
     pair_shape,
@@ -176,6 +181,22 @@ def test_registry_membership():
     assert ID_ONLY.member(ID_SHAPE)
     assert not ID_ONLY.member(pair_shape(("r0",)))
     assert ANY_FUNCTOR.member(cps_shape())
+
+
+def test_a_family_that_only_shares_a_registry_name_is_off_the_registry():
+    impostor = FunctorFamily("IsProduct", lambda s: True)
+    assert impostor != IS_PRODUCT
+    assert impostor not in FAMILY_TAG
+    with pytest.raises(FamilyMismatchError):
+        joined(IS_SUM, impostor)
+
+
+def test_joined_keeps_one_family_and_refuses_two_off_the_registry():
+    off = FunctorFamily("OffRegistry", lambda s: True)
+    for family in [*FUNCTOR_FAMILY.values(), off]:
+        assert joined(family, family) is family
+    with pytest.raises(FamilyMismatchError):
+        joined(off, FunctorFamily("OffRegistry", lambda s: True))
 
 
 def test_monoid_closure():

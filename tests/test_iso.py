@@ -281,7 +281,7 @@ def test_enhance_iso_is_a_lawful_zoom():
 def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
     # observational_eq on two iso optics gives maps_agree's verdict, but runs
     # each whole's forward once rather than once per probe and whole.
-    from opticat.functors import FAMILY_REGISTRY
+    from opticat.functors import FUNCTOR_FAMILY
     from opticat.laws import shape_pools
     from opticat.probes import maps_agree, probe_functions
 
@@ -290,9 +290,9 @@ def test_residual_form_agrees_with_maps_agree_and_runs_each_forward_once():
     pools = shape_pools()
 
     def pairs():
-        for name, family in FAMILY_REGISTRY.items():
-            for sh1 in pools[name]:
-                for sh2 in pools[name]:
+        for tag, family in FUNCTOR_FAMILY.items():
+            for sh1 in pools[tag]:
+                for sh2 in pools[tag]:
                     for seed in range(2):
                         o1 = gen_iso_optic(seed, sh1, family, As, As, ss, ss)
                         for k in (seed, seed + 1):

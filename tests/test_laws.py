@@ -148,9 +148,13 @@ def test_every_family_has_a_full_row_in_both_tables():
     from opticat import encode, laws
     from opticat.encode import concrete_to_iso
     from opticat.families import CONCRETE_FAMILIES
-    from opticat.functors import FAMILY_REGISTRY, ID_SHAPE
+    from opticat.functors import FUNCTOR_FAMILY, ID_SHAPE
 
-    assert set(encode._FUNCTORIZATIONS) == set(FamilyTag) == set(laws._FAMILY_LAWS)
+    tables = [
+        CONCRETE_FAMILIES, FUNCTOR_FAMILY, encode._FUNCTORIZATIONS, laws._FAMILY_LAWS,
+        laws.shape_pools(),
+    ]
+    assert all(set(table) == set(FamilyTag) for table in tables)
     for tag in FamilyTag:
         row = functorize(tag)
         assert row.family_tag is tag
@@ -169,9 +173,8 @@ def test_every_family_has_a_full_row_in_both_tables():
         concrete_to_iso(object())
     # run_all_law_checks walks the families once, each row with its functor
     # family, so the rows' functor families are the registry's, one row each
-    row_families = [functorize(tag).functor_family for tag in laws._FAMILY_LAWS]
-    assert len(row_families) == len(FAMILY_REGISTRY)
-    assert {id(f) for f in row_families} == {id(f) for f in FAMILY_REGISTRY.values()}
+    assert all(functorize(tag).functor_family is FUNCTOR_FAMILY[tag] for tag in FamilyTag)
+    assert len({id(f) for f in FUNCTOR_FAMILY.values()}) == len(FamilyTag)
 
 
 def test_cardinality_mismatch_rejected():
@@ -465,7 +468,7 @@ def test_iso_capability_fixture_compares_under_the_law_budget(monkeypatch):
     # The IsoOptic fixture's equality probes optics, so it must probe with
     # the law's budget, where the sampled-probe rule can see it.
     import opticat.probes as probes
-    from opticat.functors import FAMILY_REGISTRY
+    from opticat.functors import FUNCTOR_FAMILY
     from opticat.laws import (
         iso_capability_fixture,
         naturals_within,
@@ -484,8 +487,8 @@ def test_iso_capability_fixture_compares_under_the_law_budget(monkeypatch):
     naturals = standard_naturals(shapes)
     pools = shape_pools(shapes)
     dom = labels("a", 2)
-    for name, family in FAMILY_REGISTRY.items():
-        pool = pools[name]
+    for tag, family in FUNCTOR_FAMILY.items():
+        pool = pools[tag]
         pairs = [(f, g) for f in pool for g in pool if f.payloads and g.payloads][:3]
         check_enhancing_laws(
             iso_capability_fixture(family, pool, dom, dom),
@@ -593,7 +596,7 @@ def test_an_iso_capability_fail_names_a_probe_that_replays():
     from opticat.laws import iso_capability_fixture, shape_pools
 
     dom = labels("a", 2)
-    iso = iso_capability_fixture(IS_PRODUCT, shape_pools()["IsProduct"], dom, dom)
+    iso = iso_capability_fixture(IS_PRODUCT, shape_pools()[FamilyTag.LENS], dom, dom)
     # dimap applies its second function twice
     cap = ProfunctorCapability(
         iso.cap.name, lambda f, g, o: iso_dimap(f, lambda t: g(g(t)), o), iso.cap.enhance
@@ -623,7 +626,7 @@ def test_a_natural_pair_that_is_no_section_fails_iso_retraction(monkeypatch):
     sh = standard_shapes()
     forget = Natural("maybe_pair_forget", sh["maybe_pair"], sh["pair"], lambda p: ("r0", p[1]))
     naturals = naturals_within(IS_PRODUCT, laws.standard_naturals(sh) + [forget])
-    pool = shape_pools(sh)["IsProduct"]
+    pool = shape_pools(sh)[FamilyTag.LENS]
 
     def retraction(pairs):
         monkeypatch.setattr(laws, "_RETRACTIONS", pairs)
@@ -637,6 +640,67 @@ def test_a_natural_pair_that_is_no_section_fails_iso_retraction(monkeypatch):
     probe = failure["probe"]
     assert probe["s"] == ("r1", "a0")
     assert probe["lhs"] != probe["rhs"]
+
+
+def _lens_conversion(theta):
+    """A LENS -> LENS morphism spec over ``theta``, on random lens pairs."""
+    from functools import partial
+
+    from opticat.laws import MorphismSpec, _chains, gen_random_optic
+
+    doms = {"s": labels("s", 3), "a1": labels("a", 3), "a2": labels("x", 2)}
+    pairs = _chains(partial(gen_random_optic, FamilyTag.LENS), doms, range(0, 8, 2), 2)
+    return MorphismSpec("broken", theta, Lens.inj, Lens.inj, pairs, doms)
+
+
+def _morphism_sides(spec, law, inputs):
+    """The two sides ``check_morphism`` compared for ``law`` on ``inputs``."""
+    import random
+
+    from opticat.laws import _rand_table
+
+    if law == "morphism.preserves_inj":
+        ds, d1 = spec.doms["s"], spec.doms["a1"]
+        rng = random.Random(spec.name)
+        tables = [(_rand_table(rng, ds, d1), _rand_table(rng, d1, ds)) for _ in range(3)]
+        f, g = tables[inputs["sample"]]
+        return spec.theta(spec.inj_src(f, g)), spec.inj_dst(f, g)
+    o1, o2 = spec.pairs[inputs["pair"]]
+    if law == "morphism.preserves_compose":
+        return spec.theta(o1.compose(o2)), spec.theta(o1).compose(spec.theta(o2))
+    return spec.theta(o1), o1
+
+
+@pytest.mark.parametrize(
+    "theta, failing",
+    [
+        # put keeps the whole, which inj's put and a random lens's replace
+        (
+            lambda o: Lens(get=o.get, put=lambda b, s: s),
+            ("morphism.preserves_inj", "morphism.preserves_map"),
+        ),
+        # put runs twice: idempotent on inj's put, not on a random lens's
+        (
+            lambda o: Lens(get=o.get, put=lambda b, s: o.put(b, o.put(b, s))),
+            ("morphism.preserves_compose", "morphism.preserves_map"),
+        ),
+    ],
+)
+def test_a_broken_conversion_fails_its_morphism_laws(theta, failing):
+    from opticat.laws import check_morphism
+
+    spec = _lens_conversion(theta)
+    reports = {rep.law: rep for rep in check_morphism(spec)}
+    for law in failing:
+        rep = reports[law]
+        assert rep.status == FAIL, law
+        failure = rep.failures[0]
+        lhs, rhs = _morphism_sides(spec, law, failure["inputs"])
+        probe = failure["probe"]
+        h, s = probe["h"], probe["s"]
+        assert probe["lhs"] == lhs.map_optic(h)(s)
+        assert probe["rhs"] == rhs.map_optic(h)(s)
+        assert probe["lhs"] != probe["rhs"]
 
 
 def test_a_probe_names_only_the_case_whose_own_comparison_failed():
@@ -813,7 +877,7 @@ _FIXTURE_DIGEST = "ab75c06b9f3945158afbbfc90bd0a6991855eef880b424d8d057a0cf7f3f1
 def test_fixture_draws_match_their_digest():
     import hashlib
 
-    from opticat.functors import FAMILY_REGISTRY
+    from opticat.functors import FUNCTOR_FAMILY
     from opticat.laws import (
         concrete_family_fixture,
         iso_family_fixture,
@@ -830,7 +894,7 @@ def test_fixture_draws_match_their_digest():
     signature = ("s", "a1", "a1", "a3")  # the domain of each inj table
     pools = shape_pools()
     fixtures = [concrete_family_fixture(tag) for tag in FamilyTag] + [
-        iso_family_fixture(family, pools[name]) for name, family in FAMILY_REGISTRY.items()
+        iso_family_fixture(family, pools[tag]) for tag, family in FUNCTOR_FAMILY.items()
     ]
     entries = []
     for fix in fixtures:

@@ -13,6 +13,7 @@ from opticat.families import AchLens, Adapter, FamilyTag, Lens, Optional, Prism,
 from opticat.functors import (
     ANY_FUNCTOR,
     ID_SHAPE,
+    IS_PRODUCT,
     Comp,
     ContainerShape,
     FunctorFamily,
@@ -20,6 +21,7 @@ from opticat.functors import (
     PointCap,
     ProductCap,
     SumCap,
+    joined,
 )
 from opticat.iso import IsoOptic
 from opticat.laws import (
@@ -190,11 +192,14 @@ def test_container_shape_defaults_and_point_check():
         ContainerShape("S", "map", point=PointCap(Id(())))
 
 
-def test_functor_family_equality_ignores_member():
-    assert FunctorFamily("F", len) == FunctorFamily("F", abs)
-    assert hash(FunctorFamily("F", len)) == hash(FunctorFamily("F", abs))
+def test_functor_family_compares_as_a_record():
+    assert FunctorFamily("F", len) == FunctorFamily("F", len)
+    assert hash(FunctorFamily("F", len)) == hash(FunctorFamily("F", len))
+    assert FunctorFamily("F", len) != FunctorFamily("F", abs)
     assert FunctorFamily("F", len) != FunctorFamily("G", len)
     assert FunctorFamily("F", len).__eq__("F") is NotImplemented
+    assert copy.deepcopy(IS_PRODUCT) == IS_PRODUCT
+    assert joined(IS_PRODUCT, copy.deepcopy(IS_PRODUCT)) is IS_PRODUCT
 
 
 def test_law_report_compares_by_field_and_stays_mutable():
