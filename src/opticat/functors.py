@@ -320,10 +320,10 @@ FAMILY_TAG = {fam: tag for tag, fam in FUNCTOR_FAMILY.items()}
 
 def joined(f: FunctorFamily, g: FunctorFamily) -> FunctorFamily:
     """The functor family of a composite over ``f`` and ``g``, and the one
-    rule for it: ``f`` itself when ``g`` is ``f``, else the functor family
-    of their concrete families' join.  Different families, one off the
-    registry, raise."""
-    if f is g:
+    rule for it: ``f`` itself when ``g`` is ``f`` or equal to it (a copy),
+    else the functor family of their concrete families' join.  Different
+    families, one off the registry, raise."""
+    if f is g or f == g:
         return f
     if f not in FAMILY_TAG or g not in FAMILY_TAG:
         raise FamilyMismatchError(f"cannot compose optics over {f.name} and {g.name}")

@@ -1,7 +1,10 @@
 """Optic generators over finite domains and the executable law suite.
 
-Checkers never assert; they return :class:`LawReport` values whose failures
-carry the first counterexample in enumeration order.  Budgeted runs that hit
+Lawfulness is one law group of residual forms for every family,
+:func:`check_lawful`.  Checkers never assert; they return :class:`LawReport`
+values whose failures carry the first counterexample in enumeration order; in
+:func:`check_lawful` and :func:`check_enhancing_laws` a case that raises is a
+FAIL naming its inputs and ``"raised"``.  Budgeted runs that hit
 the evaluation cap, or that would compare optics on a sampled probe set, come
 back INCONCLUSIVE, never silently passed.  Laws that state two optics equal
 compare them through :func:`observational_eq`, and a FAIL there names the
@@ -32,9 +35,10 @@ from .families import (
     Prism,
     family_le,
 )
-from .encode import concrete_to_iso, embed, functorize, prof_encoding, unfunctorize
+from .encode import _LAYER_FIELDS, concrete_to_iso, embed, functorize, prof_encoding, unfunctorize
 from .functors import (
     ID_SHAPE,
+    IS_AFFINE,
     IS_PRODUCT,
     Comp,
     Id,
@@ -126,6 +130,23 @@ class _LawRun:
         """Consume lazy cases; returns the report."""
         for case in cases:
             if not self.case(*case):
+                break
+        return self.report
+
+    def attempts(self, units):
+        """:meth:`run` over ``(inputs, cases, *args)`` units, whose cases the
+        generator ``cases(inputs, *args)`` computes.  The one rule for a
+        side that raises: the raise is one more case, a FAIL whose
+        counterexample holds the unit's ``inputs`` and ``"raised":
+        repr(exc)``; never a PASS, never INCONCLUSIVE, never a crash."""
+        for inputs, cases, *args in units:
+            try:
+                if not all(self.case(*case) for case in cases(inputs, *args)):
+                    break
+            except Exception as exc:
+                self.report.cases += 1
+                self.report.failures.append({"inputs": inputs, "raised": repr(exc)})
+                self.report.status = FAIL
                 break
         return self.report
 
@@ -273,7 +294,8 @@ def gen_lawful_optional(seed, dom_miss, dom_keep, dom_a, dom_s=None) -> Optional
 
 
 def gen_unlawful_lens(dom_a, dom_s) -> Lens:
-    """Deliberately broken: put ignores the new focus, so GetPut fails."""
+    """Deliberately broken: put ignores the new focus, so a payload whose
+    focus changed re-enters with the old one (lawful.reentry fails)."""
     return Lens(get=lambda s: dom_a[dom_s.index(s) % len(dom_a)], put=lambda b, s: s)
 
 
@@ -326,102 +348,98 @@ def gen_iso_optic(seed, shape, family, dom_a, dom_b, dom_s, dom_t) -> IsoOptic:
     return IsoOptic(family, shape, forward, _rand_table(rng, shape.payloads(dom_b), dom_t))
 
 
-# Concrete-family law groups --------------------------------------------------
+# Lawfulness law group --------------------------------------------------------
 
-def check_lens_laws(lens, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    return [
-        _LawRun("lens.get_put", budget).run(
-            ({"b": b, "s": s}, b, lens.get(lens.put(b, s)))
-            for b, s in itertools.product(dom_a, dom_s)
-        ),
-        _LawRun("lens.put_get", budget).run(
-            ({"s": s}, s, lens.put(lens.get(s), s)) for s in dom_s
-        ),
-        _LawRun("lens.put_put", budget).run(
-            ({"b": b, "b2": b2, "s": s}, lens.put(b, s), lens.put(b, lens.put(b2, s)))
-            for b, b2, s in itertools.product(dom_a, dom_a, dom_s)
-        ),
-    ]
+# The inputs on which each record field is compared.  ``over``'s value is a
+# function, which lawful.reentry reads through the map action.
+_FIELD_INPUTS = {
+    **dict.fromkeys(("get", "match", "fwd"), lambda As, ss: [{"s": s} for s in ss]),
+    **dict.fromkeys(("build", "create", "bwd"), lambda As, ss: [{"b": b} for b in As]),
+    "put": lambda As, ss: [{"b": b, "s": s} for b, s in itertools.product(As, ss)],
+    "over": lambda As, ss: [],
+}
 
 
-def check_prism_laws(prism, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    return [
-        _LawRun("prism.match_build", budget).run(
-            ({"b": b}, Right(b), prism.match(prism.build(b))) for b in dom_a
-        ),
-        _LawRun("prism.build_match", budget).run(
-            ({"s": s}, s, prism.build(e.value))
-            for s, e in zip(dom_s, map(prism.match, dom_s))
-            if isinstance(e, Right)
-        ),
-        _LawRun("prism.no_match_identity", budget).run(
-            ({"s": s}, s, e.value)
-            for s, e in zip(dom_s, map(prism.match, dom_s))
-            if isinstance(e, Left)
-        ),
-    ]
+def _first(seen, value):
+    """Whether ``value`` is new to ``seen``, a set and a list, which then
+    holds it.  A value that cannot be hashed (JSON) is found by equality."""
+    hashed, listed = seen
+    try:
+        new = value not in hashed
+        hashed.add(value)
+    except TypeError:
+        new = value not in listed
+        if new:
+            listed.append(value)
+    return new
 
 
-def check_adapter_laws(adapter, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    return [
-        _LawRun("adapter.fwd_bwd", budget).run(
-            ({"a": a}, a, adapter.fwd(adapter.bwd(a))) for a in dom_a
-        ),
-        _LawRun("adapter.bwd_fwd", budget).run(
-            ({"s": s}, s, adapter.bwd(adapter.fwd(s))) for s in dom_s
-        ),
-    ]
+def _foci(shape, payload):
+    """The foci of ``payload``, in the order ``shape.map`` visits them."""
+    found = []
+    shape.map(lambda a: found.append(a) or a, payload)
+    return found
 
 
-def check_setter_laws(setter, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
-    run_id = setter.over(identity)
+def check_lawful(optic, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
+    """Lawfulness, once for every family: the record's residual form
+    (:func:`concrete_to_iso`) is an isomorphism up to the residual.
+
+    ``lawful.outside``: ``backward(forward(s)) == s`` for every whole.
+    ``lawful.reentry``: each reachable payload ``c``, ``shape.map(h,
+    forward(s))`` or one that ``build``/``create`` reads off the shape,
+    re-enters as ``d = forward(backward(c))`` with ``c``'s foci (on affine
+    shapes), and ``backward(shape.map(h2, d)) == backward(shape.map(h2, c))``
+    for every ``h2``; each distinct ``c`` and mapped pair once.
+    ``lawful.fields``: each field that is not a function equals that field of
+    :func:`unfunctorize` of the residual form; it sees an optional's ``put``
+    on a miss, which no map action reads.  A setter has no such field.
+    """
+    residual = concrete_to_iso(optic)
+    shape, forward, backward = residual.shape, residual.forward, residual.backward
+    collapsed = unfunctorize(residual, optic.tag)
     fns = all_functions(dom_a, dom_a)
+    affine = IS_AFFINE.member(shape)  # a continuation runs h only when run
+    reached = set(), []
 
-    def over_composition():
-        for f, g in itertools.product(fns, fns):
-            fused = setter.over(lambda a: f(g(a)))
-            staged = setter.over(f)
-            inner = setter.over(g)
-            for p in wholes:
-                yield {"f": f, "g": g, "p": p}, fused(p), staged(inner(p))
+    def outside(inputs, s):
+        yield inputs, s, backward(forward(s))
 
-    return [
-        _LawRun("setter.over_identity", budget).run(
-            ({"p": p}, p, run_id(p)) for p in wholes
-        ),
-        _LawRun("setter.over_composition", budget).run(over_composition()),
+    def reentry(inputs, reach, *args):
+        c = reach(*args)
+        if not _first(reached, c):
+            return
+        d = forward(backward(c))
+        if affine:
+            yield inputs, _foci(shape, c), _foci(shape, d)
+        mapped = set(), []
+        for h2 in fns:
+            c2, d2 = shape.map(h2, c), shape.map(h2, d)
+            if _first(mapped, (c2, d2)):
+                yield {**inputs, "h2": h2}, backward(c2), backward(d2)
+
+    def field(inputs, name, *args):
+        yield inputs, getattr(collapsed, name)(*args), getattr(optic, name)(*args)
+
+    whole = lambda s, h: shape.map(h, forward(s))  # the payloads of the wholes
+    payloads = [({"s": s, "h": h}, reentry, whole, s, h) for s in wholes for h in fns] + [
+        ({name: b}, reentry, _LAYER_FIELDS[name](shape), b)
+        for name, cap in (("build", shape.sum), ("create", shape.point))
+        if cap
+        for b in dom_a
     ]
-
-
-def check_achlens_laws(al, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
+    fields = [
+        ({"field": name, **args}, field, name, *args.values())
+        for name in type(optic).__slots__
+        for args in _FIELD_INPUTS[name](dom_a, wholes)
+    ]
     reports = [
-        LawReport(rep.law.replace("lens.", "achlens."), rep.cases, rep.failures, rep.status)
-        for rep in check_lens_laws(al, dom_a, dom_s, budget)
+        _LawRun("lawful.outside", budget).attempts(({"s": s}, outside, s) for s in wholes),
+        _LawRun("lawful.reentry", budget).attempts(payloads),
     ]
-    get_create = _LawRun("achlens.get_create", budget).run(
-        ({"b": b}, b, al.get(al.create(b))) for b in dom_a
-    )
-    return reports + [get_create]
-
-
-def check_optional_laws(opt, dom_a, dom_s, budget=DEFAULT_MAX_EVALS):
-    return [
-        _LawRun("optional.hit_put_identity", budget).run(
-            ({"s": s}, s, opt.put(e.value, s))
-            for s, e in zip(dom_s, map(opt.match, dom_s))
-            if isinstance(e, Right)
-        ),
-        _LawRun("optional.put_then_match", budget).run(
-            ({"b": b, "s": s}, Right(b), opt.match(opt.put(b, s)))
-            for b, s in itertools.product(dom_a, dom_s)
-            if isinstance(opt.match(s), Right)
-        ),
-        _LawRun("optional.miss_put_residual", budget).run(
-            ({"b": b, "s": s}, e.value, opt.put(b, s))
-            for b, (s, e) in itertools.product(dom_a, zip(dom_s, map(opt.match, dom_s)))
-            if isinstance(e, Left)
-        ),
-    ]
+    if fields:
+        reports.append(_LawRun("lawful.fields", budget).attempts(fields))
+    return reports
 
 
 # Shape law group -------------------------------------------------------------
@@ -797,9 +815,11 @@ def check_enhancing_laws(
     fns_b = all_functions(dom_b, dom_b)
 
     def law(name, cases):
-        """Run lazy ``(inputs, lhs, rhs, dom_in)`` cases through ``fix.eq``."""
+        """Run lazy ``(inputs, lhs, rhs, dom_in)`` cases through ``fix.eq``;
+        a comparison that raises FAILs the law (:meth:`_LawRun.attempts`)."""
         run = _LawRun(name, budget)
-        return run.run(fix.eq(run, *case) for case in cases)
+        compared = lambda *case: [fix.eq(run, *case)]
+        return run.attempts((case[0], compared, *case[1:]) for case in cases)
 
     def dimap_identity():
         for i, p in enumerate(values):
@@ -1043,23 +1063,9 @@ def check_morphism(spec: MorphismSpec, budget=DEFAULT_MAX_EVALS):
 # Registry and full run -------------------------------------------------------
 
 REQUIRED_LAWS = (
-    "lens.get_put",
-    "lens.put_get",
-    "lens.put_put",
-    "achlens.get_put",
-    "achlens.put_get",
-    "achlens.put_put",
-    "achlens.get_create",
-    "prism.match_build",
-    "prism.build_match",
-    "prism.no_match_identity",
-    "adapter.fwd_bwd",
-    "adapter.bwd_fwd",
-    "setter.over_identity",
-    "setter.over_composition",
-    "optional.hit_put_identity",
-    "optional.put_then_match",
-    "optional.miss_put_residual",
+    "lawful.outside",
+    "lawful.reentry",
+    "lawful.fields",
     "functor.map_identity",
     "functor.map_composition",
     "functor.payloads_closed",
@@ -1161,8 +1167,8 @@ def standard_morphism_specs(n_pairs):
     ]
 
 
-# Per family: its lawful optics with their wholes, and its checker.  Every
-# checker takes (optic, foci, wholes, budget), with foci _LAWFUL_A.
+# Per family: its lawful optics with their wholes, checked by check_lawful
+# with foci _LAWFUL_A.
 _LAWFUL_A = labels("a", 3)
 _LAWFUL_R = labels("r", 2)
 
@@ -1181,15 +1187,14 @@ def _canonical_setter():
 
 
 _FAMILY_LAWS = {
-    FamilyTag.ADAPTER: (_seeded(gen_lawful_adapter, _LAWFUL_A, labels("s", 3)), check_adapter_laws),
-    FamilyTag.LENS: (_seeded(gen_lawful_lens, _LAWFUL_R, _LAWFUL_A, labels("s", 6)), check_lens_laws),
-    FamilyTag.PRISM: (_seeded(gen_lawful_prism, _LAWFUL_R, _LAWFUL_A, labels("s", 5)), check_prism_laws),
-    FamilyTag.OPTIONAL: (
-        _seeded(gen_lawful_optional, labels("m", 2), labels("k", 1), _LAWFUL_A, labels("s", 5)),
-        check_optional_laws,
+    FamilyTag.ADAPTER: _seeded(gen_lawful_adapter, _LAWFUL_A, labels("s", 3)),
+    FamilyTag.LENS: _seeded(gen_lawful_lens, _LAWFUL_R, _LAWFUL_A, labels("s", 6)),
+    FamilyTag.PRISM: _seeded(gen_lawful_prism, _LAWFUL_R, _LAWFUL_A, labels("s", 5)),
+    FamilyTag.OPTIONAL: _seeded(
+        gen_lawful_optional, labels("m", 2), labels("k", 1), _LAWFUL_A, labels("s", 5)
     ),
-    FamilyTag.ACHLENS: (_seeded(gen_lawful_achlens, _LAWFUL_R, _LAWFUL_A, labels("s", 6)), check_achlens_laws),
-    FamilyTag.SETTER: (_canonical_setter, check_setter_laws),
+    FamilyTag.ACHLENS: _seeded(gen_lawful_achlens, _LAWFUL_R, _LAWFUL_A, labels("s", 6)),
+    FamilyTag.SETTER: _canonical_setter,
 }
 
 
@@ -1207,7 +1212,7 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
     # compose pairs: its laws on its lawful optics, the shared optic-family
     # laws on its random records and on its iso optics, the laws of its
     # functorization and of its iso capability, and the iso-specific laws
-    for tag, (lawful, check) in _FAMILY_LAWS.items():
+    for tag, lawful in _FAMILY_LAWS.items():
         fz = functorize(tag)
         family = fz.functor_family
         pool = pools[tag]
@@ -1215,7 +1220,7 @@ def run_all_law_checks(budget=DEFAULT_MAX_EVALS):
         pairs = [(f, g) for f in pool for g in pool][:3]
         optics, wholes = lawful()
         for optic in optics:
-            reports += check(optic, _LAWFUL_A, wholes, budget)
+            reports += check_lawful(optic, _LAWFUL_A, wholes, budget)
         reports += check_optic_family_laws(concrete_family_fixture(tag), budget)
         reports += check_optic_family_laws(iso_family_fixture(family, pool), budget)
         reports += check_functorization_laws(

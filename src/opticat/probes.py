@@ -39,12 +39,28 @@ class FiniteFn(dict):
         return f"FiniteFn({{{items}}})"
 
 
+class _ScanFn(tuple):
+    """A FiniteFn over a domain that cannot be hashed (JSON arrays and
+    objects): its ``(argument, value)`` pairs, scanned on each call."""
+
+    __slots__ = ()
+
+    def __call__(self, x):
+        for a, b in self:
+            if a == x:
+                return b
+        raise KeyError(x)
+
+
 def all_functions(dom_a, dom_b):
-    """Every total function from dom_a to dom_b, as FiniteFn tables."""
-    return [
-        FiniteFn(zip(dom_a, image))
-        for image in itertools.product(dom_b, repeat=len(dom_a))
-    ]
+    """Every total function from dom_a to dom_b, as FiniteFn tables (as
+    _ScanFn tables when dom_a holds an unhashable value)."""
+    table = FiniteFn
+    try:
+        set(dom_a)
+    except TypeError:
+        table = _ScanFn
+    return [table(zip(dom_a, image)) for image in itertools.product(dom_b, repeat=len(dom_a))]
 
 
 def sample_functions(dom_a, dom_b):

@@ -14,7 +14,7 @@ from opticat.iso import observational_eq
 from opticat.laws import (
     FAIL,
     check_enhancing_laws,
-    check_lens_laws,
+    check_lawful,
     check_morphism,
     check_optic_family_laws,
     concrete_family_fixture,
@@ -316,9 +316,9 @@ def test_criterion_7_negative_controls():
     dom_a = labels("a", 2)
     dom_s = ("s0", "s1", "s2")
     lens = gen_unlawful_lens(dom_a, dom_s)
-    reports = {rep.law: rep for rep in check_lens_laws(lens, dom_a, dom_s)}
-    assert reports["lens.get_put"].status == FAIL
-    assert reports["lens.get_put"].failures[0]["inputs"]
+    reports = {rep.law: rep for rep in check_lawful(lens, dom_a, dom_s)}
+    assert reports["lawful.reentry"].status == FAIL
+    assert reports["lawful.reentry"].failures[0]["inputs"]
 
     from opticat.laws import CapabilityFixture
     from opticat.prof import ProfunctorCapability

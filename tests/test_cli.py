@@ -44,12 +44,7 @@ from opticat.families import (
     family_join,
     family_le,
 )
-from opticat.laws import (
-    check_lens_laws,
-    check_optional_laws,
-    check_prism_laws,
-    check_setter_laws,
-)
+from opticat.laws import check_lawful
 from opticat.probes import all_functions
 
 
@@ -970,11 +965,12 @@ _PAIRS = [[a, b] for a in _FOCI for b in _FOCI]
 _OBJECTS = [{}, {"b": 0}] + [{"a": a} for a in _FOCI] + [{"a": a, "b": 0} for a in _FOCI]
 _ARRAYS = [[], [0]] + [[0, a] for a in _FOCI] + [[0, a, "x"] for a in _FOCI]
 _OPTIONS = [None] + [{"some": a} for a in _FOCI]
-_SMALL = (0, 1, 2)  # the setter laws enumerate every function on these
+_SMALL = (0, 1, 2)  # lawful.reentry enumerates every function on these
 _LISTS = [[], [0], [1, 2], [2, 0, 1]]
 
-# (step, its argument, the family whose laws it meets, foci, wholes).  A prism
-# is an optional too, and only its optional laws reach its modify action.
+# (step, its argument, the family whose record it is checked as, foci,
+# wholes).  A prism is an optional too, and only its optional record reaches
+# its modify action.
 _STEP_LAWS = [
     ("fst", None, FamilyTag.LENS, _FOCI, _PAIRS),
     ("snd", None, FamilyTag.LENS, _FOCI, _PAIRS),
@@ -984,14 +980,6 @@ _STEP_LAWS = [
     ("some", None, FamilyTag.OPTIONAL, _FOCI, _OPTIONS),
     ("each", None, FamilyTag.SETTER, _SMALL, _LISTS),
 ]
-
-_CHECKERS = {
-    FamilyTag.LENS: check_lens_laws,
-    FamilyTag.OPTIONAL: check_optional_laws,
-    FamilyTag.PRISM: check_prism_laws,
-    FamilyTag.SETTER: check_setter_laws,
-}
-
 
 def _step_record(kind, arg, family, over=None):
     """The step table's row for ``kind`` as a concrete record of ``family``:
@@ -1022,8 +1010,9 @@ def _step_ids(rows):
 
 @pytest.mark.parametrize("kind,arg,family,foci,wholes", _STEP_LAWS, ids=_step_ids(_STEP_LAWS))
 def test_each_step_meets_the_laws_of_its_family(kind, arg, family, foci, wholes):
+    # key and idx meet lawful.fields too: put on a miss returns the document
     assert family_le(cli._STEPS[kind][0], family)
-    reports = _CHECKERS[family](_step_record(kind, arg, family), foci, wholes)
+    reports = check_lawful(_step_record(kind, arg, family), foci, wholes)
     assert all(rep.passed and rep.cases > 0 for rep in reports), reports
 
 
@@ -1045,8 +1034,8 @@ def test_a_modify_action_that_ignores_its_function_fails_the_laws(
 ):
     row_over = cli._STEPS[kind][2]
     mutant = _step_record(kind, arg, family, over=lambda a, h: row_over(a, lambda x: x))
-    reports = _CHECKERS[family](mutant, foci, wholes)
-    assert any(rep.status == "FAIL" for rep in reports)
+    reports = {rep.law: rep for rep in check_lawful(mutant, foci, wholes)}
+    assert reports["lawful.reentry"].status == "FAIL"
 
 
 # A path is the library's composition of its steps ---------------------------------

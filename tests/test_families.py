@@ -36,7 +36,7 @@ from opticat.functors import (
     sum_shape,
 )
 from opticat.laws import (
-    check_lens_laws,
+    check_lawful,
     gen_lawful_lens,
     gen_lawful_prism,
     gen_random_optic,
@@ -209,23 +209,21 @@ def test_composition_preserves_lens_lawfulness():
     outer_s = tuple(f"s{i}" for i in range(8))
     outer = gen_lawful_lens(12, labels("q", 2), dom_a1, outer_s)
     composite = outer.compose(inner)
-    assert all(r.passed for r in check_lens_laws(composite, dom_a2, outer_s))
+    assert all(r.passed for r in check_lawful(composite, dom_a2, outer_s))
 
 
 def test_composition_preserves_prism_lawfulness():
-    from opticat.laws import check_prism_laws
-
     dom_a2 = labels("x", 2)
     dom_a1 = labels("a", 3)
     inner = gen_lawful_prism(13, labels("r", 1), dom_a2, dom_a1)
     outer_s = tuple(f"s{i}" for i in range(5))
     outer = gen_lawful_prism(14, labels("q", 2), dom_a1, outer_s)
     composite = outer.compose(inner)
-    assert all(r.passed for r in check_prism_laws(composite, dom_a2, outer_s))
+    assert all(r.passed for r in check_lawful(composite, dom_a2, outer_s))
 
 
 def test_composition_preserves_achlens_lawfulness():
-    from opticat.laws import check_achlens_laws, gen_lawful_achlens
+    from opticat.laws import gen_lawful_achlens
 
     dom_a2 = labels("x", 2)
     dom_a1 = labels("a", 4)
@@ -233,12 +231,12 @@ def test_composition_preserves_achlens_lawfulness():
     outer_s = tuple(f"s{i}" for i in range(8))
     outer = gen_lawful_achlens(16, labels("q", 2), dom_a1, outer_s)
     composite = outer.compose(inner)
-    assert all(r.passed for r in check_achlens_laws(composite, dom_a2, outer_s))
+    assert all(r.passed for r in check_lawful(composite, dom_a2, outer_s))
 
 
 def test_composition_preserves_optional_lawfulness():
     # Outer misses reach the composite's put, which returns the outer residual.
-    from opticat.laws import check_optional_laws, gen_lawful_optional
+    from opticat.laws import gen_lawful_optional
 
     dom_a2 = labels("x", 2)
     dom_a1 = labels("a", 3)
@@ -246,7 +244,7 @@ def test_composition_preserves_optional_lawfulness():
     outer_s = labels("s", 5)
     outer = gen_lawful_optional(18, labels("m", 2), labels("k", 1), dom_a1, outer_s)
     assert any(isinstance(outer.match(s), Left) for s in outer_s)
-    reports = check_optional_laws(outer.compose(inner), dom_a2, outer_s)
+    reports = check_lawful(outer.compose(inner), dom_a2, outer_s)
     assert all(r.passed and r.cases for r in reports)
     # a lawful miss residual is the whole itself, so name one that is not
     missing = Optional(match=lambda s: Left(("rest", s)), put=lambda b, s: ("put", b, s))

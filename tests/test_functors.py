@@ -1,5 +1,6 @@
 """Container shapes: functor laws, capability round trips, family registry."""
 
+import copy
 import itertools
 
 import pytest
@@ -195,6 +196,10 @@ def test_joined_keeps_one_family_and_refuses_two_off_the_registry():
     off = FunctorFamily("OffRegistry", lambda s: True)
     for family in [*FUNCTOR_FAMILY.values(), off]:
         assert joined(family, family) is family
+    # a copy is the same family: records compare by their fields
+    copied = copy.deepcopy(off)
+    assert copied is not off and joined(off, copied) is off
+    # distinct lambdas make distinct families
     with pytest.raises(FamilyMismatchError):
         joined(off, FunctorFamily("OffRegistry", lambda s: True))
 

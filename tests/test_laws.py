@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from opticat.encode import Functorization, functorize
+from opticat.base import Left, Right
 from opticat.families import FamilyTag, Lens
 from opticat.functors import ID_SHAPE, IS_PRODUCT, ContainerShape, Id, pair_shape
 from opticat.prof import FUNCTION_ARROW, ProfunctorCapability
@@ -19,20 +20,16 @@ from opticat.laws import (
     PASS,
     CapabilityFixture,
     REQUIRED_LAWS,
-    check_adapter_laws,
-    check_achlens_laws,
     check_enhancing_laws,
     check_functor_laws,
-    check_lens_laws,
-    check_optional_laws,
-    check_prism_laws,
-    check_setter_laws,
+    check_lawful,
     function_arrow_fixture,
     gen_lawful_achlens,
     gen_lawful_adapter,
     gen_lawful_lens,
     gen_lawful_optional,
     gen_lawful_prism,
+    gen_random_optic,
     gen_unlawful_lens,
     labels,
     merge_reports,
@@ -47,7 +44,7 @@ def test_generated_lenses_are_lawful():
     for seed in range(25):
         lens = gen_lawful_lens(seed, dom_r, dom_a)
         dom_s = tuple(f"s{i}" for i in range(6))
-        assert all(rep.passed for rep in check_lens_laws(lens, dom_a, dom_s))
+        assert all(rep.passed for rep in check_lawful(lens, dom_a, dom_s))
 
 
 def test_first_over_finite_pairs_is_lawful():
@@ -55,7 +52,7 @@ def test_first_over_finite_pairs_is_lawful():
 
     dom_a = ("a0", "a1")
     pairs = [(a, c) for a in dom_a for c in ("c0", "c1")]
-    reports = check_lens_laws(first(), dom_a, pairs)
+    reports = check_lawful(first(), dom_a, pairs)
     assert all(rep.passed for rep in reports)
 
 
@@ -92,7 +89,7 @@ def test_singleton_residual_lens_is_adapter_like():
     for b in dom_a:
         outs = {lens.put(b, s) for s in dom_s}
         assert len(outs) == 1
-    assert all(rep.passed for rep in check_lens_laws(lens, dom_a, dom_s))
+    assert all(rep.passed for rep in check_lawful(lens, dom_a, dom_s))
 
 
 def test_generators_deterministic_under_seed():
@@ -113,21 +110,21 @@ def test_generated_prisms_achlenses_optionals_adapters_are_lawful():
         prism = gen_lawful_prism(seed, dom_r, dom_a)
         assert all(
             rep.passed
-            for rep in check_prism_laws(prism, dom_a, tuple(f"s{i}" for i in range(4)))
+            for rep in check_lawful(prism, dom_a, tuple(f"s{i}" for i in range(4)))
         )
         al = gen_lawful_achlens(seed, dom_r, dom_a)
         assert all(
             rep.passed
-            for rep in check_achlens_laws(al, dom_a, tuple(f"s{i}" for i in range(4)))
+            for rep in check_lawful(al, dom_a, tuple(f"s{i}" for i in range(4)))
         )
         opt = gen_lawful_optional(seed, labels("m", 2), labels("k", 1), dom_a)
         assert all(
             rep.passed
-            for rep in check_optional_laws(opt, dom_a, tuple(f"s{i}" for i in range(4)))
+            for rep in check_lawful(opt, dom_a, tuple(f"s{i}" for i in range(4)))
         )
         ad = gen_lawful_adapter(seed, dom_a)
         assert all(
-            rep.passed for rep in check_adapter_laws(ad, dom_a, ("s0", "s1"))
+            rep.passed for rep in check_lawful(ad, dom_a, ("s0", "s1"))
         )
 
 
@@ -135,16 +132,93 @@ def test_setter_from_shape_map_is_lawful():
     shape = pair_shape(("r0", "r1"))
     setter = functorize(FamilyTag.SETTER).enhance_op(shape)
     dom_a = labels("a", 2)
-    reports = check_setter_laws(setter, dom_a, shape.payloads(list(dom_a)))
+    reports = check_lawful(setter, dom_a, shape.payloads(list(dom_a)))
     assert all(rep.passed for rep in reports)
+
+
+# The seeds of gen_random_optic, at |A| = 2 and |S| = 2 or 3, whose records
+# passed the six concrete checkers (lens, prism, adapter, setter, achromatic
+# lens and optional laws) that check_lawful replaced; pinned from them.
+_CONCRETE_LAWFUL = {
+    (FamilyTag.LENS, 2): [
+        66, 70, 147, 173, 181, 194, 206, 276, 306, 395, 467, 469, 477, 488, 603, 642, 735,
+        748, 771, 788, 796, 815, 817, 823, 855, 875, 909, 933, 941, 945, 988,
+    ],
+    (FamilyTag.PRISM, 2): [
+        1, 24, 67, 82, 91, 149, 197, 225, 276, 328, 332, 352, 422, 444, 489, 518, 611, 661,
+        685, 725, 813, 889, 928, 936, 953, 956, 983,
+    ],
+    (FamilyTag.ADAPTER, 2): [
+        8, 14, 21, 23, 25, 26, 33, 36, 40, 45, 46, 47, 56, 64, 67, 73, 86, 88, 95, 96, 108,
+        111, 122, 123, 134, 137, 145, 146, 152, 165, 169, 173, 176, 180, 203, 204, 230, 251,
+        252, 265, 274, 277, 284, 287, 293, 294, 298, 320, 321, 363, 379, 390, 407, 412, 417,
+        419, 432, 437, 455, 473, 474, 489, 494, 499, 510, 513, 514, 519, 523, 537, 547, 584,
+        593, 599, 607, 611, 612, 613, 616, 617, 632, 646, 653, 662, 665, 666, 675, 679, 696,
+        698, 704, 708, 710, 722, 726, 737, 746, 753, 762, 766, 769, 781, 839, 840, 855, 856,
+        867, 871, 874, 876, 888, 889, 893, 903, 904, 906, 910, 936, 944, 951, 955, 960, 963,
+        964,
+    ],
+    (FamilyTag.ACHLENS, 2): [18, 126, 326, 390, 575, 870, 887],
+    (FamilyTag.OPTIONAL, 2): [
+        157, 175, 189, 414, 444, 447, 506, 527, 528, 580, 597, 641, 651, 656, 737, 795, 828,
+        878, 905, 954, 965,
+    ],
+    (FamilyTag.SETTER, 2): [
+        29, 39, 63, 66, 102, 111, 124, 139, 141, 147, 153, 157, 158, 177, 193, 219, 224, 240,
+        243, 249, 256, 283, 289, 292, 322, 375, 391, 397, 414, 417, 454, 461, 495, 531, 537,
+        570, 594, 607, 618, 625, 640, 645, 657, 665, 671, 678, 706, 721, 774, 782, 800, 801,
+        815, 837, 903, 937, 951, 962, 966,
+    ],
+    (FamilyTag.LENS, 3): [],
+    (FamilyTag.PRISM, 3): [512, 799, 856, 898, 978],
+    (FamilyTag.ACHLENS, 3): [],
+    (FamilyTag.OPTIONAL, 3): [509, 558],
+    (FamilyTag.SETTER, 3): [353, 361, 789],
+}
+
+# The optionals the concrete laws passed and check_lawful FAILs, by the law
+# that fails first in REQUIRED_LAWS order.  A miss that returns another whole
+# broke no optional law, and neither did a broken PutPut.
+_ONLY_CONCRETE_LAWFUL = {
+    (FamilyTag.OPTIONAL, 2): dict.fromkeys(
+        [175, 189, 414, 447, 506, 528, 580, 597, 651, 656, 737, 795, 878, 905],
+        "lawful.outside",
+    ),
+    (FamilyTag.OPTIONAL, 3): dict.fromkeys([509, 558], "lawful.reentry"),
+}
+
+
+def test_check_lawful_agrees_with_the_concrete_laws_on_a_seeded_corpus():
+    # 1000 random records per family and size: every record the concrete
+    # laws passed passes check_lawful, except the listed optionals, and no
+    # record they failed passes it.
+    dom_a = labels("a", 2)
+    fields_only = []
+    for (tag, n), pinned in _CONCRETE_LAWFUL.items():
+        wholes = labels("s", n)
+        passed, first_fail = [], {}
+        for seed in range(1000):
+            optic = gen_random_optic(tag, seed, dom_a, wholes)
+            failing = [rep.law for rep in check_lawful(optic, dom_a, wholes) if not rep.passed]
+            if not failing:
+                passed.append(seed)
+            elif seed in pinned:
+                first_fail[seed] = min(failing, key=REQUIRED_LAWS.index)
+            if tag is FamilyTag.OPTIONAL and n == 2 and failing == ["lawful.fields"]:
+                fields_only.append(seed)
+        assert first_fail == _ONLY_CONCRETE_LAWFUL.get((tag, n), {}), (tag, n)
+        assert passed == [seed for seed in pinned if seed not in first_fail], (tag, n)
+    # put on a miss is part of an optional's meaning: these fail lawful.fields alone
+    assert len(fields_only) == 58
 
 
 def test_every_family_has_a_full_row_in_both_tables():
     # A family is stated once in encode (its functorization and residual
-    # form) and once in laws (its random record, lawful optics and
-    # checker); a family missing from a table would skip its derivation or
-    # its laws.  Every record field is read off a shape by encode and drawn
-    # at random by laws, so a new field cannot miss either field table.
+    # form) and once in laws (its random record and lawful optics); a
+    # family missing from a table would skip its derivation or its laws.
+    # Every record field is read off a shape by encode, drawn at random by
+    # laws and compared by lawful.fields, so a new field cannot miss a
+    # field table.
     from opticat import encode, laws
     from opticat.encode import concrete_to_iso
     from opticat.families import CONCRETE_FAMILIES
@@ -163,12 +237,16 @@ def test_every_family_has_a_full_row_in_both_tables():
         optic = laws.gen_random_optic(tag, 0, labels("a", 2), labels("s", 3))
         assert type(optic) is CONCRETE_FAMILIES[tag]
         fields = set(CONCRETE_FAMILIES[tag].__slots__)
-        assert fields <= set(encode._LAYER_FIELDS) and fields <= set(laws._FIELD_DRAWS)
+        assert all(
+            fields <= set(table)
+            for table in (encode._LAYER_FIELDS, laws._FIELD_DRAWS, laws._FIELD_INPUTS)
+        )
         assert concrete_to_iso(optic).family is row.functor_family
-        lawful, check = laws._FAMILY_LAWS[tag]
-        optics, wholes = lawful()
+        optics, wholes = laws._FAMILY_LAWS[tag]()
         assert optics and all(o.tag is tag for o in optics)
-        assert all(rep.passed for o in optics for rep in check(o, laws._LAWFUL_A, wholes))
+        assert all(
+            rep.passed for o in optics for rep in check_lawful(o, laws._LAWFUL_A, wholes)
+        )
     with pytest.raises(TypeError):
         concrete_to_iso(object())
     # run_all_law_checks walks the families once, each row with its functor
@@ -192,18 +270,152 @@ def test_empty_domain_rejected():
 
 # Negative controls ---------------------------------------------------------------
 
-def test_unlawful_lens_fails_get_put_with_counterexample():
+def _lawful_sides(optic, inputs):
+    """The two sides ``check_lawful`` compared on ``inputs``, recomputed
+    from the optic's residual form: the replay of a counterexample."""
+    from opticat.encode import _LAYER_FIELDS, concrete_to_iso, unfunctorize
+    from opticat.laws import _foci
+
+    residual = concrete_to_iso(optic)
+    shape, forward, backward = residual.shape, residual.forward, residual.backward
+    args = {k: v for k, v in inputs.items() if k not in ("field", "h2")}
+    if "field" in inputs:  # lawful.fields
+        name = inputs["field"]
+        collapsed = unfunctorize(residual, optic.tag)
+        return getattr(collapsed, name)(*args.values()), getattr(optic, name)(*args.values())
+    if set(inputs) == {"s"}:  # lawful.outside
+        return inputs["s"], backward(forward(inputs["s"]))
+    # lawful.reentry: a payload mapped from a whole, or built from a focus
+    if "h" in args:
+        c = shape.map(args["h"], forward(args["s"]))
+    else:
+        (name, b), = args.items()
+        c = _LAYER_FIELDS[name](shape)(b)
+    d = forward(backward(c))
+    if "h2" in inputs:
+        h2 = inputs["h2"]
+        return backward(shape.map(h2, c)), backward(shape.map(h2, d))
+    return _foci(shape, c), _foci(shape, d)
+
+
+def _replays(optic, failure):
+    """The counterexample's two sides are the ones its inputs give, and they
+    differ."""
+    expected, actual = _lawful_sides(optic, failure["inputs"])
+    return (expected, actual) == (failure["expected"], failure["actual"]) and expected != actual
+
+
+def test_unlawful_lens_fails_reentry_with_a_counterexample_that_replays():
+    from opticat.encode import concrete_to_iso
+
     dom_a = labels("a", 2)
     dom_s = ("s0", "s1", "s2")
     lens = gen_unlawful_lens(dom_a, dom_s)
-    reports = {rep.law: rep for rep in check_lens_laws(lens, dom_a, dom_s)}
-    rep = reports["lens.get_put"]
+    reports = {rep.law: rep for rep in check_lawful(lens, dom_a, dom_s)}
+    assert reports["lawful.outside"].passed and reports["lawful.fields"].passed
+    rep = reports["lawful.reentry"]
     assert rep.status == FAIL
     ce = rep.failures[0]
-    assert ce["expected"] != ce["actual"]
-    assert "b" in ce["inputs"] and "s" in ce["inputs"]
-    # the counterexample replays: put really does ignore the new focus
-    assert lens.get(lens.put(ce["inputs"]["b"], ce["inputs"]["s"])) == ce["actual"]
+    assert set(ce["inputs"]) == {"s", "h"}
+    assert _replays(lens, ce)
+    # the payload (s0, a1) re-enters holding a0: put ignores the new focus
+    residual = concrete_to_iso(lens)
+    payload = residual.shape.map(ce["inputs"]["h"], residual.forward(ce["inputs"]["s"]))
+    assert payload == ("s0", "a1")
+    assert (ce["expected"], ce["actual"]) == (["a1"], ["a0"])
+    assert lens.put("a1", "s0") == "s0"
+
+
+def _optional_whose_put_on_a_miss_moves():
+    """The lawful optional that holds a0 in s0 and a1 in s1 and misses s2,
+    except that put on the miss returns s0."""
+    from opticat.families import Optional
+
+    hits = {"s0": "a0", "s1": "a1"}
+    return Optional(
+        match=lambda s: Right(hits[s]) if s in hits else Left(s),
+        put=lambda b, s: "s0" if b == "a0" else "s1",
+    )
+
+
+def _achlens_whose_create_picks_the_residual_by_focus():
+    """Over S = R x A with get and put lawful, create(a0) = (r0, a0) but
+    create(a1) = (r1, a1): put(b2, create(b)) is not create(b2)."""
+    from opticat.families import AchLens
+
+    return AchLens(
+        get=lambda s: s[1],
+        put=lambda b, s: (s[0], b),
+        create=lambda b: ("r0", b) if b == "a0" else ("r1", b),
+    )
+
+
+# (law, optic, foci, wholes, the keys of the counterexample's inputs)
+_LAWFUL_CONTROLS = [
+    # its miss on s0 returns the other whole
+    (
+        "lawful.outside",
+        gen_random_optic(FamilyTag.OPTIONAL, 175, labels("a", 2), labels("s", 2)),
+        labels("a", 2), labels("s", 2), {"s"},
+    ),
+    # put(a1, put(a0, s1)) is not put(a1, s1): PutPut fails
+    (
+        "lawful.reentry",
+        gen_random_optic(FamilyTag.OPTIONAL, 509, labels("a", 2), labels("s", 3)),
+        labels("a", 2), labels("s", 3), {"s", "h", "h2"},
+    ),
+    (
+        "lawful.reentry",
+        _achlens_whose_create_picks_the_residual_by_focus(),
+        labels("a", 2), [(r, a) for r in ("r0", "r1") for a in labels("a", 2)],
+        {"create", "h2"},
+    ),
+    (
+        "lawful.fields",
+        _optional_whose_put_on_a_miss_moves(),
+        labels("a", 2), labels("s", 3), {"field", "b", "s"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "law, optic, foci, wholes, keys",
+    _LAWFUL_CONTROLS,
+    ids=["optional-miss-moves", "optional-put-put", "achlens-create", "optional-miss-put"],
+)
+def test_each_lawful_law_fails_on_a_planted_defect_that_replays(law, optic, foci, wholes, keys):
+    reports = {rep.law: rep for rep in check_lawful(optic, foci, wholes)}
+    rep = reports[law]
+    assert rep.status == FAIL
+    failure = rep.failures[0]
+    assert set(failure["inputs"]) == keys
+    assert _replays(optic, failure)
+
+
+def test_a_put_on_a_miss_that_moves_fails_only_lawful_fields():
+    # No map action reads put on a miss, so only lawful.fields sees it.
+    optic = _optional_whose_put_on_a_miss_moves()
+    reports = {rep.law: rep for rep in check_lawful(optic, labels("a", 2), labels("s", 3))}
+    assert [law for law, rep in reports.items() if not rep.passed] == ["lawful.fields"]
+    assert reports["lawful.fields"].failures[0]["inputs"] == {"field": "put", "b": "a0", "s": "s2"}
+
+
+def test_a_lens_whose_put_raises_fails_with_the_raise():
+    # A raise on either side of a case is a FAIL naming the case's inputs,
+    # and every law still reports.
+    def put(b, s):
+        if s == "s1":
+            raise KeyError("s1")
+        return s
+
+    lens = Lens(get=lambda s: "a0", put=put)
+    reports = {rep.law: rep for rep in check_lawful(lens, labels("a", 2), ("s0", "s1"))}
+    assert set(reports) == {"lawful.outside", "lawful.reentry", "lawful.fields"}
+    assert reports["lawful.outside"].status == FAIL
+    assert reports["lawful.outside"].failures == [{"inputs": {"s": "s1"}, "raised": "KeyError('s1')"}]
+    assert reports["lawful.fields"].failures == [
+        {"inputs": {"field": "put", "b": "a0", "s": "s1"}, "raised": "KeyError('s1')"}
+    ]
 
 
 def _function_arrow_with(dimap=FUNCTION_ARROW.dimap, enhance=FUNCTION_ARROW.enhance):
@@ -238,13 +450,29 @@ def test_broken_enhancing_record_is_detected():
 
 def test_a_dimap_that_applies_g_twice_fails_dimap_composition():
     # g applied twice is still the identity when g is, so dimap_identity
-    # cannot see it.  (Applying f twice instead would raise in
-    # identity_shape, whose f is the identity container's unwrap.)
+    # cannot see it.
     twice = _function_arrow_with(dimap=lambda f, g, h: lambda x: g(g(h(f(x)))))
     reports = _enhancing_reports(twice)
     assert reports["profunctor.dimap_identity"].status == PASS
     assert reports["profunctor.dimap_composition"].status == FAIL
     assert _enhancing_reports(function_arrow_fixture())["profunctor.dimap_composition"].passed
+
+
+def test_a_dimap_that_applies_f_twice_fails_identity_shape_with_the_raise():
+    # identity_shape's f is the identity container's unwrap, and a second
+    # unwrap meets a bare focus: the raise FAILs the law, and every other
+    # law of the capability still reports.
+    twice = _function_arrow_with(dimap=lambda f, g, h: lambda x: g(h(f(f(x)))))
+    reports = _enhancing_reports(twice)
+    assert len(reports) == 6
+    assert reports["enhancing.identity_shape"].failures == [
+        {
+            "inputs": {"cap": "FunctionArrow", "value": 0},
+            "raised": "AttributeError(\"'str' object has no attribute 'value'\")",
+        }
+    ]
+    assert reports["profunctor.dimap_composition"].status == FAIL
+    assert reports["enhancing.map_commute"].passed
 
 
 def test_an_enhance_that_maps_twice_fails_map_commute():
@@ -274,9 +502,9 @@ def test_budget_marks_inconclusive_never_passed():
     dom_a = labels("a", 3)
     dom_s = tuple(f"s{i}" for i in range(6))
     lens = gen_lawful_lens(0, labels("r", 2), dom_a, dom_s)
-    reports = {rep.law: rep for rep in check_lens_laws(lens, dom_a, dom_s, budget=5)}
-    assert reports["lens.get_put"].status == INCONCLUSIVE
-    assert not reports["lens.get_put"].passed
+    reports = {rep.law: rep for rep in check_lawful(lens, dom_a, dom_s, budget=5)}
+    assert reports["lawful.reentry"].status == INCONCLUSIVE
+    assert not reports["lawful.reentry"].passed
 
 
 def _lossy_pair():
@@ -783,7 +1011,7 @@ def test_an_unwritable_stdout_exits_4_with_one_line(stdout, redirect, unbuffered
 def test_report_lines_are_json_records():
     dom_a = labels("a", 2)
     dom_s = ("s0", "s1", "s2")
-    reports = check_lens_laws(gen_unlawful_lens(dom_a, dom_s), dom_a, dom_s)
+    reports = check_lawful(gen_unlawful_lens(dom_a, dom_s), dom_a, dom_s)
     lines = list(report_lines(reports))
     assert len(lines) == 3
     for line in lines:
@@ -842,12 +1070,12 @@ def test_fail_counterexample_prints_probe_functions_by_repr():
 
     dom_a = labels("a", 2)
     twice = Setter(over=lambda h: (lambda p: h(h(p))))
-    lines = list(report_lines(check_setter_laws(twice, dom_a, dom_a)))
-    assert lines[0] == (
-        '{"cases": 17, "counterexample": {"actual": "a0", "expected": "a1", '
-        '"inputs": {"f": "FiniteFn({\'a0\':\'a1\', \'a1\':\'a0\'})", '
-        '"g": "FiniteFn({\'a0\':\'a0\', \'a1\':\'a0\'})", "p": "a0"}}, '
-        '"law": "setter.over_composition", "status": "FAIL"}'
+    lines = list(report_lines(check_lawful(twice, dom_a, dom_a)))
+    assert lines[1] == (
+        '{"cases": 3, "counterexample": {"actual": "a0", "expected": "a1", '
+        '"inputs": {"h": "FiniteFn({\'a0\':\'a0\', \'a1\':\'a0\'})", '
+        '"h2": "FiniteFn({\'a0\':\'a1\', \'a1\':\'a0\'})", "s": "a0"}}, '
+        '"law": "lawful.reentry", "status": "FAIL"}'
     )
 
 
