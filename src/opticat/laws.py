@@ -135,9 +135,7 @@ class _LawRun:
 
     def raised(self, inputs, exc):
         """The one rule for a case whose side raises: one more case, a FAIL
-        whose counterexample holds ``inputs`` and ``"raised": repr(exc)``;
-        never a PASS, never INCONCLUSIVE, never a crash.  Returns the
-        report, as no further case runs."""
+        naming ``inputs`` and ``"raised": repr(exc)``, and the law's end."""
         self.report.cases += 1
         self.report.failures.append({"inputs": inputs, "raised": repr(exc)})
         self.report.status = FAIL
@@ -828,11 +826,10 @@ def check_enhancing_laws(
         run = _LawRun(name, budget)
         for case in cases:
             try:
-                compared = fix.eq(run, *case)
+                if not run.case(*fix.eq(run, *case)):
+                    break
             except Exception as exc:
                 return run.raised(case[0], exc)
-            if not run.case(*compared):
-                break
         return run.report
 
     def dimap_identity():
