@@ -427,7 +427,7 @@ def check_lawful(optic, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
     def field(inputs, name, *args):
         yield inputs, getattr(collapsed, name)(*args), getattr(optic, name)(*args)
 
-    whole = lambda s, h: shape.map(h, forward(s))  # the payloads of the wholes
+    whole = lambda s, h: shape.map(h, forward(s))  # a whole's payload, mapped by h
     payloads = [({"s": s, "h": h}, reentry, whole, s, h) for s in wholes for h in fns] + [
         ({name: b}, reentry, _LAYER_FIELDS[name](shape), b)
         for name, cap in (("build", shape.sum), ("create", shape.point))
