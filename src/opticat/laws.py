@@ -2,11 +2,11 @@
 
 Lawfulness is one law group of residual forms for every family,
 :func:`check_lawful`.  Checkers never assert; they return :class:`LawReport`
-values whose failures carry the first counterexample in enumeration order; in
-:func:`check_lawful` and :func:`check_enhancing_laws` a case that raises is a
-FAIL naming its inputs and ``"raised"``.  Budgeted runs that hit
-the evaluation cap, or that would compare optics on a sampled probe set, come
-back INCONCLUSIVE, never silently passed.  Laws that state two optics equal
+values whose failures carry the first counterexample in enumeration order.
+In every checker a case that raises is a FAIL naming its inputs and
+``"raised"``, and the checker's other laws still report.  Budgeted runs that
+hit the evaluation cap, or that would compare optics on a sampled probe set,
+come back INCONCLUSIVE, never silently passed.  Laws that state two optics equal
 compare them through :func:`observational_eq`, and a FAIL there names the
 probe ``{h, s, lhs, rhs}`` on which the two sides differ.
 ``optic_family.inj_identity``, ``optic_family.map_inj``,
@@ -22,7 +22,7 @@ import itertools
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .base import Just, Left, Nothing, Record, Right, identity
 from .families import (
@@ -52,7 +52,7 @@ from . import probes
 from .iso import IsoOptic, enhance_iso, iso_inj, observational_eq
 # maps_agree is unused here, but perfbench/tracing.py patches laws.maps_agree
 # by name, and a missing name crashes a traced law_suite run.
-from .probes import DEFAULT_MAX_EVALS, FiniteFn, all_functions, maps_agree
+from .probes import DEFAULT_MAX_EVALS, all_functions, maps_agree
 from .prof import (
     FUNCTION_ARROW,
     GETTING,
@@ -96,10 +96,11 @@ class LawReport:
 
 
 class _LawRun:
-    """Collects cases for one law; keeps the first counterexample only.
+    """Runs one law's cases; keeps the first counterexample only.
 
-    This is the one place the enumeration policy lives: :meth:`run` stops at
-    the first counterexample or when the budget runs out, and
+    This is the one place the enumeration policy lives: :meth:`run` is the
+    one loop over cases, it stops at the first counterexample or when the
+    budget runs out, and it is the one place a raise becomes a FAIL.
     :meth:`compared` never lets a comparison on a sampled probe set pass.
     A case is ``(inputs, expected, actual)``; a comparison that fails adds
     a fourth item, its probe, so each case carries all it reports.
@@ -126,32 +127,25 @@ class _LawRun:
             return False
         return True
 
-    def run(self, cases):
-        """Consume lazy cases; returns the report."""
-        for case in cases:
-            if not self.case(*case):
-                break
-        return self.report
-
-    def raised(self, inputs, exc):
-        """The one rule for a case whose side raises: one more case, a FAIL
-        naming ``inputs`` and ``"raised": repr(exc)``, and the law's end."""
-        self.report.cases += 1
-        self.report.failures.append({"inputs": inputs, "raised": repr(exc)})
-        self.report.status = FAIL
-        return self.report
-
-    def attempts(self, units):
-        """:meth:`run` over ``(inputs, cases, *args)`` units, whose cases the
-        generator ``cases(inputs, *args)`` computes; a raise there is
-        :meth:`raised` with the unit's ``inputs``."""
+    def run(self, units, compare=None):
+        """Run ``(inputs, cases, *args)`` units in order; returns the report.
+        ``cases(inputs, *args)`` builds the unit's sides and yields its cases,
+        each made a case by ``compare(self, *case)`` when ``compare`` is
+        given.  A raise in a unit is one more case, a FAIL naming the unit's
+        ``inputs`` and ``"raised": repr(exc)``, and the law's end."""
+        record = self.case
         for inputs, cases, *args in units:
             try:
                 for case in cases(inputs, *args):
-                    if not self.case(*case):
+                    if compare is not None:
+                        case = compare(self, *case)
+                    if not record(*case):
                         return self.report
             except Exception as exc:
-                return self.raised(inputs, exc)
+                self.report.cases += 1
+                self.report.failures.append({"inputs": inputs, "raised": repr(exc)})
+                self.report.status = FAIL
+                break
         return self.report
 
     def compared(self, inputs, lhs, rhs, dom_a, dom_b, dom_s):
@@ -173,11 +167,6 @@ class _LawRun:
         """Whether :meth:`compared` holds, for a law that expects some
         comparisons to fail."""
         return self.compared(None, lhs, rhs, dom_a, dom_b, dom_s)[2]
-
-    def agreements(self, cases):
-        """:meth:`run` over lazy ``(inputs, lhs, rhs, dom_a, dom_b, dom_s)``
-        cases, each :meth:`compared`."""
-        return self.run(self.compared(*case) for case in cases)
 
 
 def merge_reports(reports):
@@ -214,7 +203,9 @@ def report_lines(reports):
 
 
 def _plain(value):
-    if isinstance(value, dict) and not isinstance(value, FiniteFn):
+    if callable(value):  # a probe table is a dict or tuple, but prints by repr
+        return repr(value)
+    if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -440,11 +431,11 @@ def check_lawful(optic, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
         for args in _FIELD_INPUTS[name](dom_a, wholes)
     ]
     reports = [
-        _LawRun("lawful.outside", budget).attempts(({"s": s}, outside, s) for s in wholes),
-        _LawRun("lawful.reentry", budget).attempts(payloads),
+        _LawRun("lawful.outside", budget).run(({"s": s}, outside, s) for s in wholes),
+        _LawRun("lawful.reentry", budget).run(payloads),
     ]
     if fields:
-        reports.append(_LawRun("lawful.fields", budget).attempts(fields))
+        reports.append(_LawRun("lawful.fields", budget).run(fields))
     return reports
 
 
@@ -453,13 +444,19 @@ def check_lawful(optic, dom_a, wholes, budget=DEFAULT_MAX_EVALS):
 def _round_trip_laws(group, key, shape_name, payloads, to, back, budget):
     """``back . to`` on payloads and ``to . back`` on their images are
     identities: the product and sum capability laws."""
+
+    def from_to(inputs, p):
+        yield inputs, p, back(to(p))
+
+    def to_from(inputs, p):
+        x = to(p)
+        yield {"shape": shape_name, key: x}, x, to(back(x))
+
     return [
-        _LawRun(f"{group}.round_trip_from_to", budget).run(
-            ({"shape": shape_name, "p": p}, p, back(to(p))) for p in payloads
-        ),
-        _LawRun(f"{group}.round_trip_to_from", budget).run(
-            ({"shape": shape_name, key: x}, x, to(back(x))) for x in map(to, payloads)
-        ),
+        _LawRun(f"{group}.round_trip_{name}", budget).run(
+            ({"shape": shape_name, "p": p}, trip, p) for p in payloads
+        )
+        for name, trip in (("from_to", from_to), ("to_from", to_from))
     ]
 
 
@@ -485,40 +482,49 @@ def _lookup(index, value):
 def check_functor_laws(shape, dom_a, budget=DEFAULT_MAX_EVALS):
     payloads = shape.payloads(dom_a)
     fns = all_functions(dom_a, dom_a)
+    dom_b = labels("b", 2)
+    over_b = shape.payloads(dom_b)
 
-    def map_composition():
-        # One table, mapped[h][j] = map(h, payloads[j]).  fns holds every
-        # function, f . g among them, so map(f . g, p) is a read of the row
-        # found by its image tuple; map(f, map(g, p)) reads row f where
-        # map(g, p) sits in the payloads (functor.payloads_closed), and is
-        # mapped afresh when it is not there or cannot be hashed.
+    def map_identity(inputs, p):
+        yield inputs, p, shape.map(identity, p)
+
+    @cache
+    def table():
+        # One table, mapped[h][j] = map(h, payloads[j]), built by the first
+        # unit, so that a raise there is a FAIL.  fns holds every function,
+        # f . g among them, so map(f . g, p) is a read of the row found by
+        # its image tuple; map(f, map(g, p)) reads row f where map(g, p)
+        # sits in the payloads (functor.payloads_closed), and is mapped
+        # afresh when it is not there or cannot be hashed.
         mapped = [[shape.map(h, p) for p in payloads] for h in fns]
         row_of = {tuple(map(h, dom_a)): row for h, row in zip(fns, mapped)}
         index = _index(payloads)
-        at = [[_lookup(index, gp) for gp in row] for row in mapped]
-        for f, f_mapped in zip(fns, mapped):
-            for g, g_mapped, g_at in zip(fns, mapped, at):
-                fg_mapped = row_of[tuple(f(g(a)) for a in dom_a)]
-                for p, fgp, gp, j in zip(payloads, fg_mapped, g_mapped, g_at):
-                    yield (
-                        {"shape": shape.name, "f": f, "g": g, "p": p},
-                        fgp,
-                        shape.map(f, gp) if j is None else f_mapped[j],
-                    )
+        return mapped, row_of, [[_lookup(index, gp) for gp in row] for row in mapped]
 
-    def payloads_closed():
-        dom_b = labels("b", 2)
-        over_b = shape.payloads(dom_b)
-        for h in all_functions(dom_a, dom_b):
-            for p in payloads:
-                yield {"shape": shape.name, "h": h, "p": p}, True, shape.map(h, p) in over_b
+    def map_composition(inputs, i, j):
+        mapped, row_of, at = table()
+        f, g = fns[i], fns[j]
+        fg_mapped = row_of[tuple(f(g(a)) for a in dom_a)]
+        for p, fgp, gp, k in zip(payloads, fg_mapped, mapped[j], at[j]):
+            yield {**inputs, "p": p}, fgp, shape.map(f, gp) if k is None else mapped[i][k]
+
+    def payloads_closed(inputs, h):
+        for p in payloads:
+            yield {**inputs, "p": p}, True, shape.map(h, p) in over_b
 
     reports = [
         _LawRun("functor.map_identity", budget).run(
-            ({"shape": shape.name, "p": p}, p, shape.map(identity, p)) for p in payloads
+            ({"shape": shape.name, "p": p}, map_identity, p) for p in payloads
         ),
-        _LawRun("functor.map_composition", budget).run(map_composition()),
-        _LawRun("functor.payloads_closed", budget).run(payloads_closed()),
+        _LawRun("functor.map_composition", budget).run(
+            ({"shape": shape.name, "f": f, "g": g}, map_composition, i, j)
+            for i, f in enumerate(fns)
+            for j, g in enumerate(fns)
+        ),
+        _LawRun("functor.payloads_closed", budget).run(
+            ({"shape": shape.name, "h": h}, payloads_closed, h)
+            for h in all_functions(dom_a, dom_b)
+        ),
     ]
     if shape.product:
         cap = shape.product
@@ -556,62 +562,58 @@ def _agree_on(inputs, actual, expected, wholes):
     return inputs, True, True
 
 
+def _units(at, key, rows, cases):
+    """One unit per row: row ``i`` has the inputs ``{**at, key: i}`` and the
+    cases ``cases(inputs, *row)``."""
+    return (({**at, key: i}, cases, *row) for i, row in enumerate(rows))
+
+
 def check_optic_family_laws(fix, budget=DEFAULT_MAX_EVALS):
     ds, d1, d2, d3 = (fix.doms[k] for k in ("s", "a1", "a2", "a3"))
-    triples = list(enumerate(fix.triples))
-    tables = list(enumerate(fix.inj_tables))
+    at = {"fixture": fix.name}
 
-    def map_inj():
-        for i, (f, g, _, _) in tables:
-            optic = fix.inj(f, g)
-            for h in all_functions(d1, d1):
-                inputs = {"fixture": fix.name, "table": i, "h": h}
-                yield _agree_on(inputs, optic.map_optic(h), lambda s: g(h(f(s))), ds)
+    def associative(inputs, o1, o2, o3):
+        yield inputs, o1.compose(o2.compose(o3)), o1.compose(o2).compose(o3), d3, d3, ds
 
-    def inj_identity():
+    def identity_left(inputs, o1, o2, o3):
+        yield inputs, fix.inj(identity, identity).compose(o1), o1, d1, d1, ds
+
+    def identity_right(inputs, o1, o2, o3):
+        yield inputs, o1.compose(fix.inj(identity, identity)), o1, d1, d1, ds
+
+    def inj_identity(inputs):
         # the identity optic inj(identity, identity) maps every h to h itself
         run_id = fix.inj(identity, identity)
         for h in all_functions(ds, ds):
-            yield _agree_on({"fixture": fix.name, "h": h}, run_id.map_optic(h), h, ds)
+            yield _agree_on({**inputs, "h": h}, run_id.map_optic(h), h, ds)
 
-    def map_composition():
-        for i, (o1, o2, _) in triples:
-            pair_optic = o1.compose(o2)
-            for h in all_functions(d2, d2):
-                inputs = {"fixture": fix.name, "triple": i, "h": h}
-                fused, staged = pair_optic.map_optic(h), o1.map_optic(o2.map_optic(h))
-                yield _agree_on(inputs, fused, staged, ds)
+    def inj_composition(inputs, f, g, f2, g2):
+        fused = fix.inj(lambda s: f2(f(s)), lambda y: g(g2(y)))
+        yield inputs, fused, fix.inj(f, g).compose(fix.inj(f2, g2)), d3, d3, ds
+
+    def map_inj(inputs, f, g, f2, g2):
+        optic = fix.inj(f, g)
+        for h in all_functions(d1, d1):
+            yield _agree_on({**inputs, "h": h}, optic.map_optic(h), lambda s: g(h(f(s))), ds)
+
+    def map_composition(inputs, o1, o2, o3):
+        pair_optic = o1.compose(o2)
+        for h in all_functions(d2, d2):
+            fused, staged = pair_optic.map_optic(h), o1.map_optic(o2.map_optic(h))
+            yield _agree_on({**inputs, "h": h}, fused, staged, ds)
+
+    def law(name, key, rows, cases, compare=_LawRun.compared):
+        units = _units(at, key, rows, cases)
+        return _LawRun(f"optic_family.{name}", budget).run(units, compare)
 
     return [
-        _LawRun("optic_family.compose_associative", budget).agreements(
-            (
-                {"fixture": fix.name, "triple": i},
-                o1.compose(o2.compose(o3)),
-                o1.compose(o2).compose(o3),
-                d3, d3, ds,
-            )
-            for i, (o1, o2, o3) in triples
-        ),
-        _LawRun("optic_family.identity_left", budget).agreements(
-            ({"fixture": fix.name, "triple": i}, fix.inj(identity, identity).compose(o1), o1, d1, d1, ds)
-            for i, (o1, _, _) in triples
-        ),
-        _LawRun("optic_family.identity_right", budget).agreements(
-            ({"fixture": fix.name, "triple": i}, o1.compose(fix.inj(identity, identity)), o1, d1, d1, ds)
-            for i, (o1, _, _) in triples
-        ),
-        _LawRun("optic_family.inj_identity", budget).run(inj_identity()),
-        _LawRun("optic_family.inj_composition", budget).agreements(
-            (
-                {"fixture": fix.name, "table": i},
-                fix.inj(lambda s: f2(f(s)), lambda y: g(g2(y))),
-                fix.inj(f, g).compose(fix.inj(f2, g2)),
-                d3, d3, ds,
-            )
-            for i, (f, g, f2, g2) in tables
-        ),
-        _LawRun("optic_family.map_inj", budget).run(map_inj()),
-        _LawRun("optic_family.map_composition", budget).run(map_composition()),
+        law("compose_associative", "triple", fix.triples, associative),
+        law("identity_left", "triple", fix.triples, identity_left),
+        law("identity_right", "triple", fix.triples, identity_right),
+        _LawRun("optic_family.inj_identity", budget).run([(at, inj_identity)]),
+        law("inj_composition", "table", fix.inj_tables, inj_composition),
+        law("map_inj", "table", fix.inj_tables, map_inj, compare=None),
+        law("map_composition", "triple", fix.triples, map_composition, compare=None),
     ]
 
 
@@ -819,80 +821,64 @@ def check_enhancing_laws(
     values = fix.values(dom_a, dom_b)
     fns_a = all_functions(dom_a, dom_a)
     fns_b = all_functions(dom_b, dom_b)
+    id_payloads = ID_SHAPE.payloads(dom_a)
+    at = {"cap": cap.name}
 
-    def law(name, cases):
-        """Run lazy ``(inputs, lhs, rhs, dom_in)`` cases through ``fix.eq``;
-        a comparison that raises FAILs the law (:meth:`_LawRun.raised`)."""
-        run = _LawRun(name, budget)
-        for case in cases:
-            try:
-                if not run.case(*fix.eq(run, *case)):
-                    break
-            except Exception as exc:
-                return run.raised(case[0], exc)
-        return run.report
+    def dimap_identity(inputs, p):
+        yield inputs, cap.dimap(identity, identity, p), p, dom_a
 
-    def dimap_identity():
-        for i, p in enumerate(values):
-            yield {"cap": cap.name, "value": i}, cap.dimap(identity, identity, p), p, dom_a
-
-    def dimap_composition():
-        for f, f2 in itertools.product(fns_a[:6], fns_a[:6]):
-            for g, g2 in itertools.product(fns_b[:6], fns_b[:6]):
-                for i, p in enumerate(values[:4]):
-                    fused = cap.dimap(lambda x: f2(f(x)), lambda y: g(g2(y)), p)
-                    staged = cap.dimap(f, g, cap.dimap(f2, g2, p))
-                    yield {"cap": cap.name, "value": i}, fused, staged, dom_a
-
-    def identity_shape():
-        id_payloads = ID_SHAPE.payloads(dom_a)
-        for i, p in enumerate(values):
-            lhs = cap.enhance(ID_SHAPE, p)
-            rhs = cap.dimap(lambda p: p.value, Id, p)
-            yield {"cap": cap.name, "value": i}, lhs, rhs, id_payloads
-
-    def compose_shape():
-        for f_shape, g_shape in compose_pairs:
-            fg = compose_shapes(f_shape, g_shape)
-            fg_payloads = fg.payloads(dom_a)
+    def dimap_composition(inputs, f, f2):
+        for g, g2 in itertools.product(fns_b[:6], fns_b[:6]):
             for i, p in enumerate(values[:4]):
-                lhs = cap.enhance(fg, p)
-                rhs = cap.dimap(
-                    lambda cp: cp.value, Comp, cap.enhance(f_shape, cap.enhance(g_shape, p))
-                )
-                inputs = {"cap": cap.name, "shapes": (f_shape.name, g_shape.name), "value": i}
-                yield inputs, lhs, rhs, fg_payloads
+                fused = cap.dimap(lambda x: f2(f(x)), lambda y: g(g2(y)), p)
+                staged = cap.dimap(f, g, cap.dimap(f2, g2, p))
+                yield {**inputs, "g": g, "g2": g2, "value": i}, fused, staged, dom_a
 
-    def wedge():
-        for nat in naturals:
-            src_payloads = nat.source.payloads(dom_a)
-            for i, p in enumerate(values[:4]):
-                lhs = cap.dimap(identity, nat.fn, cap.enhance(nat.source, p))
-                rhs = cap.dimap(nat.fn, identity, cap.enhance(nat.target, p))
-                inputs = {"cap": cap.name, "natural": nat.name, "value": i}
-                yield inputs, lhs, rhs, src_payloads
+    def identity_shape(inputs, p):
+        yield inputs, cap.enhance(ID_SHAPE, p), cap.dimap(lambda p: p.value, Id, p), id_payloads
 
-    def map_commute():
-        for shape in shapes:
-            payloads = shape.payloads(dom_a)
-            for u, v in itertools.product(fns_a[:4], fns_b[:4]):
-                for i, p in enumerate(values[:3]):
-                    lhs = cap.enhance(shape, cap.dimap(u, v, p))
-                    rhs = cap.dimap(
-                        lambda pa: shape.map(u, pa),
-                        lambda pb: shape.map(v, pb),
-                        cap.enhance(shape, p),
-                    )
-                    inputs = {"cap": cap.name, "shape": shape.name, "value": i}
-                    yield inputs, lhs, rhs, payloads
+    def compose_shape(inputs, f_shape, g_shape):
+        fg = compose_shapes(f_shape, g_shape)
+        fg_payloads = fg.payloads(dom_a)
+        for i, p in enumerate(values[:4]):
+            lhs = cap.enhance(fg, p)
+            staged = cap.enhance(f_shape, cap.enhance(g_shape, p))
+            rhs = cap.dimap(lambda cp: cp.value, Comp, staged)
+            yield {**inputs, "value": i}, lhs, rhs, fg_payloads
+
+    def wedge(inputs, nat):
+        src_payloads = nat.source.payloads(dom_a)
+        for i, p in enumerate(values[:4]):
+            lhs = cap.dimap(identity, nat.fn, cap.enhance(nat.source, p))
+            rhs = cap.dimap(nat.fn, identity, cap.enhance(nat.target, p))
+            yield {**inputs, "value": i}, lhs, rhs, src_payloads
+
+    def map_commute(inputs, shape):
+        payloads = shape.payloads(dom_a)
+        for u, v in itertools.product(fns_a[:4], fns_b[:4]):
+            for i, p in enumerate(values[:3]):
+                lhs = cap.enhance(shape, cap.dimap(u, v, p))
+                zoomed = cap.enhance(shape, p)
+                rhs = cap.dimap(lambda pa: shape.map(u, pa), lambda pb: shape.map(v, pb), zoomed)
+                yield {**inputs, "value": i}, lhs, rhs, payloads
+
+    def law(name, units):
+        return _LawRun(name, budget).run(units, fix.eq)
 
     return [
-        law("profunctor.dimap_identity", dimap_identity()),
-        law("profunctor.dimap_composition", dimap_composition()),
-        law("enhancing.identity_shape", identity_shape()),
-        law("enhancing.compose_shape", compose_shape()),
-        law("enhancing.wedge", wedge()),
-        law("enhancing.map_commute", map_commute()),
+        law("profunctor.dimap_identity", _units(at, "value", zip(values), dimap_identity)),
+        law(
+            "profunctor.dimap_composition",
+            (({**at, "f": f, "f2": f2}, dimap_composition, f, f2)
+             for f, f2 in itertools.product(fns_a[:6], fns_a[:6])),
+        ),
+        law("enhancing.identity_shape", _units(at, "value", zip(values), identity_shape)),
+        law(
+            "enhancing.compose_shape",
+            (({**at, "shapes": (f.name, g.name)}, compose_shape, f, g) for f, g in compose_pairs),
+        ),
+        law("enhancing.wedge", (({**at, "natural": nat.name}, wedge, nat) for nat in naturals)),
+        law("enhancing.map_commute", (({**at, "shape": x.name}, map_commute, x) for x in shapes)),
     ]
 
 
@@ -901,57 +887,57 @@ def check_enhancing_laws(
 def check_functorization_laws(
     fz, shapes, naturals, dom_a, dom_b, compose_pairs, budget=DEFAULT_MAX_EVALS
 ):
-    tag = fz.family_tag.value
+    at = {"tag": fz.family_tag.value}
     cls = CONCRETE_FAMILIES[fz.family_tag]
     probe = all_functions(dom_a, dom_b)
     fns_a, fns_b = all_functions(dom_a, dom_a)[:4], all_functions(dom_b, dom_b)[:4]
 
-    def map_is_shape_map():
-        for shape in shapes:
-            optic = fz.enhance_op(shape)
-            payloads = shape.payloads(dom_a)
-            for h in probe:
-                run = optic.map_optic(h)
-                for p in payloads:
-                    yield {"tag": tag, "shape": shape.name, "h": h, "p": p}, shape.map(h, p), run(p)
+    def map_is_shape_map(inputs, shape):
+        optic = fz.enhance_op(shape)
+        payloads = shape.payloads(dom_a)
+        for h in probe:
+            run = optic.map_optic(h)
+            for p in payloads:
+                yield {**inputs, "h": h, "p": p}, shape.map(h, p), run(p)
 
-    def compose_shape():
-        for f_shape, g_shape in compose_pairs:
-            fg = compose_shapes(f_shape, g_shape)
-            rhs = cls.inj(lambda cp: cp.value, Comp).compose(
-                fz.enhance_op(f_shape)
-            ).compose(fz.enhance_op(g_shape))
-            inputs = {"tag": tag, "shapes": (f_shape.name, g_shape.name)}
-            yield inputs, fz.enhance_op(fg), rhs, dom_a, dom_b, fg.payloads(dom_a)
+    def identity_shape(inputs):
+        lhs, rhs = fz.enhance_op(ID_SHAPE), cls.inj(lambda p: p.value, Id)
+        yield inputs, lhs, rhs, dom_a, dom_b, ID_SHAPE.payloads(dom_a)
 
-    def wedge():
-        for nat in naturals:
-            lhs = cls.inj(identity, nat.fn).compose(fz.enhance_op(nat.source))
-            rhs = cls.inj(nat.fn, identity).compose(fz.enhance_op(nat.target))
-            yield {"tag": tag, "natural": nat.name}, lhs, rhs, dom_a, dom_b, nat.source.payloads(dom_a)
+    def compose_shape(inputs, f_shape, g_shape):
+        fg = compose_shapes(f_shape, g_shape)
+        outer = cls.inj(lambda cp: cp.value, Comp).compose(fz.enhance_op(f_shape))
+        rhs = outer.compose(fz.enhance_op(g_shape))
+        yield inputs, fz.enhance_op(fg), rhs, dom_a, dom_b, fg.payloads(dom_a)
 
-    def inj_commute():
-        for shape in shapes:
-            payloads = shape.payloads(dom_a)
-            for u, v in itertools.product(fns_a, fns_b):
-                lhs = fz.enhance_op(shape).compose(cls.inj(u, v))
-                rhs = cls.inj(
-                    lambda p: shape.map(u, p), lambda p: shape.map(v, p)
-                ).compose(fz.enhance_op(shape))
-                yield {"tag": tag, "shape": shape.name}, lhs, rhs, dom_a, dom_b, payloads
+    def wedge(inputs, nat):
+        lhs = cls.inj(identity, nat.fn).compose(fz.enhance_op(nat.source))
+        rhs = cls.inj(nat.fn, identity).compose(fz.enhance_op(nat.target))
+        yield inputs, lhs, rhs, dom_a, dom_b, nat.source.payloads(dom_a)
 
-    identity_case = (
-        {"tag": tag},
-        fz.enhance_op(ID_SHAPE),
-        cls.inj(lambda p: p.value, Id),
-        dom_a, dom_b, ID_SHAPE.payloads(dom_a),
-    )
+    def inj_commute(inputs, shape):
+        payloads = shape.payloads(dom_a)
+        for u, v in itertools.product(fns_a, fns_b):
+            lhs = fz.enhance_op(shape).compose(cls.inj(u, v))
+            mapped = cls.inj(lambda p: shape.map(u, p), lambda p: shape.map(v, p))
+            rhs = mapped.compose(fz.enhance_op(shape))
+            yield inputs, lhs, rhs, dom_a, dom_b, payloads
+
+    def law(name, units, compare=_LawRun.compared):
+        return _LawRun(f"functorization.{name}", budget).run(units, compare)
+
+    def per_shape(cases):
+        return (({**at, "shape": x.name}, cases, x) for x in shapes)
+
     return [
-        _LawRun("functorization.map_is_shape_map", budget).run(map_is_shape_map()),
-        _LawRun("functorization.identity_shape", budget).agreements([identity_case]),
-        _LawRun("functorization.compose_shape", budget).agreements(compose_shape()),
-        _LawRun("functorization.wedge", budget).agreements(wedge()),
-        _LawRun("functorization.inj_commute", budget).agreements(inj_commute()),
+        law("map_is_shape_map", per_shape(map_is_shape_map), compare=None),
+        law("identity_shape", [(at, identity_shape)]),
+        law(
+            "compose_shape",
+            (({**at, "shapes": (f.name, g.name)}, compose_shape, f, g) for f, g in compose_pairs),
+        ),
+        law("wedge", (({**at, "natural": nat.name}, wedge, nat) for nat in naturals)),
+        law("inj_commute", per_shape(inj_commute)),
     ]
 
 
@@ -961,70 +947,76 @@ def check_iso_laws(family, shape_pool, naturals, budget=DEFAULT_MAX_EVALS):
     """The laws of ``family``'s residual forms, on its member shapes
     ``shape_pool`` and the registered ``naturals`` that lie within it."""
     As, ss = labels("a", 2), labels("s", 3)
+    at = {"family": family.name}
     optics = [
         (shape, gen_iso_optic(i, shape, family, As, As, ss, ss))
         for i, shape in enumerate(shape_pool)
     ]
 
-    def normal_form():
-        for shape, optic in optics:
-            rebuilt = iso_inj(optic.forward, optic.backward, family).compose(
-                enhance_iso(shape, family)
-            )
-            yield {"family": family.name, "shape": shape.name}, optic, rebuilt, As, As, ss
+    def normal_form(inputs, shape, optic):
+        rebuilt = iso_inj(optic.forward, optic.backward, family)
+        yield inputs, optic, rebuilt.compose(enhance_iso(shape, family)), As, As, ss
 
-    def endo_identity():
+    def endo_identity(inputs, shape, optic):
         # chasing an optic through inj/compose round trips must be identity
         id_iso = iso_inj(identity, identity, family)
-        for shape, optic in optics:
-            chained = id_iso.compose(optic).compose(id_iso)
-            yield {"family": family.name, "shape": shape.name}, optic, chained, As, As, ss
+        yield inputs, optic, id_iso.compose(optic).compose(id_iso), As, As, ss
 
     retract = _LawRun("iso.retraction", budget)
 
-    def retractions():
+    def arbitrary(inputs, i, shape):
         # equality with the pure zoom forces backward . forward = id; the
         # converse needs natural components (checked below), not raw tables
-        for i, shape in enumerate(shape_pool):
-            payloads = shape.payloads(As)
-            same = gen_iso_optic(100 + i, shape, family, As, As, payloads, payloads)
-            section = all(same.backward(same.forward(p)) == p for p in payloads)
-            zoom = enhance_iso(shape, family)
-            ok = section or not retract.agrees(same, zoom, As, As, payloads)
-            yield {"family": family.name, "shape": shape.name, "direction": "arbitrary"}, True, ok
-        by_name = {nat.name: nat for nat in naturals}
-        for fwd_name, bwd_name in _RETRACTIONS:
-            if fwd_name not in by_name or bwd_name not in by_name:
-                continue
-            nat, nat_inv = by_name[fwd_name], by_name[bwd_name]
-            twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
-            inputs = {"family": family.name, "natural": nat.name, "direction": "natural"}
-            zoom = enhance_iso(nat.source, family)
-            yield retract.compared(inputs, twisted, zoom, As, As, nat.source.payloads(As))
+        payloads = shape.payloads(As)
+        same = gen_iso_optic(100 + i, shape, family, As, As, payloads, payloads)
+        section = all(same.backward(same.forward(p)) == p for p in payloads)
+        zoom = enhance_iso(shape, family)
+        yield inputs, True, section or not retract.agrees(same, zoom, As, As, payloads)
 
-    def enhance_composition():
-        for f_shape, g_shape in itertools.combinations(shape_pool, 2):
-            lhs = enhance_iso(f_shape, family).compose(enhance_iso(g_shape, family))
-            fg = compose_shapes(f_shape, g_shape)
-            rhs = iso_inj(Comp, lambda p: p.value, family).compose(enhance_iso(fg, family))
-            dom_in = f_shape.payloads(g_shape.payloads(As))
-            yield {"family": family.name, "shapes": (f_shape.name, g_shape.name)}, lhs, rhs, As, As, dom_in
+    def natural(inputs, nat, nat_inv):
+        twisted = IsoOptic(family, nat.target, forward=nat.fn, backward=nat_inv.fn)
+        zoom = enhance_iso(nat.source, family)
+        yield retract.compared(inputs, twisted, zoom, As, As, nat.source.payloads(As))
 
-    def equality_up_to_natural():
-        for nat in naturals:
-            rng = random.Random(f"{nat.name}:0")
-            fwd = _rand_table(rng, ss, nat.source.payloads(As))
-            bwd = _rand_table(rng, nat.target.payloads(As), ss)
-            with_fwd = IsoOptic(family, nat.target, lambda s: nat.fn(fwd(s)), bwd)
-            with_bwd = IsoOptic(family, nat.source, fwd, lambda p: bwd(nat.fn(p)))
-            yield {"family": family.name, "natural": nat.name}, with_fwd, with_bwd, As, As, ss
+    def enhance_composition(inputs, f_shape, g_shape):
+        lhs = enhance_iso(f_shape, family).compose(enhance_iso(g_shape, family))
+        fg = compose_shapes(f_shape, g_shape)
+        rhs = iso_inj(Comp, lambda p: p.value, family).compose(enhance_iso(fg, family))
+        yield inputs, lhs, rhs, As, As, f_shape.payloads(g_shape.payloads(As))
 
+    def equality_up_to_natural(inputs, nat):
+        rng = random.Random(f"{nat.name}:0")
+        fwd = _rand_table(rng, ss, nat.source.payloads(As))
+        bwd = _rand_table(rng, nat.target.payloads(As), ss)
+        with_fwd = IsoOptic(family, nat.target, lambda s: nat.fn(fwd(s)), bwd)
+        with_bwd = IsoOptic(family, nat.source, fwd, lambda p: bwd(nat.fn(p)))
+        yield inputs, with_fwd, with_bwd, As, As, ss
+
+    def law(name, units):
+        return _LawRun(f"iso.{name}", budget).run(units, _LawRun.compared)
+
+    by_name = {nat.name: nat for nat in naturals}
+    retractions = [
+        ({**at, "shape": shape.name, "direction": "arbitrary"}, arbitrary, i, shape)
+        for i, shape in enumerate(shape_pool)
+    ] + [
+        ({**at, "natural": fwd, "direction": "natural"}, natural, by_name[fwd], by_name[bwd])
+        for fwd, bwd in _RETRACTIONS
+        if fwd in by_name and bwd in by_name
+    ]
     return [
-        _LawRun("iso.normal_form", budget).agreements(normal_form()),
-        retract.run(retractions()),
-        _LawRun("iso.enhance_composition", budget).agreements(enhance_composition()),
-        _LawRun("iso.endo_identity", budget).agreements(endo_identity()),
-        _LawRun("iso.equality_up_to_natural", budget).agreements(equality_up_to_natural()),
+        law("normal_form", (({**at, "shape": x.name}, normal_form, x, o) for x, o in optics)),
+        retract.run(retractions),
+        law(
+            "enhance_composition",
+            (({**at, "shapes": (f.name, g.name)}, enhance_composition, f, g)
+             for f, g in itertools.combinations(shape_pool, 2)),
+        ),
+        law("endo_identity", (({**at, "shape": x.name}, endo_identity, x, o) for x, o in optics)),
+        law(
+            "equality_up_to_natural",
+            (({**at, "natural": nat.name}, equality_up_to_natural, nat) for nat in naturals),
+        ),
     ]
 
 
@@ -1044,30 +1036,25 @@ def check_morphism(spec: MorphismSpec, budget=DEFAULT_MAX_EVALS):
     ds, d1, d2 = (spec.doms[k] for k in ("s", "a1", "a2"))
     rng = random.Random(spec.name)
     tables = [(_rand_table(rng, ds, d1), _rand_table(rng, d1, ds)) for _ in range(3)]
+    at, theta = {"conversion": spec.name}, spec.theta
+
+    def preserves_inj(inputs, f, g):
+        yield inputs, theta(spec.inj_src(f, g)), spec.inj_dst(f, g), d1, d1, ds
+
+    def preserves_compose(inputs, o1, o2):
+        yield inputs, theta(o1.compose(o2)), theta(o1).compose(theta(o2)), d2, d2, ds
+
+    def preserves_map(inputs, o1, o2):
+        yield inputs, theta(o1), o1, d1, d1, ds
+
+    def law(name, key, rows, cases):
+        units = _units(at, key, rows, cases)
+        return _LawRun(f"morphism.{name}", budget).run(units, _LawRun.compared)
 
     return [
-        _LawRun("morphism.preserves_inj", budget).agreements(
-            (
-                {"conversion": spec.name, "sample": i},
-                spec.theta(spec.inj_src(f, g)),
-                spec.inj_dst(f, g),
-                d1, d1, ds,
-            )
-            for i, (f, g) in enumerate(tables)
-        ),
-        _LawRun("morphism.preserves_compose", budget).agreements(
-            (
-                {"conversion": spec.name, "pair": i},
-                spec.theta(o1.compose(o2)),
-                spec.theta(o1).compose(spec.theta(o2)),
-                d2, d2, ds,
-            )
-            for i, (o1, o2) in enumerate(spec.pairs)
-        ),
-        _LawRun("morphism.preserves_map", budget).agreements(
-            ({"conversion": spec.name, "pair": i}, spec.theta(o1), o1, d1, d1, ds)
-            for i, (o1, _) in enumerate(spec.pairs)
-        ),
+        law("preserves_inj", "sample", tables, preserves_inj),
+        law("preserves_compose", "pair", spec.pairs, preserves_compose),
+        law("preserves_map", "pair", spec.pairs, preserves_map),
     ]
 
 

@@ -17,6 +17,12 @@ DEFAULT_MAX_EVALS = 100_000
 SAMPLE_SIZE = 64
 
 
+def _show(pairs):
+    """The one printed form of a probe table, ``FiniteFn({a:b, ...})``."""
+    items = ", ".join(f"{k!r}:{v!r}" for k, v in pairs)
+    return f"FiniteFn({{{items}}})"
+
+
 class FiniteFn(dict):
     """A total function given by an explicit table over a finite domain.
 
@@ -35,8 +41,7 @@ class FiniteFn(dict):
         return self is not other
 
     def __repr__(self):
-        items = ", ".join(f"{k!r}:{v!r}" for k, v in self.items())
-        return f"FiniteFn({{{items}}})"
+        return _show(self.items())
 
 
 class _ScanFn(tuple):
@@ -51,25 +56,30 @@ class _ScanFn(tuple):
                 return b
         raise KeyError(x)
 
+    def __repr__(self):
+        return _show(self)
 
-def all_functions(dom_a, dom_b):
-    """Every total function from dom_a to dom_b, as FiniteFn tables (as
-    _ScanFn tables when dom_a holds an unhashable value)."""
-    table = FiniteFn
+
+def _table(dom_a):
+    """FiniteFn, or _ScanFn when ``dom_a`` holds an unhashable value."""
     try:
         set(dom_a)
     except TypeError:
-        table = _ScanFn
+        return _ScanFn
+    return FiniteFn
+
+
+def all_functions(dom_a, dom_b):
+    """Every total function from dom_a to dom_b, as :func:`_table` tables."""
+    table = _table(dom_a)
     return [table(zip(dom_a, image)) for image in itertools.product(dom_b, repeat=len(dom_a))]
 
 
 def sample_functions(dom_a, dom_b):
-    """A seeded sample of SAMPLE_SIZE function tables from dom_a to dom_b."""
+    """A seeded sample of SAMPLE_SIZE :func:`_table` tables, dom_a to dom_b."""
     rng = random.Random(0)
-    return [
-        FiniteFn((a, rng.choice(dom_b)) for a in dom_a)
-        for _ in range(SAMPLE_SIZE)
-    ]
+    table = _table(dom_a)
+    return [table((a, rng.choice(dom_b)) for a in dom_a) for _ in range(SAMPLE_SIZE)]
 
 
 def probes_exhaustive(dom_a, dom_b, dom_s, max_evals):

@@ -44,7 +44,7 @@ from opticat.families import (
     family_join,
     family_le,
 )
-from opticat.laws import check_lawful
+from opticat.laws import check_lawful, report_lines
 from opticat.probes import all_functions
 
 
@@ -1036,6 +1036,10 @@ def test_a_modify_action_that_ignores_its_function_fails_the_laws(
     mutant = _step_record(kind, arg, family, over=lambda a, h: row_over(a, lambda x: x))
     reports = {rep.law: rep for rep in check_lawful(mutant, foci, wholes)}
     assert reports["lawful.reentry"].status == "FAIL"
+    # a probe over JSON foci prints by repr, not as a JSON document
+    line = next(line for line in report_lines(reports.values()) if "lawful.reentry" in line)
+    h = json.loads(line)["counterexample"]["inputs"]["h"]
+    assert h == "FiniteFn({0:'x', 'x':0, None:0, [1, 2]:0})"
 
 
 # A path is the library's composition of its steps ---------------------------------

@@ -22,7 +22,11 @@ from opticat.laws import (
     REQUIRED_LAWS,
     check_enhancing_laws,
     check_functor_laws,
+    check_functorization_laws,
+    check_iso_laws,
     check_lawful,
+    check_morphism,
+    check_optic_family_laws,
     function_arrow_fixture,
     gen_lawful_achlens,
     gen_lawful_adapter,
@@ -400,24 +404,6 @@ def test_a_put_on_a_miss_that_moves_fails_only_lawful_fields():
     assert reports["lawful.fields"].failures[0]["inputs"] == {"field": "put", "b": "a0", "s": "s2"}
 
 
-def test_a_lens_whose_put_raises_fails_with_the_raise():
-    # A raise on either side of a case is a FAIL naming the case's inputs,
-    # and every law still reports.
-    def put(b, s):
-        if s == "s1":
-            raise KeyError("s1")
-        return s
-
-    lens = Lens(get=lambda s: "a0", put=put)
-    reports = {rep.law: rep for rep in check_lawful(lens, labels("a", 2), ("s0", "s1"))}
-    assert set(reports) == {"lawful.outside", "lawful.reentry", "lawful.fields"}
-    assert reports["lawful.outside"].status == FAIL
-    assert reports["lawful.outside"].failures == [{"inputs": {"s": "s1"}, "raised": "KeyError('s1')"}]
-    assert reports["lawful.fields"].failures == [
-        {"inputs": {"field": "put", "b": "a0", "s": "s1"}, "raised": "KeyError('s1')"}
-    ]
-
-
 def _function_arrow_with(dimap=FUNCTION_ARROW.dimap, enhance=FUNCTION_ARROW.enhance):
     """The function-arrow capability fixture with a planted dimap or enhance."""
     arrow = function_arrow_fixture()
@@ -496,6 +482,238 @@ def test_a_function_arrow_fail_names_an_input_that_replays():
     assert s in ID_SHAPE.payloads(dom)
     assert (failure["actual"], failure["expected"]) == (lhs(s), rhs(s))
     assert lhs(s) != rhs(s)
+
+
+# Planted raises: one row per checker ------------------------------------------------
+
+def _planted(*args):
+    raise RuntimeError("planted")
+
+
+def _lens_whose_put_raises_at_s1():
+    def put(b, s):
+        if s == "s1":
+            raise KeyError("s1")
+        return s
+
+    return Lens(get=lambda s: "a0", put=put)
+
+
+def _pair_whose_map_raises():
+    pair = pair_shape(("r0", "r1"))
+    return ContainerShape("RaisingPair", _planted, product=pair.product, payloads=pair.payloads)
+
+
+class _ComposeRaises:
+    """An optic whose map action is the wrapped optic's, and whose compose
+    raises."""
+
+    def __init__(self, optic):
+        self.optic = optic
+
+    def map_optic(self, h):
+        return self.optic.map_optic(h)
+
+    compose = _planted
+
+
+def _lens_fixture_whose_compose_raises():
+    from opticat.laws import FamilyFixture, concrete_family_fixture
+
+    fix = concrete_family_fixture(FamilyTag.LENS)
+    return FamilyFixture(
+        fix.name,
+        lambda f, g: _ComposeRaises(fix.inj(f, g)),
+        [tuple(map(_ComposeRaises, triple)) for triple in fix.triples],
+        fix.doms,
+        fix.inj_tables,
+    )
+
+
+def _raises_on_composed_shapes(build):
+    """``build`` with a shape first, raising on a composed shape."""
+    return lambda shape, *args: _planted() if shape.parts else build(shape, *args)
+
+
+def _functorization_reports():
+    fz = functorize(FamilyTag.LENS)
+    planted = Functorization(
+        fz.family_tag, fz.functor_family, _raises_on_composed_shapes(fz.enhance_op), fz.residual
+    )
+    shapes, dom = standard_shapes(), labels("a", 2)
+    return check_functorization_laws(
+        planted, [shapes["pair"]], [], dom, dom, [(shapes["pair"], shapes["pair2"])]
+    )
+
+
+def _iso_reports():
+    from opticat.laws import Natural
+
+    shapes = standard_shapes()
+    natural = Natural("id_nat", shapes["id"], shapes["id"], _planted)
+    family = functorize(FamilyTag.LENS).functor_family
+    return check_iso_laws(family, [shapes["id"], shapes["pair"]], [natural])
+
+
+def _morphism_reports():
+    from opticat.laws import MorphismSpec, standard_morphism_specs
+
+    spec = standard_morphism_specs(1)[0]
+    planted = MorphismSpec("planted", _planted, spec.inj_src, spec.inj_dst, spec.pairs, spec.doms)
+    return check_morphism(planted)
+
+
+_PLANTED = "RuntimeError('planted')"
+_A0_TO_A0 = "FiniteFn({'a0':'a0', 'a1':'a0'})"
+
+# checker name -> (a call of it with a planted raise, the laws it reports,
+# the counterexample of each law that raises)
+_PLANTED_RAISES = {
+    "check_lawful": (
+        lambda: check_lawful(_lens_whose_put_raises_at_s1(), labels("a", 2), ("s0", "s1")),
+        {"lawful.outside", "lawful.reentry", "lawful.fields"},
+        {
+            "lawful.outside": {"inputs": {"s": "s1"}, "raised": "KeyError('s1')"},
+            "lawful.fields": {
+                "inputs": {"field": "put", "b": "a0", "s": "s1"},
+                "raised": "KeyError('s1')",
+            },
+        },
+    ),
+    "check_functor_laws": (
+        lambda: check_functor_laws(_pair_whose_map_raises(), labels("a", 2)),
+        {
+            "functor.map_identity",
+            "functor.map_composition",
+            "functor.payloads_closed",
+            "product.round_trip_from_to",
+            "product.round_trip_to_from",
+        },
+        {
+            "functor.map_identity": {
+                "inputs": {"shape": "RaisingPair", "p": ["r0", "a0"]}, "raised": _PLANTED,
+            },
+            "functor.map_composition": {
+                "inputs": {"shape": "RaisingPair", "f": _A0_TO_A0, "g": _A0_TO_A0},
+                "raised": _PLANTED,
+            },
+            "functor.payloads_closed": {
+                "inputs": {"shape": "RaisingPair", "h": "FiniteFn({'a0':'b0', 'a1':'b0'})"},
+                "raised": _PLANTED,
+            },
+        },
+    ),
+    "check_optic_family_laws": (
+        lambda: check_optic_family_laws(_lens_fixture_whose_compose_raises()),
+        {f"optic_family.{law}" for law in (
+            "compose_associative", "identity_left", "identity_right", "inj_identity",
+            "inj_composition", "map_inj", "map_composition",
+        )},
+        {
+            f"optic_family.{law}": {
+                "inputs": {"fixture": "concrete.LENS", key: 0}, "raised": _PLANTED,
+            }
+            for law, key in (
+                ("compose_associative", "triple"),
+                ("identity_left", "triple"),
+                ("identity_right", "triple"),
+                ("inj_composition", "table"),
+                ("map_composition", "triple"),
+            )
+        },
+    ),
+    "check_enhancing_laws": (
+        lambda: _enhancing_reports(
+            _function_arrow_with(enhance=_raises_on_composed_shapes(FUNCTION_ARROW.enhance)),
+            [(standard_shapes()["pair"], standard_shapes()["pair2"])],
+        ).values(),
+        {
+            "profunctor.dimap_identity",
+            "profunctor.dimap_composition",
+            "enhancing.identity_shape",
+            "enhancing.compose_shape",
+            "enhancing.wedge",
+            "enhancing.map_commute",
+        },
+        {
+            "enhancing.compose_shape": {
+                "inputs": {"cap": "FunctionArrow", "shapes": ["Pair", "Pair2"]},
+                "raised": _PLANTED,
+            },
+        },
+    ),
+    "check_functorization_laws": (
+        _functorization_reports,
+        {f"functorization.{law}" for law in (
+            "map_is_shape_map", "identity_shape", "compose_shape", "wedge", "inj_commute",
+        )},
+        {
+            "functorization.compose_shape": {
+                "inputs": {"tag": "LENS", "shapes": ["Pair", "Pair2"]}, "raised": _PLANTED,
+            },
+        },
+    ),
+    "check_iso_laws": (
+        _iso_reports,
+        {f"iso.{law}" for law in (
+            "normal_form", "retraction", "enhance_composition", "endo_identity",
+            "equality_up_to_natural",
+        )},
+        {
+            "iso.retraction": {
+                "inputs": {"family": "IsProduct", "natural": "id_nat", "direction": "natural"},
+                "raised": _PLANTED,
+            },
+            "iso.equality_up_to_natural": {
+                "inputs": {"family": "IsProduct", "natural": "id_nat"}, "raised": _PLANTED,
+            },
+        },
+    ),
+    "check_morphism": (
+        _morphism_reports,
+        {"morphism.preserves_inj", "morphism.preserves_compose", "morphism.preserves_map"},
+        {
+            f"morphism.{law}": {
+                "inputs": {"conversion": "planted", key: 0}, "raised": _PLANTED,
+            }
+            for law, key in (
+                ("preserves_inj", "sample"), ("preserves_compose", "pair"), ("preserves_map", "pair"),
+            )
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("checker", sorted(_PLANTED_RAISES))
+def test_a_planted_raise_fails_its_law_and_every_other_law_reports(checker):
+    # A raise in a case is one more case of its law, a FAIL naming the
+    # inputs of the case's unit and "raised"; the checker returns, and each
+    # of its other laws reports as it would.
+    call, laws_reported, raised = _PLANTED_RAISES[checker]
+    records = {rec["law"]: rec for rec in map(json.loads, report_lines(call()))}
+    assert set(records) == laws_reported
+    raising = {law for law, rec in records.items() if "raised" in (rec["counterexample"] or {})}
+    assert raising == set(raised)
+    for law, counterexample in raised.items():
+        assert records[law]["status"] == FAIL
+        assert records[law]["counterexample"] == counterexample
+
+
+def test_a_planted_raise_in_the_full_suite_exits_1_with_its_report(monkeypatch, capsys):
+    # main prints every law and exits 1; no traceback reaches the caller.
+    import opticat.laws as laws
+
+    monkeypatch.setattr(laws, "enhance_iso", _planted)
+    assert laws.main([]) == 1
+    records = {rec["law"]: rec for rec in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert set(records) == set(REQUIRED_LAWS)
+    assert records["iso.normal_form"]["counterexample"]["raised"] == _PLANTED
+
+
+def test_every_checker_has_a_planted_raise():
+    import opticat.laws as laws
+
+    assert set(_PLANTED_RAISES) == {name for name in vars(laws) if name.startswith("check_")}
 
 
 def test_budget_marks_inconclusive_never_passed():
@@ -939,9 +1157,12 @@ def test_a_probe_names_only_the_case_whose_own_comparison_failed():
 
     dom_a = ("a0", "a1")
     pairs = [(a, c) for a in dom_a for c in dom_a]
+    def one_case(inputs, expected, actual):
+        yield inputs, expected, actual
+
     run = _LawRun("x.law")
     assert not run.agrees(first(), second(), dom_a, dom_a, pairs)
-    run.run([({"case": 0}, True, True), ({"case": 1}, True, False)])
+    run.run([({"case": 0}, one_case, True, True), ({"case": 1}, one_case, True, False)])
     assert run.report.failures == [{"inputs": {"case": 1}, "expected": True, "actual": False}]
 
 

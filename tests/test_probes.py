@@ -57,3 +57,45 @@ def test_probe_set_key_holds_domains_size_and_budget():
     assert probe_functions(dom, dom, wholes, max_evals=54)[1] is True
     assert probe_functions(dom, dom[:2], wholes)[0] != fns
     assert probe_functions(dom, dom, wholes)[0] is not fns
+
+
+_JSON_FOCI = (0, "x", None, [1, 2])
+
+
+def test_a_sample_over_an_unhashable_domain_scans_its_pairs():
+    # sample_functions chooses its table as all_functions does, so JSON
+    # foci, a list among them, give tables that can be called on the list.
+    fns = probes.sample_functions(_JSON_FOCI, _JSON_FOCI)
+    assert len(fns) == probes.SAMPLE_SIZE
+    assert all(f([1, 2]) in _JSON_FOCI for f in fns)
+    assert repr(fns[0]).startswith("FiniteFn({0:")
+
+
+def test_a_sample_over_a_hashable_domain_keeps_its_draws():
+    import random
+
+    dom = ("a0", "a1", "a2")
+    rng = random.Random(0)
+    draws = [{a: rng.choice(dom) for a in dom} for _ in range(probes.SAMPLE_SIZE)]
+    fns = probes.sample_functions(dom, dom)
+    assert all(type(f) is FiniteFn for f in fns)
+    assert [dict(f) for f in fns] == draws
+
+
+def test_sampled_path_optics_over_json_foci_compare():
+    # Two idx(0) paths are equal; a budget that forces a sampled probe set
+    # over JSON foci still compares them.
+    from opticat.cli import compile_path, parse_path
+    from opticat.iso import observational_eq
+
+    wholes = [[a, "x"] for a in _JSON_FOCI]
+    o1, _ = compile_path(parse_path("idx(0)"))
+    o2, _ = compile_path(parse_path("idx(0)"))
+    assert observational_eq(o1, o2, _JSON_FOCI, _JSON_FOCI, wholes, max_evals=10)
+    assert observational_eq(o1, o2, _JSON_FOCI, _JSON_FOCI, wholes)
+
+
+def test_both_probe_tables_print_alike():
+    scanned = all_functions(_JSON_FOCI, (0,))[0]
+    assert repr(scanned) == "FiniteFn({0:0, 'x':0, None:0, [1, 2]:0})"
+    assert repr(all_functions(("a0",), (0,))[0]) == "FiniteFn({'a0':0})"
